@@ -33,6 +33,3 @@ print("=== determinism: same config, same bytes (minus wall time) ===")
 again = run_suite(config)
 scrub = lambda s: re.sub(r'"wall_time_s": \S+', "-", s)
 print("  byte-identical:", scrub(report.to_json()) == scrub(again.to_json()))
-print()
-print("Set HJTS_THREADS=4 to evaluate sample points in a thread pool;")
-print("the per-sample Philox streams make the report identical either way.")

@@ -1,8 +1,10 @@
 """Command-line front end: ``verify``, ``psi``, and ``sample``.
 
 Exit codes: 0 every suite passed; 1 at least one suite exceeded its
-tolerance; 2 an internal-consistency check tripped (route disagreement,
-non-integer genus); 3 the command line or configuration failed to parse.
+tolerance; 2 an internal defect: a consistency check tripped (route
+disagreement, non-integer genus), a kernel failed (ConvergenceError,
+SingularityError), or an unexpected exception escaped, whose traceback goes
+to stderr; 3 the command line or configuration failed to parse.
 
 ``verify`` writes the JSON report to ``--out`` (UTF-8) or stdout and a short
 human summary to stderr, so piping the report stays clean.
@@ -12,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
 from . import kinds as _k
-from .errors import ConsistencyError, ContractError, DomainError
+from .errors import ConsistencyError, ContractError, DomainError, HjtsError
 from .harness import (
     DEFAULT_KINDS,
     RNG_NAME,
@@ -216,3 +219,9 @@ def main(argv=None) -> int:
     except (ContractError, DomainError) as err:
         print(f"hjts: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except HjtsError as err:
+        print(f"hjts: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_CONSISTENCY
+    except Exception:
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_CONSISTENCY

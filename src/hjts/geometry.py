@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import enum
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .spectral import (
     generic_norms,
     log_generic_norm_minus,
     log_generic_norm_plus,
+    log_norm_rows,
     quasi_inverse,
     spectral_values,
 )
@@ -69,15 +71,12 @@ class PotentialId(enum.Enum):
         return self.value
 
 
-def _real_directions(n: int) -> list[np.ndarray]:
-    """The 2n real coordinate directions as complex vectors, Re/Im interleaved."""
-    dirs = []
-    for j in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[j] = 1.0
-        dirs.append(e.copy())
-        e[j] = 1.0j
-        dirs.append(e)
+def _real_directions(n: int) -> np.ndarray:
+    """The 2n real coordinate directions as the rows of a (2n, n) complex
+    matrix, Re/Im interleaved: row 2j is e_j and row 2j+1 is i e_j."""
+    dirs = np.zeros((2 * n, n), dtype=np.complex128)
+    dirs[0::2] = np.eye(n)
+    dirs[1::2] = 1.0j * np.eye(n)
     return dirs
 
 
@@ -112,13 +111,14 @@ class TwoFormSample:
         return -self.scale * float(pairing.imag)
 
     def real_matrix(self) -> np.ndarray:
-        """The 2N x 2N real antisymmetric matrix of the form (Re/Im interleaved)."""
+        """The 2N x 2N real antisymmetric matrix of the form (Re/Im interleaved).
+
+        Entry (a, b) is ``evaluate(d_a, d_b)`` over the real directions d; as
+        every d has one entry, 1 or i, each entry is one exact product of a
+        Hessian entry, bit for bit the value ``evaluate`` gives.
+        """
         dirs = _real_directions(self.hessian.shape[0])
-        m = np.empty((len(dirs), len(dirs)), dtype=np.float64)
-        for a, da in enumerate(dirs):
-            for b, db in enumerate(dirs):
-                m[a, b] = self.evaluate(da, db)
-        return m
+        return -self.scale * (dirs @ self.hessian @ dirs.conj().T).imag
 
 
 @dataclass(frozen=True)
@@ -154,39 +154,78 @@ def potential(pid: PotentialId, z: Element) -> float:
     raise ContractError(f"unknown potential {pid!r}")  # pragma: no cover
 
 
+class _Stencil(NamedTuple):
+    """Central-difference stencil of every mixed second derivative in 2n real directions."""
+
+    offsets: np.ndarray  # (K, n): row 0 is the centre, then the pair rows
+    rows: np.ndarray     # (P,) direction index a of each pair a <= b
+    cols: np.ndarray     # (P,) direction index b
+    taps: np.ndarray     # (4, P): offset rows read at ++, --, +-, -+
+
+
+@lru_cache(maxsize=None)
+def _stencil(n: int) -> _Stencil:
+    """The P = n(2n+1) pairs a <= b read f at z +- step (d_a + d_b) and
+    z +- step (d_a - d_b).  On the diagonal the difference vanishes, so both
+    cross taps read the centre, which is stored once: K = 4P - 4n + 1 rows."""
+    dirs = _real_directions(n)
+    rows, cols = np.triu_indices(2 * n)
+    pairs = rows.size
+    off = np.flatnonzero(rows != cols)
+    plus = dirs[rows] + dirs[cols]
+    minus = dirs[rows[off]] - dirs[cols[off]]
+    offsets = np.concatenate([np.zeros((1, n), dtype=np.complex128),
+                              plus, -plus, minus, -minus])
+    taps = np.zeros((4, pairs), dtype=np.intp)
+    taps[0] = 1 + np.arange(pairs)
+    taps[1] = 1 + pairs + np.arange(pairs)
+    taps[2, off] = 1 + 2 * pairs + np.arange(off.size)
+    taps[3, off] = 1 + 2 * pairs + off.size + np.arange(off.size)
+    for arr in (offsets, rows, cols, taps):
+        arr.setflags(write=False)
+    return _Stencil(offsets, rows, cols, taps)
+
+
+def _check_step(h: float) -> None:
+    if not (1e-7 <= h <= 1e-2):
+        raise ContractError(f"finite-difference step {h:g} outside [1e-7, 1e-2]")
+
+
+def _stencil_points(z: Element, h: float) -> tuple[np.ndarray, float, _Stencil]:
+    """The (K, N) coordinate rows of the stencil at z, with step h * max(1, |z|)."""
+    step = h * max(1.0, z.norm())
+    stencil = _stencil(z.coords.size)
+    return z.coords + step * stencil.offsets, step, stencil
+
+
+def _assemble_hessian(values: np.ndarray, step: float, stencil: _Stencil) -> np.ndarray:
+    """Mixed complex Hessian from f at the stencil rows.
+
+    Builds the real second-difference table S over the 2N directions and
+    assembles H_jk = (S_xx + S_yy + i (S_xy - S_yx)) / 4, Hermitian whenever f
+    is real-valued, then symmetrizes it.
+    """
+    f_pp, f_mm, f_pm, f_mp = values[stencil.taps]
+    two_n = 2 * stencil.offsets.shape[1]
+    s = np.empty((two_n, two_n), dtype=np.float64)
+    s[stencil.rows, stencil.cols] = s[stencil.cols, stencil.rows] = \
+        (f_pp - f_pm - f_mp + f_mm) / (4.0 * step * step)
+    hess = 0.25 * (s[0::2, 0::2] + s[1::2, 1::2]
+                   + 1.0j * (s[0::2, 1::2] - s[1::2, 0::2]))
+    return 0.5 * (hess + hess.conj().T)
+
+
 def complex_hessian(fn: Callable[[Element], float], z: Element,
                     h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Mixed complex Hessian H_jk = d^2 fn / dz_j dzbar_k by central differences.
 
-    Builds the full real second-difference table S over the 2N coordinate
-    directions (step h scaled by max(1, |z|)) and assembles
-
-        H_jk = (S_xx + S_yy + i (S_xy - S_yx)) / 4 ,
-
-    which is Hermitian whenever fn is real-valued.
+    Evaluates fn once per stencil row (step h scaled by max(1, |z|)); see
+    ``_assemble_hessian`` for how the second differences combine.
     """
-    if not (1e-7 <= h <= 1e-2):
-        raise ContractError(f"finite-difference step {h:g} outside [1e-7, 1e-2]")
-    n = z.coords.size
-    step = h * max(1.0, z.norm())
-    dirs = _real_directions(n)
-    two_n = 2 * n
-    s = np.empty((two_n, two_n), dtype=np.float64)
-    for a in range(two_n):
-        for b in range(a, two_n):
-            plus = dirs[a] + dirs[b]
-            minus = dirs[a] - dirs[b]
-            f_pp = fn(Element(z.kind, z.coords + step * plus))
-            f_mm = fn(Element(z.kind, z.coords - step * plus))
-            if a == b:
-                f_pm = f_mp = fn(z)
-            else:
-                f_pm = fn(Element(z.kind, z.coords + step * minus))
-                f_mp = fn(Element(z.kind, z.coords - step * minus))
-            s[a, b] = s[b, a] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * step * step)
-    hess = 0.25 * (s[0::2, 0::2] + s[1::2, 1::2]
-                   + 1.0j * (s[0::2, 1::2] - s[1::2, 0::2]))
-    return 0.5 * (hess + hess.conj().T)
+    _check_step(h)
+    points, step, stencil = _stencil_points(z, h)
+    values = np.array([fn(Element(z.kind, p)) for p in points], dtype=np.float64)
+    return _assemble_hessian(values, step, stencil)
 
 
 def kahler_matrix(pid: PotentialId, z: Element, h: float = DEFAULT_FD_STEP) -> TwoFormSample:
@@ -195,22 +234,25 @@ def kahler_matrix(pid: PotentialId, z: Element, h: float = DEFAULT_FD_STEP) -> T
     The flat form is returned exactly (identity Hessian in the orthonormal
     coordinates); the other two are measured by finite differences, which for
     the hyperbolic potential requires an interior margin of ten steps to the
-    boundary.
+    boundary.  The whole stencil is evaluated in one batched log-norm call;
+    it yields the same bytes as ``complex_hessian`` over ``potential``.
     """
     n = z.coords.size
     if pid is PotentialId.FLAT:
         return TwoFormSample(z, np.eye(n, dtype=np.complex128))
-    if not (1e-7 <= h <= 1e-2):
-        raise ContractError(f"finite-difference step {h:g} outside [1e-7, 1e-2]")
+    _check_step(h)
+    points, step, stencil = _stencil_points(z, h)
     if pid is PotentialId.HYPERBOLIC:
-        step = h * max(1.0, z.norm())
         lam1 = spectral_values(z)[0]
         if lam1 >= 1.0 - 10.0 * step:
             raise DomainError(
                 f"point too close to the boundary for differencing "
                 f"(largest spectral value {lam1:.6f}, step {step:g})"
             )
-    return TwoFormSample(z, complex_hessian(lambda e: potential(pid, e), z, h))
+        values = -log_norm_rows(z.kind, points, -1.0)
+    else:
+        values = log_norm_rows(z.kind, points, 1.0)
+    return TwoFormSample(z, _assemble_hessian(values, step, stencil))
 
 
 def real_jacobian(map_fn: Callable[[Element], Element], z: Element,

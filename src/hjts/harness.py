@@ -7,8 +7,7 @@ aggregates worst-case errors into a :class:`VerificationReport`.  The sampling
 generator is Philox (4x64 counter-based), with an independent stream per
 sample seeded through ``SeedSequence(seed, spawn_key=(kind_index,
 suite_index, sample_index))``, so reports are byte-identical across runs and
-platforms apart from the wall-time field, no matter how evaluation is
-scheduled.
+platforms apart from the wall-time field.
 
 Suites, and what each sample costs:
 
@@ -31,9 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,6 +85,10 @@ SUITE_NAMES = (
     "beta_exact",
 )
 
+#: Suites that difference the Kähler potentials (kahler_matrix's step range
+#: and its ten-step boundary margin apply to them).
+_HESSIAN_SUITES = ("symplectic", "volume")
+
 #: Kinds exercised by ``verify --all``: every classical family, a non-square
 #: type I, and one reducible product.
 DEFAULT_KINDS = (
@@ -137,6 +138,30 @@ class SuiteConfig:
         if unknown:
             raise ContractError(
                 f"unknown suites {unknown}; valid names: {', '.join(SUITE_NAMES)}"
+            )
+        if any(s in _HESSIAN_SUITES for s in self.suites):
+            self._check_fd_step()
+
+    def _check_fd_step(self) -> None:
+        """Reject a step the Hessian suites would refuse mid-run.
+
+        A sample z has lambda_1 <= boundary_cap and |z| <= sqrt(rank) *
+        lambda_1, and the hyperbolic Hessian needs lambda_1 below
+        1 - 10 * fd_step * max(1, |z|); the bound below keeps every sample clear.
+        """
+        h, cap = self.fd_step, self.boundary_cap
+        if not 1e-7 <= h <= 1e-2:
+            raise ContractError(
+                f"fd_step {h!r} lies outside [1e-7, 1e-2], the steps the "
+                f"symplectic and volume suites accept"
+            )
+        rank_max = max((_k.rank(kind) for kind in self.kinds), default=1)
+        reach = cap + 10.0 * h * max(1.0, math.sqrt(rank_max) * cap)
+        if not reach < 1.0:
+            raise ContractError(
+                f"fd_step {h!r} is too large for boundary_cap {cap!r}: points drawn "
+                f"up to the cap come within ten steps of the boundary "
+                f"(cap + 10 * fd_step * max(1, sqrt({rank_max}) * cap) = {reach:.6g} >= 1)"
             )
 
     def to_dict(self) -> dict:
@@ -415,17 +440,6 @@ def _suite_tolerance(suite: str, config: SuiteConfig) -> float:
     return config.tol_fd  # symplectic, lemma_a1, lemma_a2, beta_exact
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HJTS_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ContractError(f"HJTS_THREADS must be an integer, got {raw!r}") from None
-    return max(n, 0)
-
-
 class _ConsistencyAbort(Exception):
     def __init__(self, kind: _k.JTSKind, suite: str, sample_index: int,
                  cause: ConsistencyError):
@@ -440,10 +454,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     """Execute the configured suites and aggregate a deterministic report.
 
     Sample inputs are drawn per (kind, suite, sample) from independent Philox
-    streams, so evaluation order -- including the optional thread pool sized
-    by HJTS_THREADS -- cannot change any reported number.  The first
-    internal-consistency error aborts the run and is serialized, offending
-    point included, under ``consistency_failure``.
+    streams, so evaluation order cannot change any reported number.  The
+    first internal-consistency error aborts the run and is serialized,
+    offending point included, under ``consistency_failure``.
     """
     started = time.perf_counter()
 
@@ -465,19 +478,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     results = []
     failure: dict | None = None
-    workers = _worker_count()
     try:
         for kind_index, kind, suite, samples in cells:
-            if samples == 0:
-                errors = []
-            elif workers >= 2:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    errors = list(pool.map(
-                        lambda i, ki=kind_index, k=kind, s=suite: evaluate(ki, k, s, i),
-                        range(samples),
-                    ))
-            else:
-                errors = [evaluate(kind_index, kind, suite, i) for i in range(samples)]
+            errors = [evaluate(kind_index, kind, suite, i) for i in range(samples)]
             max_error = max(errors, default=0.0)
             tolerance = _suite_tolerance(suite, config)
             results.append(SuiteResult(

@@ -255,23 +255,27 @@ def _triu_full(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coords_to_matrix(kind: JTSKind, coords: np.ndarray) -> np.ndarray:
-    """Matrix representation of a type I/II/III coordinate vector."""
+    """Matrix representation of a type I/II/III coordinate vector.
+
+    Leading axes of ``coords`` are batch axes: shape (..., N) maps to
+    (..., p, q) for type I and (..., n, n) for types II and III.
+    """
     if isinstance(kind, TypeI):
-        return coords.reshape(kind.p, kind.q)
+        return coords.reshape(coords.shape[:-1] + (kind.p, kind.q))
     if isinstance(kind, TypeII):
         n = kind.n
         rows, cols = _triu_strict(n)
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[rows, cols] = coords
-        m[cols, rows] = -coords
+        m = np.zeros(coords.shape[:-1] + (n, n), dtype=np.complex128)
+        m[..., rows, cols] = coords
+        m[..., cols, rows] = -coords
         return m
     if isinstance(kind, TypeIII):
         n = kind.n
         rows, cols = _triu_full(n)
         scaled = np.where(rows == cols, coords, coords / _SQRT2)
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[rows, cols] = scaled
-        m[cols, rows] = scaled
+        m = np.zeros(coords.shape[:-1] + (n, n), dtype=np.complex128)
+        m[..., rows, cols] = scaled
+        m[..., cols, rows] = scaled
         return m
     raise ContractError(f"{format_kind(kind)} has no matrix representation")
 
@@ -310,17 +314,18 @@ def ambient_to_coords(kind: TypeIV, ambient: np.ndarray) -> np.ndarray:
 
 
 def split_coords(kind: Product, coords: np.ndarray) -> list[np.ndarray]:
-    """Per-factor coordinate slices of a product element."""
+    """Per-factor coordinate slices of a product element (last axis; leading
+    axes are batch axes)."""
     if not isinstance(kind, Product):
         raise ContractError("split_coords needs a Product kind")
-    if len(coords) != ambient_dim(kind):
+    if coords.shape[-1] != ambient_dim(kind):
         raise ContractError(
-            f"{format_kind(kind)} needs {ambient_dim(kind)} coordinates, got {len(coords)}"
+            f"{format_kind(kind)} needs {ambient_dim(kind)} coordinates, got {coords.shape[-1]}"
         )
     out, at = [], 0
     for f in kind.factors:
         d = ambient_dim(f)
-        out.append(coords[at:at + d])
+        out.append(coords[..., at:at + d])
         at += d
     return out
 

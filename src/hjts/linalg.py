@@ -353,27 +353,44 @@ def hermitian_power(a, t: float) -> np.ndarray:
     return 0.5 * (powered + powered.conj().T)
 
 
-def cholesky_logdet(a) -> float:
-    """Log-determinant of a Hermitian positive definite matrix.
+def cholesky_logdet(a):
+    """Log-determinant of a Hermitian positive definite matrix, or of a stack.
 
     Runs an unblocked Cholesky on the lower triangle and sums the pivot logs;
     a nonpositive pivot means the matrix is not positive definite, which is
     reported as DomainError.  Much cheaper than an eigendecomposition, and the
     failed-pivot signal doubles as a strict positive-definiteness test.
+
+    ``a`` may carry leading batch axes, shape (..., n, n): every slice is
+    factored by the same elementwise steps, so a slice's value does not depend
+    on the stack it sits in.  A 2-D input returns a float, a stacked one an
+    array of the batch shape; a nonpositive pivot in any slice raises.
     """
-    m = as_matrix(a, square=True)
-    n = m.shape[0]
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise ContractError(f"matrix must be at least 2-D, got ndim={m.ndim}")
+    if m.shape[-1] != m.shape[-2]:
+        raise ContractError(f"matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ContractError("matrix contains non-finite entries")
+    n = m.shape[-1]
     low = m.copy()
-    acc = 0.0
+    pivots = np.empty(m.shape[:-1])
     for k in range(n):
-        d = low[k, k].real - float(np.sum(np.abs(low[k, :k]) ** 2))
-        if not d > 0.0:
-            raise DomainError(f"matrix is not positive definite (pivot {k} is {d:.3e})")
-        acc += math.log(d)
-        root = math.sqrt(d)
+        # Column k from the diagonal down, less the finished columns' share;
+        # its first entry is the pivot.
+        col = low[..., k:, k]
+        if k:
+            col = col - (low[..., k:, :k] * np.conj(low[..., k, None, :k])).sum(axis=-1)
+        d = col[..., 0].real
+        if not (d > 0.0).all():
+            raise DomainError(
+                f"matrix is not positive definite (pivot {k} is {np.min(d):.3e})")
+        pivots[..., k] = d
         if k + 1 < n:
-            low[k + 1:, k] = (low[k + 1:, k] - low[k + 1:, :k] @ np.conj(low[k, :k])) / root
-    return acc
+            low[..., k + 1:, k] = col[..., 1:] / np.sqrt(d)[..., None]
+    logdet = np.log(pivots).sum(axis=-1)
+    return float(logdet) if m.ndim == 2 else logdet
 
 
 def _lu_partial_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

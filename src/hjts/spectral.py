@@ -30,6 +30,7 @@ __all__ = [
     "generic_norms",
     "log_generic_norm_minus",
     "log_generic_norm_plus",
+    "log_norm_rows",
     "quasi_inverse",
     "odd_power",
 ]
@@ -91,8 +92,8 @@ def spectral_values(z: Element) -> np.ndarray:
     return _values_simple(kind, z.coords)
 
 
-def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> float:
-    """log prod(1 + sign * lambda_j^2) for a simple kind, via determinants.
+def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.ndarray:
+    """log prod(1 + sign * lambda_j^2) of each row of a (K, N) simple-kind array.
 
     det(I + sign * Gram) equals the product exactly (squared for type II,
     whose Gram doubles every eigenvalue), so a Cholesky log-determinant gives
@@ -101,23 +102,25 @@ def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> float
     """
     if isinstance(kind, _k.TypeIV):
         amb = _k.coords_to_ambient(kind, coords)
-        a = float(np.sum(np.abs(amb) ** 2))
-        q_sq = abs(complex(np.sum(amb * amb))) ** 2
-        if sign < 0.0:
-            disc = math.sqrt(max(a * a - q_sq, 0.0))
-            if a + disc >= 1.0:
-                raise DomainError(
-                    "point lies outside the bounded domain "
-                    f"(largest spectral value {math.sqrt(a + disc):.6f} >= 1)"
-                )
-            return math.log1p(-2.0 * a + q_sq)
-        return math.log1p(2.0 * a + q_sq)
+        a = (np.abs(amb) ** 2).sum(axis=-1)
+        q_sq = np.abs((amb * amb).sum(axis=-1)) ** 2
+        shift = sign * 2.0 * a + q_sq  # N - 1 or N* - 1
+        # lambda_1 < 1 iff both 1 - lambda_j^2 are positive: their product N
+        # and their sum 2 - 2a are.
+        if sign < 0.0 and not ((a < 1.0) & (shift > -1.0)).all():
+            lam1_sq = a + np.sqrt(np.maximum(a * a - q_sq, 0.0))
+            raise DomainError(
+                "point lies outside the bounded domain "
+                f"(largest spectral value {math.sqrt(np.max(lam1_sq)):.6f} >= 1)"
+            )
+        # math.log1p, not np.log1p: numpy's vectorized log1p is a few ulp less
+        # accurate, and this roundoff is the noise floor of every
+        # finite-difference Hessian of the potentials.
+        return np.array([math.log1p(x) for x in shift.tolist()])
     mat = _k.coords_to_matrix(kind, coords)
-    if mat.shape[0] <= mat.shape[1]:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
-    shifted = np.eye(gram.shape[0], dtype=np.complex128) + sign * gram
+    adjoint = np.conj(mat).swapaxes(-1, -2)
+    gram = mat @ adjoint if mat.shape[-2] <= mat.shape[-1] else adjoint @ mat
+    shifted = np.eye(gram.shape[-1], dtype=np.complex128) + sign * gram
     try:
         logdet = cholesky_logdet(shifted)
     except DomainError:
@@ -127,26 +130,36 @@ def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> float
     return 0.5 * logdet if isinstance(kind, _k.TypeII) else logdet
 
 
-def log_generic_norm_minus(z: Element) -> float:
-    """log N(z) = sum_j log(1 - lambda_j^2); DomainError outside the open domain."""
-    kind = z.kind
+def log_norm_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.ndarray:
+    """log prod_j (1 + sign * lambda_j^2) for every row of a (K, N) coordinate array.
+
+    ``sign = -1`` gives log N, and raises DomainError when any row lies on or
+    outside the domain; ``sign = +1`` gives log N*, defined everywhere.  Rows
+    are processed by the same elementwise steps whatever K is, so a row's
+    value does not depend on the batch it is evaluated in.
+    """
+    coords = np.asarray(coords, dtype=np.complex128)
+    if coords.ndim != 2 or coords.shape[1] != _k.ambient_dim(kind):
+        raise ContractError(
+            f"{_k.format_kind(kind)} needs a (K, {_k.ambient_dim(kind)}) coordinate "
+            f"array, got shape {coords.shape}"
+        )
     if isinstance(kind, _k.Product):
         return sum(
-            _log_norm_simple(f, c, -1.0)
-            for f, c in zip(kind.factors, _k.split_coords(kind, z.coords))
+            _log_norm_simple(f, c, sign)
+            for f, c in zip(kind.factors, _k.split_coords(kind, coords))
         )
-    return _log_norm_simple(kind, z.coords, -1.0)
+    return _log_norm_simple(kind, coords, sign)
+
+
+def log_generic_norm_minus(z: Element) -> float:
+    """log N(z) = sum_j log(1 - lambda_j^2); DomainError outside the open domain."""
+    return float(log_norm_rows(z.kind, z.coords[None, :], -1.0)[0])
 
 
 def log_generic_norm_plus(z: Element) -> float:
     """log N*(z) = sum_j log(1 + lambda_j^2); defined everywhere."""
-    kind = z.kind
-    if isinstance(kind, _k.Product):
-        return sum(
-            _log_norm_simple(f, c, 1.0)
-            for f, c in zip(kind.factors, _k.split_coords(kind, z.coords))
-        )
-    return _log_norm_simple(kind, z.coords, 1.0)
+    return float(log_norm_rows(z.kind, z.coords[None, :], 1.0)[0])
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import hjts.duality
+import hjts.harness
 from hjts.cli import main
+from hjts.errors import ConvergenceError, SingularityError
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +90,38 @@ def test_verify_config_errors_are_exit_3(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert err != ""
+
+
+def test_verify_fd_step_too_large_for_cap_is_exit_3(capsys):
+    code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "symplectic",
+                             "--fd-step", "1e-2")
+    assert code == 3
+    assert out == ""  # rejected before any sample runs
+    assert "fd_step 0.01" in err and "boundary_cap 0.95" in err
+
+
+def test_verify_fd_step_1e_3_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "symplectic,volume",
+                           "--points", "2", "--fd-step", "1e-3")
+    assert code == 0
+    assert json.loads(out)["config"]["fd_step"] == 1e-3
+
+
+@pytest.mark.parametrize("error, traceback_shown", [
+    (ConvergenceError("hermitian eigensolve exceeded the sweep cap", 1e-3), False),
+    (SingularityError("matrix is exactly singular"), False),
+    (ZeroDivisionError("float division by zero"), True),
+], ids=["ConvergenceError", "SingularityError", "unexpected"])
+def test_verify_internal_failures_are_exit_2(capsys, monkeypatch, error, traceback_shown):
+    def failing_sample(kind, config, rng, sample_index):
+        raise error
+    monkeypatch.setitem(hjts.harness._SUITE_EVALS, "jordan", failing_sample)
+    code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "jordan",
+                             "--points", "1")
+    assert code == 2
+    assert out == ""
+    assert type(error).__name__ in err and str(error) in err
+    assert ("Traceback" in err) == traceback_shown
 
 
 def test_unparsable_flags_are_exit_3():

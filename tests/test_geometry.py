@@ -27,7 +27,7 @@ from hjts.geometry import (
     pullback_eval,
     real_jacobian,
 )
-from hjts.harness import sample_domain
+from hjts.harness import DEFAULT_KINDS, sample_domain
 from hjts.jts import Element, bergman_operator, genus, zero
 from hjts.linalg import det
 from hjts.spectral import log_generic_norm_minus, log_generic_norm_plus
@@ -109,6 +109,27 @@ def test_two_form_real_matrix_structure():
     s = kahler_matrix(PotentialId.HYPERBOLIC, z).real_matrix()
     assert s.dtype == np.float64
     assert np.allclose(s, -s.T, atol=1e-12)   # antisymmetry = it is a 2-form
+
+
+def test_batched_stencil_hessian_equals_per_element_hessian():
+    # kahler_matrix evaluates the whole stencil in one log-norm call;
+    # complex_hessian evaluates it one Element at a time through the same core
+    for index, kind in enumerate(DEFAULT_KINDS):
+        z = interior(kind, seed=50 + index, cap=0.95)
+        for pid in (PotentialId.HYPERBOLIC, PotentialId.DUAL_FS):
+            batched = kahler_matrix(pid, z, 1e-5).hessian
+            per_element = complex_hessian(lambda e: potential(pid, e), z, 1e-5)
+            assert batched.tobytes() == per_element.tobytes(), (kind, pid)
+
+
+@pytest.mark.parametrize("pid", list(PotentialId))
+def test_real_matrix_equals_the_evaluate_loop(pid):
+    for index, kind in enumerate(DEFAULT_KINDS):
+        omega = kahler_matrix(pid, interior(kind, seed=60 + index))
+        n = K.ambient_dim(kind)
+        dirs = [d for j in range(n) for d in (np.eye(n)[j] + 0j, 1j * np.eye(n)[j])]
+        loop = np.array([[omega.evaluate(u, v) for v in dirs] for u in dirs])
+        assert np.array_equal(omega.real_matrix(), loop), (kind, pid)
 
 
 def test_hessian_step_guard():

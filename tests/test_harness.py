@@ -83,6 +83,30 @@ def test_config_validation(bad):
         SuiteConfig(kinds=FAST_KINDS, **bad)
 
 
+@pytest.mark.parametrize("step", [1e-8, 0.05])
+def test_config_rejects_fd_step_outside_the_hessian_range(step):
+    with pytest.raises(ContractError, match=r"fd_step .* outside \[1e-7, 1e-2\]"):
+        SuiteConfig(kinds=FAST_KINDS, fd_step=step, suites=("volume",))
+
+
+def test_config_rejects_fd_step_too_large_for_the_cap():
+    # at lambda_1 = 0.95 a 1e-2 step leaves no ten-step margin to the boundary
+    with pytest.raises(ContractError) as info:
+        SuiteConfig(kinds=FAST_KINDS, fd_step=1e-2, suites=("symplectic",))
+    assert "0.01" in str(info.value) and "0.95" in str(info.value)
+    # a lower cap makes room for the same step
+    SuiteConfig(kinds=FAST_KINDS, fd_step=1e-2, boundary_cap=0.5, suites=("symplectic",))
+
+
+def test_config_accepts_fd_step_1e_3():
+    cfg = SuiteConfig(fd_step=1e-3)
+    assert cfg.fd_step == 1e-3
+
+
+def test_fd_step_range_only_binds_the_hessian_suites():
+    SuiteConfig(kinds=FAST_KINDS, fd_step=0.05, suites=FAST_SUITES + ("lemma_a1",))
+
+
 def test_config_accepts_lists():
     cfg = SuiteConfig(kinds=[K.TypeI(1, 1)], suites=["jordan"])
     assert cfg.kinds == (K.TypeI(1, 1),)
@@ -113,12 +137,6 @@ def test_report_is_deterministic(small_report):
     assert strip_wall(again.to_json()) == strip_wall(small_report.to_json())
 
 
-def test_threads_do_not_change_the_report(small_report, monkeypatch):
-    monkeypatch.setenv("HJTS_THREADS", "3")
-    threaded = run_suite(SuiteConfig(kinds=FAST_KINDS, seed=11, points=3, suites=FAST_SUITES))
-    assert strip_wall(threaded.to_json()) == strip_wall(small_report.to_json())
-
-
 def test_seed_changes_the_numbers(small_report):
     other = run_suite(SuiteConfig(kinds=FAST_KINDS, seed=12, points=3, suites=FAST_SUITES))
     assert strip_wall(other.to_json()) != strip_wall(small_report.to_json())
@@ -144,12 +162,6 @@ def test_empty_suites_pass():
     report = run_suite(SuiteConfig(kinds=FAST_KINDS, suites=()))
     assert report.all_pass
     assert report.results == ()
-
-
-def test_threads_env_must_be_integer(monkeypatch):
-    monkeypatch.setenv("HJTS_THREADS", "many")
-    with pytest.raises(ContractError):
-        run_suite(SuiteConfig(kinds=(K.TypeI(1, 1),), points=1, suites=("jordan",)))
 
 
 def test_consistency_error_aborts_with_point(monkeypatch):

@@ -95,6 +95,18 @@ def test_matrix_round_trip(kind):
     assert np.allclose(matrix_to_coords(kind, mat), coords)
 
 
+@pytest.mark.parametrize("kind", [TypeI(2, 3), TypeII(4), TypeIII(3)],
+                         ids=["I:2,3", "II:4", "III:3"])
+def test_coords_to_matrix_batched_equals_row_by_row(kind):
+    rng = np.random.default_rng(4)
+    n = ambient_dim(kind)
+    batch = rng.standard_normal((2, 5, n)) + 1j * rng.standard_normal((2, 5, n))
+    mats = coords_to_matrix(kind, batch)
+    rows = np.array([[coords_to_matrix(kind, c) for c in block] for block in batch])
+    assert mats.shape == rows.shape
+    assert np.array_equal(mats, rows)
+
+
 def test_matrix_to_coords_projects_drift():
     # the converter removes (anti)symmetry drift rather than rejecting it
     assert np.allclose(matrix_to_coords(TypeII(4), np.eye(4, dtype=complex)), 0.0)
@@ -123,6 +135,10 @@ def test_split_and_join_coords():
     assert np.array_equal(join_coords(kind, pieces), coords)
     with pytest.raises(ContractError):
         split_coords(kind, coords[:-1])
+    # leading axes are batch axes
+    stacked = np.stack([coords, 2.0 * coords])
+    for piece, batched in zip(pieces, split_coords(kind, stacked)):
+        assert np.array_equal(batched, np.stack([piece, 2.0 * piece]))
 
 
 def test_kinds_are_hashable_values():

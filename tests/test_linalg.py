@@ -192,6 +192,43 @@ def test_cholesky_logdet_rejects_indefinite():
         cholesky_logdet(np.diag([-1.0, -1.0]).astype(complex))
 
 
+def test_cholesky_logdet_stacked_matches_slices_and_slogdet():
+    rng = np.random.default_rng(14)
+    for n in (1, 3, 6, 9):
+        stack = np.array([[_random_hpd(rng, n) for _ in range(4)] for _ in range(2)])
+        got = cholesky_logdet(stack)
+        assert got.shape == (2, 4)
+        per_slice = np.array([[cholesky_logdet(m) for m in row] for row in stack])
+        assert np.array_equal(got, per_slice)
+        sign, ref = np.linalg.slogdet(stack)
+        assert np.allclose(sign, 1.0)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-10)
+
+
+def test_cholesky_logdet_stack_with_one_indefinite_slice_raises():
+    rng = np.random.default_rng(15)
+    stack = np.array([_random_hpd(rng, 3) for _ in range(5)])
+    stack[3] = np.diag([1.0, 2.0, -1e-3]).astype(complex)
+    with pytest.raises(DomainError, match="pivot 2"):
+        cholesky_logdet(stack)
+
+
+def test_cholesky_logdet_two_dimensional_input_returns_float():
+    rng = np.random.default_rng(16)
+    value = cholesky_logdet(_random_hpd(rng, 4))
+    assert type(value) is float
+    assert cholesky_logdet(np.eye(3)) == 0.0
+
+
+def test_cholesky_logdet_contracts():
+    with pytest.raises(ContractError):
+        cholesky_logdet(np.ones(3))
+    with pytest.raises(ContractError):
+        cholesky_logdet(np.ones((2, 2, 3)))
+    with pytest.raises(ContractError):
+        cholesky_logdet(np.array([[[1.0, 0.0], [0.0, np.nan]]]))
+
+
 # ---------------------------------------------------------------------------
 # det / solve
 

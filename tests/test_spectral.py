@@ -24,6 +24,7 @@ from hjts.spectral import (
     generic_norms,
     log_generic_norm_minus,
     log_generic_norm_plus,
+    log_norm_rows,
     odd_power,
     quasi_inverse,
     spectral_decompose,
@@ -213,6 +214,30 @@ def test_log_norm_rejects_two_large_values():
     assert generic_norms(z)[0] > 0.0
     with pytest.raises(DomainError):
         log_generic_norm_minus(z)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_log_norm_rows_equal_the_single_point_values(kind):
+    rng = np.random.default_rng(17)
+    points = []
+    for lam1 in (0.1, 0.5, 0.9, 0.99):
+        z = rnd(kind, rng)
+        points.append(Element(kind, z.coords * (lam1 / spectral_values(z)[0])))
+    rows = np.array([p.coords for p in points])
+    minus = log_norm_rows(kind, rows, -1.0)
+    plus = log_norm_rows(kind, rows, 1.0)
+    assert np.array_equal(minus, [log_generic_norm_minus(p) for p in points])
+    assert np.array_equal(plus, [log_generic_norm_plus(p) for p in points])
+
+
+def test_log_norm_rows_raise_when_any_row_leaves_the_domain():
+    kind = K.TypeI(2, 2)
+    rows = np.array([[0.1, 0, 0, 0.2], [1.2, 0, 0, 0.3], [0.3, 0, 0, 0.1]], dtype=complex)
+    with pytest.raises(DomainError):
+        log_norm_rows(kind, rows, -1.0)
+    assert np.all(log_norm_rows(kind, rows, 1.0) > 0.0)
+    with pytest.raises(ContractError):
+        log_norm_rows(kind, rows[0], -1.0)  # one point still needs a (1, N) array
 
 
 # quasi-inverse & odd powers --------------------------------------------------
