@@ -20,6 +20,7 @@ from hjts import (
     psi,
     sample_domain,
 )
+from hjts.duality import psi_rows
 from hjts.geometry import pullback_eval, real_jacobian
 
 rng = np.random.default_rng(3)
@@ -34,7 +35,7 @@ print()
 print("=== the hyperbolic Hessian and its pullback ===")
 omega_hyp = kahler_matrix(PotentialId.HYPERBOLIC, z)
 print(f"  Hessian at 0.6:      {omega_hyp.hessian[0,0].real:.8f}   (exact 2.44140625)")
-jac = real_jacobian(psi, z)
+jac = real_jacobian(psi_rows, z)  # psi on every stencil row at once
 print(f"  d psi radial:        {jac.matrix[0,0]:.8f}   (exact 1.953125)")
 omega_flat = kahler_matrix(PotentialId.FLAT, psi(z))
 u, v = np.array([1.0 + 0j]), np.array([1j])

@@ -2,9 +2,11 @@
 
 Exit codes: 0 every suite passed; 1 at least one suite exceeded its
 tolerance; 2 an internal defect: a consistency check tripped (route
-disagreement, non-integer genus), a kernel failed (ConvergenceError,
-SingularityError), or an unexpected exception escaped, whose traceback goes
-to stderr; 3 the command line or configuration failed to parse.
+disagreement, non-integer genus) or a kernel failed (ConvergenceError,
+SingularityError) -- ``verify`` still writes its report, with the failure
+under ``consistency_failure`` -- or an unexpected exception escaped, whose
+traceback goes to stderr; 3 the command line or configuration failed to
+parse.
 
 ``verify`` writes the JSON report to ``--out`` (UTF-8) or stdout and a short
 human summary to stderr, so piping the report stays clean.
@@ -129,7 +131,8 @@ def _summarize(report: VerificationReport, stream) -> None:
         print(line, file=stream)
     if report.consistency_failure:
         f = report.consistency_failure
-        print(f"consistency error in {f['kind']}/{f['suite']} "
+        status = {(r.kind, r.suite): r.status for r in report.results}[(f["kind"], f["suite"])]
+        print(f"{status.replace('-', ' ')} in {f['kind']}/{f['suite']} "
               f"sample {f['sample_index']}: {f['message']}", file=stream)
     failed = sum(1 for r in report.results if not r.passed)
     print(f"{len(report.results)} suite cells, {failed} failed, "

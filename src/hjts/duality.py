@@ -2,10 +2,26 @@
 
 ``psi`` maps a domain point z to B(z,z)^(-1/4) z in the ambient space and
 ``psi_inverse`` maps back via B(u,-u)^(-1/4) u.  Each direction can be
-evaluated along three independent routes (Bergman power, box-operator power,
+evaluated along three independent routes (Bergman power, box power,
 spectral resolution); they agree to high accuracy on valid inputs, and the
 ``*_route_spread`` helpers turn any disagreement beyond 1e-7 into a hard
 internal-consistency failure.
+
+The default route, BOX_HALF, is (id -+ z box z)^(-1/2) z, evaluated by
+:func:`psi_rows` on every row of a (K, N) coordinate array without building
+the N x N box operator:
+
+* types I, II and III: f(z box z) z = f(Z Z*) Z, so psi(Z) = (I - Z Z*)^(-1/2) Z
+  and psi^-1(U) = (I + U U*)^(-1/2) U, on the smaller Gram side
+  (Z (I - Z* Z)^(-1/2) when Z has more rows than columns);
+* the spin factor, with x = coords / sqrt(2), a = sum |x_j|^2, q = sum x_j^2:
+  psi(x) = ((1 + sqrt N) x - q conj(x)) / (sqrt N sqrt(2 - 2a + 2 sqrt N)) with
+  N = 1 - 2a + |q|^2, and
+  psi^-1(x) = ((1 + sqrt N*) x + q conj(x)) / (sqrt N* sqrt(2 + 2a + 2 sqrt N*))
+  with N* = 1 + 2a + |q|^2;
+* products factor by factor.
+
+``psi`` and ``psi_inverse`` on BOX_HALF are the K = 1 case of ``psi_rows``.
 """
 from __future__ import annotations
 
@@ -13,11 +29,11 @@ import enum
 
 import numpy as np
 
+from . import kinds as _k
 from .errors import ConsistencyError, ContractError, DomainError
 from .jts import (
     Element,
     bergman_operator,
-    box_operator,
     embed,
     in_domain,
     isotropy_action,
@@ -25,12 +41,13 @@ from .jts import (
 )
 from .kinds import JTSKind, format_kind
 from .linalg import frobenius, hermitian_power
-from .spectral import spectral_decompose
+from .spectral import log_norm_rows, spectral_decompose
 
 __all__ = [
     "DualityRoute",
     "psi",
     "psi_inverse",
+    "psi_rows",
     "psi_route_spread",
     "psi_inverse_route_spread",
     "check_equivariance",
@@ -47,7 +64,9 @@ class DualityRoute(enum.Enum):
     """Computation route for :func:`psi` / :func:`psi_inverse`.
 
     BERGMAN_QUARTER   B(z,z)^(-1/4) z          (the defining formula)
-    BOX_HALF          (id - z box z)^(-1/2) z  (one Hermitian power; default)
+    BOX_HALF          (id - z box z)^(-1/2) z  (default; the Gram-side power
+                      (I - Z Z*)^(-1/2) Z for matrix kinds, a closed form for
+                      the spin factor -- see :func:`psi_rows`)
     SPECTRAL          sum_j lambda_j (1 - lambda_j^2)^(-1/2) c_j
     """
 
@@ -56,24 +75,71 @@ class DualityRoute(enum.Enum):
     SPECTRAL = "spectral"
 
 
+def _outside_message(kind: JTSKind) -> str:
+    return (f"psi needs an interior point of the {format_kind(kind)} domain "
+            "(largest spectral value must be < 1)")
+
+
+def _box_half_simple(kind: JTSKind, coords: np.ndarray, sign: float) -> np.ndarray:
+    """(id + sign * z box z)^(-1/2) z for each row of a simple-kind (K, N) array."""
+    if isinstance(kind, _k.TypeIV):
+        x = _k.coords_to_ambient(kind, coords)
+        a = (np.abs(x) ** 2).sum(axis=-1)
+        q = (x * x).sum(axis=-1)
+        root = np.sqrt(1.0 + sign * 2.0 * a + np.abs(q) ** 2)  # sqrt N or sqrt N*
+        scale = root * np.sqrt(2.0 + sign * 2.0 * a + 2.0 * root)
+        out = ((1.0 + root)[:, None] * x + sign * q[:, None] * np.conj(x)) / scale[:, None]
+        return _k.ambient_to_coords(kind, out)
+    mat = _k.coords_to_matrix(kind, coords)
+    adjoint = np.conj(mat).swapaxes(-1, -2)
+    wide = mat.shape[-2] <= mat.shape[-1]
+    gram = mat @ adjoint if wide else adjoint @ mat
+    shifted = np.eye(gram.shape[-1], dtype=np.complex128) + sign * gram
+    power = np.stack([hermitian_power(g, -0.5) for g in shifted])
+    return _k.matrix_to_coords(kind, power @ mat if wide else mat @ power)
+
+
+def psi_rows(kind: JTSKind, coords: np.ndarray, sign: float = -1.0) -> np.ndarray:
+    """The BOX_HALF route of psi (sign = -1) or psi_inverse (sign = +1) on every
+    row of a (K, N) coordinate array; returns the (K, N) images.
+
+    For sign = -1 every row must lie in the domain: one ``log_norm_rows``
+    call tests the whole stack, and any row on or outside the boundary raises
+    DomainError.  Rows are processed by the same steps whatever K is, so a
+    row's image does not depend on the batch it is mapped in.
+    """
+    coords = np.asarray(coords, dtype=np.complex128)
+    if coords.ndim != 2 or coords.shape[1] != _k.ambient_dim(kind):
+        raise ContractError(
+            f"{format_kind(kind)} needs a (K, {_k.ambient_dim(kind)}) coordinate "
+            f"array, got shape {coords.shape}"
+        )
+    if sign < 0.0:
+        try:
+            log_norm_rows(kind, coords, -1.0)
+        except DomainError:
+            raise DomainError(_outside_message(kind)) from None
+    if isinstance(kind, _k.Product):
+        return np.concatenate([
+            _box_half_simple(f, c, sign)
+            for f, c in zip(kind.factors, _k.split_coords(kind, coords))
+        ], axis=-1)
+    return _box_half_simple(kind, coords, sign)
+
+
 def psi(z: Element, route: DualityRoute = DualityRoute.BOX_HALF) -> Element:
     """Map a domain point to the ambient space.
 
     Raises DomainError when z lies on or outside the domain boundary
     (largest spectral value >= 1).
     """
+    if route is DualityRoute.BOX_HALF:
+        return Element(z.kind, psi_rows(z.kind, z.coords[None, :])[0])
     if not in_domain(z):
-        raise DomainError(
-            f"psi needs an interior point of the {format_kind(z.kind)} domain "
-            "(largest spectral value must be < 1)"
-        )
+        raise DomainError(_outside_message(z.kind))
     if route is DualityRoute.BERGMAN_QUARTER:
         b = bergman_operator(z, z).matrix
         coords = hermitian_power(b, -0.25) @ z.coords
-    elif route is DualityRoute.BOX_HALF:
-        n = z.coords.size
-        contraction = np.eye(n, dtype=np.complex128) - box_operator(z).matrix
-        coords = hermitian_power(contraction, -0.5) @ z.coords
     elif route is DualityRoute.SPECTRAL:
         dec = spectral_decompose(z)
         coords = np.zeros_like(z.coords)
@@ -90,13 +156,11 @@ def psi_inverse(u: Element, route: DualityRoute = DualityRoute.BOX_HALF) -> Elem
     Defined on the whole ambient space; the image always satisfies
     ``in_domain`` because mu/(1+mu^2)^(1/2) < 1 for every spectral value mu.
     """
+    if route is DualityRoute.BOX_HALF:
+        return Element(u.kind, psi_rows(u.kind, u.coords[None, :], 1.0)[0])
     if route is DualityRoute.BERGMAN_QUARTER:
         b = bergman_operator(u, Element(u.kind, -u.coords)).matrix
         coords = hermitian_power(b, -0.25) @ u.coords
-    elif route is DualityRoute.BOX_HALF:
-        n = u.coords.size
-        expansion = np.eye(n, dtype=np.complex128) + box_operator(u).matrix
-        coords = hermitian_power(expansion, -0.5) @ u.coords
     elif route is DualityRoute.SPECTRAL:
         dec = spectral_decompose(u)
         coords = np.zeros_like(u.coords)

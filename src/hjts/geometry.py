@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .jts import Element, box_operator, d_operator, in_domain, m1_form
-from .kinds import format_kind
+from .kinds import JTSKind, format_kind
 from .linalg import det, frobenius, solve
 from .spectral import (
     generic_norms,
@@ -35,7 +35,7 @@ from .spectral import (
     quasi_inverse,
     spectral_values,
 )
-from .duality import psi
+from .duality import psi, psi_rows
 
 __all__ = [
     "PotentialId",
@@ -255,16 +255,29 @@ def kahler_matrix(pid: PotentialId, z: Element, h: float = DEFAULT_FD_STEP) -> T
     return TwoFormSample(z, _assemble_hessian(values, step, stencil))
 
 
-def real_jacobian(map_fn: Callable[[Element], Element], z: Element,
+def real_jacobian(map_rows: Callable[[JTSKind, np.ndarray], np.ndarray], z: Element,
                   h: float = DEFAULT_FD_STEP) -> RealJacobian:
-    """Differential of ``map_fn`` at z by central differences over all 2N real directions."""
+    """Differential of a row map at z by central differences over all 2N real directions.
+
+    ``map_rows(kind, rows)`` maps every row of a (K, N) coordinate array, as
+    ``duality.psi_rows`` does.  The 4N stencil rows z +- step d_a (step h
+    scaled by max(1, |z|)) go through it in one call, and the mapped rows
+    must be finite.
+    """
     n = z.coords.size
     step = h * max(1.0, z.norm())
+    dirs = _real_directions(n)
+    rows = z.coords + step * np.concatenate([dirs, -dirs])
+    mapped = np.asarray(map_rows(z.kind, rows))
+    if mapped.shape != rows.shape or not np.isfinite(mapped).all():
+        raise ContractError(
+            f"row map must return finite coordinates of shape {rows.shape}, "
+            f"got shape {mapped.shape}"
+        )
+    diff = (mapped[:2 * n] - mapped[2 * n:]) / (2.0 * step)  # row a: d map / d x_a
     jac = np.empty((2 * n, 2 * n), dtype=np.float64)
-    for col, d in enumerate(_real_directions(n)):
-        forward = map_fn(Element(z.kind, z.coords + step * d)).coords
-        backward = map_fn(Element(z.kind, z.coords - step * d)).coords
-        jac[:, col] = _to_real((forward - backward) / (2.0 * step))
+    jac[0::2] = diff.real.T
+    jac[1::2] = diff.imag.T
     return RealJacobian(z, jac)
 
 
@@ -297,7 +310,7 @@ def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
     image = psi(z)
     omega_flat_image = kahler_matrix(PotentialId.FLAT, image, h)
     omega_dual_image = kahler_matrix(PotentialId.DUAL_FS, image, h)
-    jac = real_jacobian(psi, z, h)
+    jac = real_jacobian(psi_rows, z, h)
     err1 = 0.0
     err2 = 0.0
     for _ in range(tangent_pairs):
@@ -319,7 +332,7 @@ def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
     returning the worse relative mismatch.
     """
     image = psi(z)
-    jac = real_jacobian(psi, z, h).matrix
+    jac = real_jacobian(psi_rows, z, h).matrix
     s_hyp = kahler_matrix(PotentialId.HYPERBOLIC, z, h).real_matrix()
     s_flat_here = kahler_matrix(PotentialId.FLAT, z, h).real_matrix()
     s_flat_image = kahler_matrix(PotentialId.FLAT, image, h).real_matrix()
@@ -515,8 +528,8 @@ def check_flat_dbar_pullback(z: Element, direction: Element,
     step = h * max(1.0, z.norm())
     kind = z.kind
     image = psi(z)
-    d_psi_w = (psi(Element(kind, z.coords + step * w)).coords
-               - psi(Element(kind, z.coords - step * w)).coords) / (2.0 * step)
+    forward, backward = psi_rows(kind, np.stack([z.coords + step * w, z.coords - step * w]))
+    d_psi_w = (forward - backward) / (2.0 * step)
     lhs = complex(np.vdot(d_psi_w, image.coords))
 
     n = z.coords.size

@@ -22,9 +22,12 @@ Suites, and what each sample costs:
 * ``lemma_a2``      trace-derivative identity for (p, k) in {0,1,2}^2
 * ``beta_exact``    beta = d(gamma), both mirrors
 
-Internal-consistency failures (route disagreements beyond 1e-7, non-integer
-genus) abort the run; the offending point is serialized in the report and the
-CLI maps the condition to exit code 2.
+Internal failures abort the run: internal-consistency failures (route
+disagreements beyond 1e-7, non-integer genus) and kernel failures (any
+HjtsError other than ContractError and DomainError, such as ConvergenceError
+or SingularityError).  The report is still written, with the failure and,
+when the sample tagged one, the offending point serialized under
+``consistency_failure``; the CLI maps the condition to exit code 2.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import kinds as _k
-from .errors import ConsistencyError, ContractError
+from .errors import ConsistencyError, ContractError, DomainError, HjtsError
 from .jts import Element, d_operator, genus, jordan_residual, triple_product
 from .jts import bergman_operator, embedding_target
 from .linalg import det, eigh, frobenius
@@ -85,8 +88,11 @@ SUITE_NAMES = (
     "beta_exact",
 )
 
-#: Suites that difference the Kähler potentials (kahler_matrix's step range
-#: and its ten-step boundary margin apply to them).
+#: Suites that take finite differences with step ``fd_step``.
+_FD_SUITES = ("symplectic", "volume", "lemma_a1", "lemma_a2", "beta_exact")
+
+#: Suites that difference the Kähler potentials (kahler_matrix's ten-step
+#: boundary margin applies to them).
 _HESSIAN_SUITES = ("symplectic", "volume")
 
 #: Kinds exercised by ``verify --all``: every classical family, a non-square
@@ -139,13 +145,14 @@ class SuiteConfig:
             raise ContractError(
                 f"unknown suites {unknown}; valid names: {', '.join(SUITE_NAMES)}"
             )
-        if any(s in _HESSIAN_SUITES for s in self.suites):
+        if any(s in _FD_SUITES for s in self.suites):
             self._check_fd_step()
 
     def _check_fd_step(self) -> None:
-        """Reject a step the Hessian suites would refuse mid-run.
+        """Reject a step the finite-difference suites would refuse or misuse.
 
-        A sample z has lambda_1 <= boundary_cap and |z| <= sqrt(rank) *
+        Every such suite needs fd_step in [1e-7, 1e-2].  For the Hessian
+        suites, a sample z has lambda_1 <= boundary_cap and |z| <= sqrt(rank) *
         lambda_1, and the hyperbolic Hessian needs lambda_1 below
         1 - 10 * fd_step * max(1, |z|); the bound below keeps every sample clear.
         """
@@ -153,8 +160,10 @@ class SuiteConfig:
         if not 1e-7 <= h <= 1e-2:
             raise ContractError(
                 f"fd_step {h!r} lies outside [1e-7, 1e-2], the steps the "
-                f"symplectic and volume suites accept"
+                f"finite-difference suites ({', '.join(_FD_SUITES)}) accept"
             )
+        if not any(s in _HESSIAN_SUITES for s in self.suites):
+            return
         rank_max = max((_k.rank(kind) for kind in self.kinds), default=1)
         reach = cap + 10.0 * h * max(1.0, math.sqrt(rank_max) * cap)
         if not reach < 1.0:
@@ -308,10 +317,10 @@ def _hereditary_target(kind: _k.JTSKind) -> _k.TypeI | None:
 # Per-suite sample evaluations (each returns one scalar error)
 
 def _flag(element: Element, fn: Callable[[], float]) -> float:
-    """Tag a consistency error with the element that provoked it."""
+    """Tag an internal error with the element that provoked it."""
     try:
         return fn()
-    except ConsistencyError as err:
+    except HjtsError as err:
         err.offending = element
         raise
 
@@ -441,8 +450,10 @@ def _suite_tolerance(suite: str, config: SuiteConfig) -> float:
 
 
 class _ConsistencyAbort(Exception):
+    """An internal failure inside one sample; it ends the run."""
+
     def __init__(self, kind: _k.JTSKind, suite: str, sample_index: int,
-                 cause: ConsistencyError):
+                 cause: HjtsError):
         super().__init__(str(cause))
         self.kind = kind
         self.suite = suite
@@ -455,8 +466,11 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     Sample inputs are drawn per (kind, suite, sample) from independent Philox
     streams, so evaluation order cannot change any reported number.  The
-    first internal-consistency error aborts the run and is serialized,
-    offending point included, under ``consistency_failure``.
+    first internal failure -- a ConsistencyError, or any other HjtsError
+    except ContractError and DomainError -- aborts the run and is serialized,
+    offending point included when the sample tagged one, under
+    ``consistency_failure``; its cell gets status "consistency-error" or
+    "internal-error".
     """
     started = time.perf_counter()
 
@@ -465,7 +479,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                         SUITE_NAMES.index(suite), sample_index)
         try:
             return _SUITE_EVALS[suite](kind, config, rng, sample_index)
-        except ConsistencyError as err:
+        except (ContractError, DomainError):
+            raise
+        except HjtsError as err:
             raise _ConsistencyAbort(kind, suite, sample_index, err) from err
 
     cells: list[tuple] = []
@@ -494,11 +510,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             ))
     except _ConsistencyAbort as abort:
         offending = getattr(abort.cause, "offending", None)
+        consistency = isinstance(abort.cause, ConsistencyError)
         failure = {
             "kind": _k.format_kind(abort.kind),
             "suite": abort.suite,
             "sample_index": abort.sample_index,
-            "message": str(abort.cause),
+            "message": str(abort.cause) if consistency
+                       else f"{type(abort.cause).__name__}: {abort.cause}",
             "point": None if offending is None else
                      [[float(c.real), float(c.imag)] for c in offending.coords],
         }
@@ -509,7 +527,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             max_error=float("inf"),
             tolerance=_suite_tolerance(abort.suite, config),
             passed=False,
-            status="consistency-error",
+            status="consistency-error" if consistency else "internal-error",
         ))
 
     results.sort(key=lambda r: (r.kind, r.suite))

@@ -281,23 +281,26 @@ def coords_to_matrix(kind: JTSKind, coords: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_coords(kind: JTSKind, matrix: np.ndarray) -> np.ndarray:
-    """Coordinates of a matrix; projects away roundoff (anti)symmetry drift."""
+    """Coordinates of a matrix; projects away roundoff (anti)symmetry drift.
+
+    Leading axes of ``matrix`` are batch axes, as in ``coords_to_matrix``.
+    """
     if isinstance(kind, TypeI):
-        if matrix.shape != (kind.p, kind.q):
-            raise ContractError(f"expected shape {(kind.p, kind.q)}, got {matrix.shape}")
-        return np.asarray(matrix, dtype=np.complex128).reshape(-1).copy()
+        shape = (kind.p, kind.q)
+    elif isinstance(kind, (TypeII, TypeIII)):
+        shape = (kind.n, kind.n)
+    else:
+        raise ContractError(f"{format_kind(kind)} has no matrix representation")
+    if matrix.shape[-2:] != shape:
+        raise ContractError(f"expected shape {shape}, got {matrix.shape}")
+    if isinstance(kind, TypeI):
+        return np.asarray(matrix, dtype=np.complex128).reshape(matrix.shape[:-2] + (-1,)).copy()
     if isinstance(kind, TypeII):
-        if matrix.shape != (kind.n, kind.n):
-            raise ContractError(f"expected shape {(kind.n, kind.n)}, got {matrix.shape}")
         rows, cols = _triu_strict(kind.n)
-        return 0.5 * (matrix[rows, cols] - matrix[cols, rows])
-    if isinstance(kind, TypeIII):
-        if matrix.shape != (kind.n, kind.n):
-            raise ContractError(f"expected shape {(kind.n, kind.n)}, got {matrix.shape}")
-        rows, cols = _triu_full(kind.n)
-        sym = 0.5 * (matrix[rows, cols] + matrix[cols, rows])
-        return np.where(rows == cols, sym, sym * _SQRT2)
-    raise ContractError(f"{format_kind(kind)} has no matrix representation")
+        return 0.5 * (matrix[..., rows, cols] - matrix[..., cols, rows])
+    rows, cols = _triu_full(kind.n)
+    sym = 0.5 * (matrix[..., rows, cols] + matrix[..., cols, rows])
+    return np.where(rows == cols, sym, sym * _SQRT2)
 
 
 def coords_to_ambient(kind: TypeIV, coords: np.ndarray) -> np.ndarray:

@@ -107,21 +107,53 @@ def test_verify_fd_step_1e_3_is_accepted(capsys):
     assert json.loads(out)["config"]["fd_step"] == 1e-3
 
 
-@pytest.mark.parametrize("error, traceback_shown", [
-    (ConvergenceError("hermitian eigensolve exceeded the sweep cap", 1e-3), False),
-    (SingularityError("matrix is exactly singular"), False),
-    (ZeroDivisionError("float division by zero"), True),
+@pytest.mark.parametrize("error, reported", [
+    (ConvergenceError("hermitian eigensolve exceeded the sweep cap", 1e-3), True),
+    (SingularityError("matrix is exactly singular"), True),
+    (ZeroDivisionError("float division by zero"), False),
 ], ids=["ConvergenceError", "SingularityError", "unexpected"])
-def test_verify_internal_failures_are_exit_2(capsys, monkeypatch, error, traceback_shown):
+def test_verify_internal_failures_are_exit_2(capsys, monkeypatch, error, reported):
     def failing_sample(kind, config, rng, sample_index):
         raise error
     monkeypatch.setitem(hjts.harness._SUITE_EVALS, "jordan", failing_sample)
     code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "jordan",
                              "--points", "1")
     assert code == 2
-    assert out == ""
     assert type(error).__name__ in err and str(error) in err
-    assert ("Traceback" in err) == traceback_shown
+    if not reported:  # an unexpected exception keeps its traceback, and no report
+        assert out == ""
+        assert "Traceback" in err
+        return
+    assert "Traceback" not in err
+    doc = json.loads(out)  # a kernel failure still writes the report
+    assert doc["all_pass"] is False
+    failure = doc["consistency_failure"]
+    assert (failure["kind"], failure["suite"], failure["sample_index"]) == ("I:1,1", "jordan", 0)
+    assert failure["message"] == f"{type(error).__name__}: {error}"
+    assert failure["point"] is None  # the failing sample tagged no point
+    [cell] = doc["results"]
+    assert cell["status"] == "internal-error" and cell["pass"] is False
+    assert "internal error in I:1,1/jordan sample 0" in err
+
+
+def test_verify_kernel_failure_carries_the_tagged_point(capsys, monkeypatch):
+    def failing_spread(z):
+        raise SingularityError("matrix is exactly singular")
+    monkeypatch.setattr(hjts.harness, "psi_route_spread", failing_spread)
+    code, out, _ = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "duality",
+                           "--points", "2")
+    assert code == 2
+    failure = json.loads(out)["consistency_failure"]
+    assert failure["sample_index"] == 0
+    assert len(failure["point"]) == 1 and len(failure["point"][0]) == 2
+
+
+def test_verify_fd_step_outside_range_for_lemma_suites_is_exit_3(capsys):
+    code, out, err = run_cli(capsys, "verify", "--kind", "I:2,2", "--suites",
+                             "lemma_a1,beta_exact", "--fd-step", "0.5", "--points", "3")
+    assert code == 3
+    assert out == ""  # rejected before any sample runs
+    assert "fd_step 0.5" in err and "[1e-7, 1e-2]" in err
 
 
 def test_unparsable_flags_are_exit_3():

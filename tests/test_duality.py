@@ -14,9 +14,10 @@ from hjts.duality import (
     psi_inverse,
     psi_inverse_route_spread,
     psi_route_spread,
+    psi_rows,
 )
 from hjts.errors import ConsistencyError, ContractError, DomainError
-from hjts.harness import random_isotropy, sample_domain
+from hjts.harness import DEFAULT_KINDS, random_isotropy, sample_domain
 from hjts.jts import Element, isotropy_action, m1_norm, zero
 from hjts.spectral import spectral_decompose
 from hjts.linalg import frobenius
@@ -90,6 +91,68 @@ def test_spread_raises_on_forced_disagreement(monkeypatch):
     monkeypatch.setattr(hjts.duality, "ROUTE_AGREEMENT_LIMIT", 0.0)
     with pytest.raises(ConsistencyError):
         psi_route_spread(z)
+
+
+# ---------------------------------------------------------------------------
+# the row map behind BOX_HALF
+
+GRAM_KINDS = [K.TypeI(2, 3), K.TypeI(3, 2), K.TypeII(5), K.TypeIII(3), K.TypeIV(3),
+              K.TypeIV(5), K.Product((K.TypeI(1, 1), K.TypeIV(3)))]
+
+
+def spin_points(n):
+    """Spin-factor coordinates at the degenerate points: q = 0, real x
+    (lambda_1 = lambda_2) and 0, with x = coords / sqrt(2)."""
+    isotropic = np.zeros(n, dtype=complex)
+    isotropic[:2] = [0.4, 0.4j]  # q = sum x_j^2 = 0
+    real = np.linspace(0.1, 0.3, n).astype(complex)
+    return [np.sqrt(2.0) * isotropic, np.sqrt(2.0) * real, np.zeros(n, dtype=complex)]
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_box_half_is_row_zero_of_the_row_map(kind):
+    z = interior(kind, seed=41)
+    u = gaussian(kind, seed=42, scale=2.0)
+    others = gaussian(kind, seed=43).coords
+    assert np.array_equal(psi(z).coords, psi_rows(kind, np.stack([z.coords, 0.5 * z.coords]))[0])
+    assert np.array_equal(psi_inverse(u).coords, psi_rows(kind, np.stack([u.coords, others]), 1.0)[0])
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS, ids=K.format_kind)
+def test_row_map_agrees_with_the_bergman_route(kind):
+    points = [interior(kind, seed=s, cap=0.95) for s in range(4)]
+    if isinstance(kind, K.TypeIV):
+        points += [Element(kind, c) for c in spin_points(kind.n)]
+    images = psi_rows(kind, np.stack([z.coords for z in points]))
+    for z, image in zip(points, images):
+        ref = psi(z, DualityRoute.BERGMAN_QUARTER).coords
+        assert frobenius(image - ref) <= 1e-12 * max(1.0, z.norm())
+    ambient = [gaussian(kind, seed=s, scale=2.0) for s in range(4)]
+    if isinstance(kind, K.TypeIV):
+        ambient += [Element(kind, 3.0 * c) for c in spin_points(kind.n)]
+    backs = psi_rows(kind, np.stack([u.coords for u in ambient]), 1.0)
+    for u, back in zip(ambient, backs):
+        ref = psi_inverse(u, DualityRoute.BERGMAN_QUARTER).coords
+        assert frobenius(back - ref) <= 1e-12 * max(1.0, u.norm())
+
+
+@pytest.mark.parametrize("kind", [K.TypeI(2, 3), K.TypeII(4), K.TypeIII(3), K.TypeIV(4),
+                                  K.Product((K.TypeI(1, 1), K.TypeIV(3)))],
+                         ids=K.format_kind)
+def test_row_map_rejects_a_stack_with_one_row_outside(kind):
+    inside = [interior(kind, seed=s).coords for s in range(3)]
+    lam1 = spectral_decompose(Element(kind, inside[1])).values[0]
+    outside = inside[1] * (1.01 / lam1)
+    with pytest.raises(DomainError, match="interior"):
+        psi_rows(kind, np.stack([inside[0], outside, inside[2]]))
+    psi_rows(kind, np.stack([inside[0], outside, inside[2]]), 1.0)  # psi_inverse: no domain
+
+
+def test_row_map_shape_contract():
+    with pytest.raises(ContractError):
+        psi_rows(K.TypeI(2, 2), np.zeros(4, dtype=complex))
+    with pytest.raises(ContractError):
+        psi_rows(K.TypeI(2, 2), np.zeros((3, 5), dtype=complex))
 
 
 # ---------------------------------------------------------------------------

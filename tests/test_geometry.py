@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hjts.kinds as K
-from hjts.duality import psi
+from hjts.duality import psi, psi_rows
 from hjts.errors import ContractError, DomainError
 from hjts.geometry import (
     PotentialId,
@@ -30,7 +30,7 @@ from hjts.geometry import (
 from hjts.harness import DEFAULT_KINDS, sample_domain
 from hjts.jts import Element, bergman_operator, genus, zero
 from hjts.linalg import det
-from hjts.spectral import log_generic_norm_minus, log_generic_norm_plus
+from hjts.spectral import log_generic_norm_minus, log_generic_norm_plus, spectral_values
 
 SIMPLE_KINDS = [K.TypeI(1, 1), K.TypeI(2, 2), K.TypeII(4), K.TypeIII(3), K.TypeIV(3)]
 ALL_KINDS = SIMPLE_KINDS + [K.TypeI(1, 3), K.TypeIV(5),
@@ -165,11 +165,44 @@ def test_bergman_log_det_is_genus_times_metric():
 def test_disc_jacobian_golden():
     kind = K.TypeI(1, 1)
     z = Element(kind, np.array([0.6], dtype=complex))
-    jac = real_jacobian(psi, z)
+    jac = real_jacobian(psi_rows, z)
     # radial derivative (1 - t^2)^(-3/2); tangential derivative (1 - t^2)^(-1/2)
     assert jac.matrix[0, 0] == pytest.approx(1.953125, rel=1e-6)
     assert jac.matrix[1, 1] == pytest.approx(1.25, rel=1e-6)
     assert abs(jac.matrix[0, 1]) < 1e-6 and abs(jac.matrix[1, 0]) < 1e-6
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_batched_jacobian_equals_per_row_psi(kind):
+    z = interior(kind, seed=51, cap=0.95)
+    n = K.ambient_dim(kind)
+    step = 1e-5 * max(1.0, z.norm())
+    expected = np.empty((2 * n, 2 * n))
+    for col in range(2 * n):  # real directions e_j, i e_j, interleaved
+        d = np.eye(n, dtype=complex)[col // 2] * (1j if col % 2 else 1.0)
+        forward = psi(Element(kind, z.coords + step * d)).coords
+        backward = psi(Element(kind, z.coords - step * d)).coords
+        diff = (forward - backward) / (2.0 * step)
+        expected[0::2, col] = diff.real
+        expected[1::2, col] = diff.imag
+    assert np.array_equal(real_jacobian(psi_rows, z).matrix, expected)
+
+
+@pytest.mark.parametrize("kind", [K.TypeI(2, 2), K.TypeII(4), K.TypeIII(3), K.TypeIV(4),
+                                  K.Product((K.TypeI(1, 1), K.TypeIV(3)))],
+                         ids=K.format_kind)
+def test_jacobian_stencil_row_outside_the_domain_raises(kind):
+    z = interior(kind, seed=52)
+    lam1 = spectral_values(z)[0]
+    edge = Element(kind, z.coords * ((1.0 - 1e-7) / lam1))  # a step of 1e-5 crosses
+    with pytest.raises(DomainError):
+        real_jacobian(psi_rows, edge)
+
+
+def test_jacobian_rejects_non_finite_rows():
+    z = interior(K.TypeI(2, 2), seed=53)
+    with pytest.raises(ContractError, match="finite"):
+        real_jacobian(lambda kind, rows: np.full_like(rows, np.nan), z)
 
 
 def test_disc_pullback_golden():
@@ -177,7 +210,7 @@ def test_disc_pullback_golden():
     # density |dpsi_tangential|^2... on the (1, i) pair: 1.953125 * 1.25 / pi
     kind = K.TypeI(1, 1)
     z = Element(kind, np.array([0.6], dtype=complex))
-    jac = real_jacobian(psi, z)
+    jac = real_jacobian(psi_rows, z)
     omega_flat = kahler_matrix(PotentialId.FLAT, psi(z))
     val = pullback_eval(omega_flat, jac, np.array([1.0 + 0j]), np.array([1j]))
     assert val == pytest.approx(1.953125 * 1.25 / math.pi, rel=1e-5)

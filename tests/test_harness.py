@@ -103,8 +103,12 @@ def test_config_accepts_fd_step_1e_3():
     assert cfg.fd_step == 1e-3
 
 
-def test_fd_step_range_only_binds_the_hessian_suites():
-    SuiteConfig(kinds=FAST_KINDS, fd_step=0.05, suites=FAST_SUITES + ("lemma_a1",))
+@pytest.mark.parametrize("suite", ["lemma_a1", "lemma_a2", "beta_exact"])
+def test_fd_step_range_binds_every_finite_difference_suite(suite):
+    with pytest.raises(ContractError, match=r"fd_step 0.05 lies outside \[1e-7, 1e-2\]"):
+        SuiteConfig(kinds=FAST_KINDS, fd_step=0.05, suites=FAST_SUITES + (suite,))
+    # the boundary-reach check stays with the Hessian suites
+    SuiteConfig(kinds=FAST_KINDS, fd_step=1e-2, suites=(suite,))
 
 
 def test_config_accepts_lists():

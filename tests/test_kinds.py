@@ -107,6 +107,18 @@ def test_coords_to_matrix_batched_equals_row_by_row(kind):
     assert np.array_equal(mats, rows)
 
 
+@pytest.mark.parametrize("kind", [TypeI(2, 3), TypeII(4), TypeIII(3)],
+                         ids=["I:2,3", "II:4", "III:3"])
+def test_matrix_to_coords_batched_equals_row_by_row(kind):
+    rng = np.random.default_rng(6)
+    p, q = (kind.p, kind.q) if isinstance(kind, TypeI) else (kind.n, kind.n)
+    mats = rng.standard_normal((2, 5, p, q)) + 1j * rng.standard_normal((2, 5, p, q))
+    coords = matrix_to_coords(kind, mats)
+    rows = np.array([[matrix_to_coords(kind, m) for m in block] for block in mats])
+    assert coords.shape == (2, 5, ambient_dim(kind))
+    assert np.array_equal(coords, rows)
+
+
 def test_matrix_to_coords_projects_drift():
     # the converter removes (anti)symmetry drift rather than rejecting it
     assert np.allclose(matrix_to_coords(TypeII(4), np.eye(4, dtype=complex)), 0.0)

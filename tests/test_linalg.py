@@ -4,6 +4,9 @@ The library itself never calls numpy.linalg (the kernels are self-contained
 Jacobi iterations), so the comparisons here are genuinely independent.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,3 +316,46 @@ def test_svd_sigma_matches_gram_spectrum(a):
     gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
     lam = np.sqrt(np.clip(eigh(gram).values, 0.0, None))
     assert np.allclose(sigma, lam, atol=1e-9 * max(1.0, frobenius(a)))
+
+
+# ---------------------------------------------------------------------------
+# the oracle rule: the library never touches numpy.linalg
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "hjts").glob("*.py"))
+
+
+def _numpy_linalg_uses(tree: ast.AST) -> list[str]:
+    """Imports of numpy.linalg and attribute reads ``<numpy alias>.linalg``."""
+    numpy_names = {"numpy"}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+                elif alias.name.startswith("numpy.linalg"):
+                    uses.append(f"line {node.lineno}: import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            if node.module.startswith("numpy.linalg"):
+                uses.append(f"line {node.lineno}: from {node.module} import ...")
+            elif node.module == "numpy" and any(a.name == "linalg" for a in node.names):
+                uses.append(f"line {node.lineno}: from numpy import linalg")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names | {"np"}):
+            uses.append(f"line {node.lineno}: {node.value.id}.linalg")
+    return uses
+
+
+def test_oracle_rule_scanner_finds_every_form():
+    source = ("import numpy as xp\nimport numpy.linalg\nfrom numpy import linalg\n"
+              "from numpy.linalg import eigh\nnp.linalg.eigh(a)\nxp.linalg.svd(a)\n"
+              "numpy.linalg.det(a)\nnp.abs(a)\n")
+    assert [use.split(":")[0] for use in _numpy_linalg_uses(ast.parse(source))] == [
+        f"line {n}" for n in (2, 3, 4, 5, 6, 7)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_library_never_uses_numpy_linalg(path):
+    uses = _numpy_linalg_uses(ast.parse(path.read_text(encoding="utf-8")))
+    assert uses == [], f"{path.name} reaches numpy.linalg: {uses}"
