@@ -41,7 +41,7 @@ from .jts import (
 )
 from .kinds import JTSKind, format_kind
 from .linalg import frobenius, hermitian_power
-from .spectral import log_norm_rows, spectral_decompose
+from .spectral import _gram, log_norm_rows, spectral_decompose
 
 __all__ = [
     "DualityRoute",
@@ -91,9 +91,7 @@ def _box_half_simple(kind: JTSKind, coords: np.ndarray, sign: float) -> np.ndarr
         out = ((1.0 + root)[:, None] * x + sign * q[:, None] * np.conj(x)) / scale[:, None]
         return _k.ambient_to_coords(kind, out)
     mat = _k.coords_to_matrix(kind, coords)
-    adjoint = np.conj(mat).swapaxes(-1, -2)
-    wide = mat.shape[-2] <= mat.shape[-1]
-    gram = mat @ adjoint if wide else adjoint @ mat
+    gram, wide = _gram(mat)
     shifted = np.eye(gram.shape[-1], dtype=np.complex128) + sign * gram
     power = np.stack([hermitian_power(g, -0.5) for g in shifted])
     return _k.matrix_to_coords(kind, power @ mat if wide else mat @ power)

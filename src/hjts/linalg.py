@@ -5,7 +5,9 @@ map) reduces to a handful of dense factorizations on small matrices.  They are
 implemented here directly on ndarrays -- Jacobi rotations for the Hermitian
 eigenproblem, a one-sided Jacobi SVD, a Takagi factorization for complex
 symmetric matrices, and pivoted Gaussian elimination -- so the numerical
-behaviour of the package does not depend on any external solver.
+behaviour of the package does not depend on any external solver.  Every
+orthonormal basis these factorizations (and the spectral frames built on
+them) must finish is finished by one routine, :func:`orthonormal_extension`.
 
 Conventions: matrices are 2-D complex128 arrays, eigen/singular values are
 returned in descending order, and factors satisfy the reconstruction
@@ -31,6 +33,7 @@ __all__ = [
     "eigh",
     "svd",
     "takagi",
+    "orthonormal_extension",
     "hermitian_power",
     "cholesky_logdet",
     "det",
@@ -165,31 +168,36 @@ def eigh(a, *, max_sweeps: int = _MAX_SWEEPS) -> EighResult:
     return EighResult(w[order], v[:, order])
 
 
-def _complete_orthonormal(cols: list[np.ndarray], m: int) -> list[np.ndarray]:
-    """Extend orthonormal columns to a full basis of C^m.
+def orthonormal_extension(basis, candidates, count: int) -> list[np.ndarray]:
+    """``count`` unit vectors that extend the orthonormal ``basis``.
 
-    Candidates are standard basis vectors; at each step the one with the
-    largest residual after projection is kept, which cannot stall because the
-    accepted set never spans C^m while columns are missing.
+    Each new vector is grown from the candidate with the largest residual
+    after projecting out the basis so far (``basis`` plus the vectors already
+    returned), then given one re-orthogonalization pass, which keeps the
+    basis clean to roundoff.  The vectors keep the candidates' dtype, so real
+    candidates against a real basis give real vectors.  The candidates must
+    span more than the basis does: with the standard basis as candidates the
+    best residual is >= 1/sqrt(dim) while the basis is incomplete.
     """
-    while len(cols) < m:
+    basis = list(basis)
+    out: list[np.ndarray] = []
+    for _ in range(count):
         best, best_norm = None, -1.0
-        for i in range(m):
-            cand = np.zeros(m, dtype=np.complex128)
-            cand[i] = 1.0
-            for u in cols:
+        for cand0 in candidates:
+            cand = cand0.copy()
+            for u in basis:
                 cand -= np.vdot(u, cand) * u
             norm = frobenius(cand)
             if norm > best_norm:
                 best, best_norm = cand, norm
-        assert best is not None and best_norm > 0.5  # residual of best e_i is >= 1/sqrt(m)
+        assert best is not None and best_norm > 0.0
         best /= best_norm
-        # One re-orthogonalization pass keeps the basis clean to roundoff.
-        for u in cols:
+        for u in basis:
             best -= np.vdot(u, best) * u
         best /= frobenius(best)
-        cols.append(best)
-    return cols
+        basis.append(best)
+        out.append(best)
+    return out
 
 
 def svd(a, *, max_sweeps: int = _MAX_SWEEPS) -> SvdResult:
@@ -237,59 +245,16 @@ def svd(a, *, max_sweeps: int = _MAX_SWEEPS) -> SvdResult:
     w = w[:, order]
     v = v[:, order]
 
-    # Columns carrying signal are normalized in place; numerically dead ones
-    # (and the rows-beyond-columns part of U) are filled by completion.
+    # sigma is descending, so the columns carrying signal are a prefix; they
+    # are normalized, and completion fills the numerically dead ones and the
+    # rows-beyond-columns part of U.
     ztol = max(rows, cols_n) * 1e-16 * (sigma[0] if cols_n else 0.0)
-    u_cols: list[np.ndarray] = []
-    dead: list[int] = []
-    for k in range(cols_n):
-        if sigma[k] > ztol and sigma[k] > 0.0:
-            u_cols.append(w[:, k] / sigma[k])
-        else:
-            dead.append(k)
-    filled = _complete_orthonormal(u_cols, rows)
+    live = [w[:, k] / sigma[k] for k in range(cols_n) if sigma[k] > ztol and sigma[k] > 0.0]
+    filled = orthonormal_extension(live, np.eye(rows, dtype=np.complex128), rows - len(live))
     u = np.empty((rows, rows), dtype=np.complex128)
-    live = [k for k in range(cols_n) if k not in dead]
-    for idx, k in enumerate(live):
-        u[:, k] = filled[idx]
-    for idx, k in enumerate(dead):
-        u[:, k] = filled[len(live) + idx]
-    for idx in range(cols_n, rows):
-        u[:, idx] = filled[idx]
+    for k, col in enumerate(live + filled):
+        u[:, k] = col
     return SvdResult(u, sigma, v)
-
-
-def _pair_null_space(columns: list[np.ndarray]) -> list[np.ndarray]:
-    """Pick J-paired representatives inside a real eigenspace, J(x;y)=(-y;x).
-
-    The input columns span a J-invariant subspace of even dimension 2k; the
-    returned k vectors s_i together with J s_i form an orthonormal basis of
-    it, so each pair corresponds to exactly one complex direction.
-    """
-    def apply_j(vec: np.ndarray) -> np.ndarray:
-        half = vec.shape[0] // 2
-        return np.concatenate([-vec[half:], vec[:half]])
-
-    picked: list[np.ndarray] = []
-    basis: list[np.ndarray] = []  # picked plus their J-partners
-    for _ in range(len(columns) // 2):
-        best, best_norm = None, -1.0
-        for cand0 in columns:
-            cand = cand0.copy()
-            for u in basis:
-                cand -= np.dot(u, cand) * u
-            norm = frobenius(cand)
-            if norm > best_norm:
-                best, best_norm = cand, norm
-        assert best is not None and best_norm > 1e-8
-        best /= best_norm
-        partner = apply_j(best)
-        for u in basis + [best]:
-            partner -= np.dot(u, partner) * u
-        partner /= frobenius(partner)
-        picked.append(best)
-        basis.extend([best, partner])
-    return picked
 
 
 def takagi(a) -> TakagiResult:
@@ -325,10 +290,18 @@ def takagi(a) -> TakagiResult:
         col = vecs[:, j]
         u[:, j] = col[:n] + 1j * col[n:]
         sigma[j] = w[j]
-    if npos < n:
-        null_cols = [vecs[:, j].real.copy() for j in range(npos, 2 * n - npos)]
-        for j, s in enumerate(_pair_null_space(null_cols)):
-            u[:, npos + j] = s[:n] + 1j * s[n:]
+    # The null space is J-invariant, J(x; y) = (-y; x): each picked s and its
+    # partner J s span one complex direction, so s alone gives a column of u.
+    null_cols = [vecs[:, j].real.copy() for j in range(npos, 2 * n - npos)]
+    basis: list[np.ndarray] = []  # picked vectors and their J-partners
+    for j in range(npos, n):
+        (s,) = orthonormal_extension(basis, null_cols, 1)
+        partner = np.concatenate([-s[n:], s[:n]])
+        for b in basis + [s]:
+            partner -= np.dot(b, partner) * b
+        partner /= frobenius(partner)
+        basis.extend([s, partner])
+        u[:, j] = s[:n] + 1j * s[n:]
     return TakagiResult(u, sigma)
 
 

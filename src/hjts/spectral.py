@@ -21,7 +21,7 @@ import numpy as np
 from . import kinds as _k
 from .errors import ConsistencyError, ContractError, DomainError, SingularityError
 from .jts import Element, box_operator, q_operator
-from .linalg import cholesky_logdet, eigh, frobenius, solve, svd, takagi
+from .linalg import cholesky_logdet, eigh, frobenius, orthonormal_extension, solve, svd, takagi
 
 __all__ = [
     "SpectralDecomposition",
@@ -60,9 +60,14 @@ class SpectralDecomposition:
 # --------------------------------------------------------------------------
 # Spectral values (no frames -- cheap path used by domain tests & potentials)
 
-def _gram_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    small = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
-    return np.maximum(eigh(small).values, 0.0)
+def _gram(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The smaller Gram matrix of ``mat`` over its last two axes, and whether
+    ``mat`` is wide: (Z Z*, True) when Z has no more rows than columns, else
+    (Z* Z, False).  The two share their nonzero eigenvalues, the squared
+    singular values of Z."""
+    adjoint = np.conj(mat).swapaxes(-1, -2)
+    wide = mat.shape[-2] <= mat.shape[-1]
+    return (mat @ adjoint if wide else adjoint @ mat), wide
 
 
 def _values_simple(kind: _k.JTSKind, coords: np.ndarray) -> np.ndarray:
@@ -73,7 +78,7 @@ def _values_simple(kind: _k.JTSKind, coords: np.ndarray) -> np.ndarray:
         disc = math.sqrt(max(a * a - abs(q) ** 2, 0.0))
         return np.array([math.sqrt(a + disc), math.sqrt(max(a - disc, 0.0))])
     mat = _k.coords_to_matrix(kind, coords)
-    sq = _gram_eigenvalues(mat)
+    sq = np.maximum(eigh(_gram(mat)[0]).values, 0.0)
     if isinstance(kind, _k.TypeII):
         sq = sq[0::2][: kind.n // 2]  # eigenvalues of Z Z* come in equal pairs
     return np.sqrt(sq)
@@ -118,8 +123,7 @@ def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.nd
         # finite-difference Hessian of the potentials.
         return np.array([math.log1p(x) for x in shift.tolist()])
     mat = _k.coords_to_matrix(kind, coords)
-    adjoint = np.conj(mat).swapaxes(-1, -2)
-    gram = mat @ adjoint if mat.shape[-2] <= mat.shape[-1] else adjoint @ mat
+    gram = _gram(mat)[0]
     shifted = np.eye(gram.shape[-1], dtype=np.complex128) + sign * gram
     try:
         logdet = cholesky_logdet(shifted)
@@ -186,25 +190,6 @@ def _decompose_type_iii(kind: _k.TypeIII, coords: np.ndarray):
     return sigma, frame
 
 
-def _argmax_residual(basis: list[np.ndarray], dim: int) -> np.ndarray:
-    """Unit vector orthogonal to `basis`, grown from the best standard basis
-    candidate (never stalls while the basis is incomplete)."""
-    best, best_norm = None, -1.0
-    for i in range(dim):
-        cand = np.zeros(dim, dtype=np.complex128)
-        cand[i] = 1.0
-        for b in basis:
-            cand -= np.vdot(b, cand) * b
-        norm = frobenius(cand)
-        if norm > best_norm:
-            best, best_norm = cand, norm
-    assert best is not None and best_norm > 1e-8
-    out = best / best_norm
-    for b in basis:  # second pass tightens orthogonality to roundoff
-        out -= np.vdot(b, out) * b
-    return out / frobenius(out)
-
-
 def _decompose_type_ii(kind: _k.TypeII, coords: np.ndarray):
     """Frame via the paired eigenstructure of H = Z Z*.
 
@@ -226,20 +211,23 @@ def _decompose_type_ii(kind: _k.TypeII, coords: np.ndarray):
     q, lam, _ = svd(mat)
     scale = max(1.0, float(lam[0]))
     gap = 1e-9 * scale
+    # For odd n the last column is the unpaired kernel direction.  It stays
+    # out of the clustering: chained into the smallest nonzero cluster it
+    # would make that cluster odd.
+    top = n - n % 2
 
     values: list[float] = []
     frame_mats: list[np.ndarray] = []
     i0 = 0
-    while i0 < n:
+    while i0 < top:
         i1 = i0 + 1
-        while i1 < n and lam[i1 - 1] - lam[i1] <= gap:
+        while i1 < top and lam[i1 - 1] - lam[i1] <= gap:
             i1 += 1
         qc = q[:, i0:i1]
         m2 = i1 - i0
         if lam[i0] <= gap:
             # Kernel (or numerically dead) cluster: any orthonormal pairing
-            # works, the spectral value is 0.  An odd leftover column is the
-            # unpaired kernel direction of odd n.
+            # works, the spectral value is 0.
             for j in range(m2 // 2):
                 a = qc[:, 2 * j]
                 b = qc[:, 2 * j + 1]
@@ -254,10 +242,11 @@ def _decompose_type_ii(kind: _k.TypeII, coords: np.ndarray):
         sbar = float(np.mean(lam[i0:i1]))
         a_c = qc.conj().T @ mat @ np.conj(qc)
         a_c = 0.5 * (a_c - a_c.T)  # exact antisymmetry kills <w, psi w> drift
+        candidates = np.eye(m2, dtype=np.complex128)
         basis: list[np.ndarray] = []
         pairs: list[tuple[np.ndarray, np.ndarray]] = []
         while len(basis) < m2:
-            w1 = _argmax_residual(basis, m2)
+            (w1,) = orthonormal_extension(basis, candidates, 1)
             w2 = a_c @ np.conj(w1) / sbar
             for b in basis + [w1]:
                 w2 -= np.vdot(b, w2) * b
@@ -265,7 +254,7 @@ def _decompose_type_ii(kind: _k.TypeII, coords: np.ndarray):
             if nrm < 1e-3:
                 # Degenerate tiny cluster: psi is numerically dead, fall back
                 # to an arbitrary completion (values are ~0 there anyway).
-                w2 = _argmax_residual(basis + [w1], m2)
+                (w2,) = orthonormal_extension(basis + [w1], candidates, 1)
             else:
                 w2 = w2 / nrm
             basis.extend([w1, w2])
@@ -279,21 +268,6 @@ def _decompose_type_ii(kind: _k.TypeII, coords: np.ndarray):
 
     frame = [Element(kind, _k.matrix_to_coords(kind, m)) for m in frame_mats]
     return np.asarray(values), frame
-
-
-def _real_unit_orthogonal(u: np.ndarray) -> np.ndarray:
-    """A real unit vector orthogonal to the real unit vector u."""
-    dim = u.shape[0]
-    best, best_norm = None, -1.0
-    for i in range(dim):
-        cand = np.zeros(dim)
-        cand[i] = 1.0
-        cand = cand - np.dot(u, cand) * u
-        norm = float(np.sqrt(np.sum(cand * cand)))
-        if norm > best_norm:
-            best, best_norm = cand, norm
-    assert best is not None and best_norm > 0.0
-    return best / best_norm
 
 
 def _decompose_type_iv(kind: _k.TypeIV, coords: np.ndarray):
@@ -323,7 +297,7 @@ def _decompose_type_iv(kind: _k.TypeIV, coords: np.ndarray):
             x, y, nx, ny = y, x, ny, nx
         u = x / nx
         if ny <= 1e-9 * max(1.0, nx):
-            v = _real_unit_orthogonal(u)
+            (v,) = orthonormal_extension([u], np.eye(kind.n), 1)
         else:
             v = y / ny
             v = v - np.dot(u, v) * u

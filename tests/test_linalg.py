@@ -20,6 +20,7 @@ from hjts.linalg import (
     eigh,
     frobenius,
     hermitian_power,
+    orthonormal_extension,
     solve,
     svd,
     takagi,
@@ -139,9 +140,47 @@ class TestTakagi:
     def test_real_diagonal(self):
         self.check(np.diag([2.0, 1.0, 0.0]).astype(complex))
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_deficient_complex(self, rank):
+        # a nonzero null space of a genuinely complex matrix: the J-paired
+        # completion must still give a unitary u
+        rng = np.random.default_rng(5 + rank)
+        cols = random_complex(rng, 4, rank)
+        self.check(cols @ np.diag([1.5, 0.5][:rank]) @ cols.T)
+
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ContractError):
             takagi(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# orthonormal_extension
+
+class TestOrthonormalExtension:
+    def test_count_zero_returns_empty(self):
+        assert orthonormal_extension([], np.eye(3, dtype=complex), 0) == []
+
+    def test_completes_a_complex_basis(self):
+        rng = np.random.default_rng(30)
+        basis = list(np.linalg.qr(random_complex(rng, 5, 2))[0].T)
+        added = orthonormal_extension(basis, np.eye(5, dtype=complex), 3)
+        full = np.array(basis + added).T
+        assert frobenius(full.conj().T @ full - np.eye(5)) <= 1e-14
+
+    def test_real_candidates_give_real_vectors(self):
+        rng = np.random.default_rng(31)
+        u = rng.standard_normal(4)
+        u /= frobenius(u)
+        added = orthonormal_extension([u], np.eye(4), 3)
+        assert all(v.dtype == np.float64 for v in added)
+        full = np.array([u] + added).T
+        assert frobenius(full.T @ full - np.eye(4)) <= 1e-14
+
+    def test_picks_the_candidate_with_the_largest_residual(self):
+        e = np.eye(3, dtype=complex)
+        basis = [(e[0] + e[1]) / np.sqrt(2.0)]
+        # e2 is orthogonal to the basis, so it is kept whole
+        assert np.array_equal(orthonormal_extension(basis, e, 1)[0], e[2])
 
 
 # ---------------------------------------------------------------------------

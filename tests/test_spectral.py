@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hjts.kinds as K
+from hjts.duality import DualityRoute, psi, psi_route_spread
 from hjts.errors import ContractError, DomainError, SingularityError
 from hjts.jts import (
     Element,
@@ -151,6 +152,48 @@ def test_rank_deficient_antisymmetric():
     coords = np.zeros(K.ambient_dim(kind), dtype=complex)
     coords[0] = 0.4 + 0.2j
     assert decomposition_residuals(Element(kind, coords)) < 1e-10
+
+
+def antisymmetric_with_pairs(kind, pairs, seed):
+    """Q diag(s_j [[0, 1], [-1, 0]]) Q^T for a random unitary Q, as an element."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((kind.n, kind.n))
+                     + 1j * rng.standard_normal((kind.n, kind.n)))[0]
+    blocks = np.zeros((kind.n, kind.n), dtype=complex)
+    for j, s in enumerate(pairs):
+        blocks[2 * j, 2 * j + 1], blocks[2 * j + 1, 2 * j] = s, -s
+    return Element(kind, K.matrix_to_coords(kind, q @ blocks @ q.T))
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_odd_type_ii_near_zero_is_not_a_defect(n):
+    # Gaps below the 1e-9 cluster threshold chain the nonzero pairs into one
+    # cluster; the unpaired kernel column of odd n must not join it.
+    z = antisymmetric_with_pairs(K.TypeII(n), (1.8e-9, 0.9e-9), seed=n)
+    dec = spectral_decompose(z)
+    assert len(dec.frame) == n // 2
+    assert frobenius(dec.reconstruct().coords - z.coords) < 1e-8
+    assert psi(z, DualityRoute.SPECTRAL).norm() < 1e-8
+    assert psi_route_spread(z) < 1e-8
+
+
+def test_type_ii_dead_psi_falls_back_to_completion():
+    # One cluster mixing 1e-9-sized pairs with a kernel pair: psi is
+    # numerically dead on part of it, and the frame is finished by completion.
+    z = antisymmetric_with_pairs(K.TypeII(6), (1.8e-9, 0.9e-9, 0.0), seed=6)
+    dec = spectral_decompose(z)
+    assert frobenius(dec.reconstruct().coords - z.coords) < 1e-8
+
+
+def test_spin_frame_of_equal_values():
+    # e^{i t} x with x real has lambda_1 = lambda_2: the rotated point has no
+    # imaginary part, so the second frame direction comes from completion.
+    kind = K.TypeIV(4)
+    x = np.array([0.3, -0.2, 0.1, 0.25])
+    z = Element(kind, np.exp(0.7j) * x)
+    dec = spectral_decompose(z)
+    assert dec.values[0] == pytest.approx(dec.values[1], abs=1e-15)
+    assert decomposition_residuals(z) < 1e-14
 
 
 def test_tiny_singular_value_recovered():
