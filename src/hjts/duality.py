@@ -125,27 +125,33 @@ def psi_rows(kind: JTSKind, coords: np.ndarray, sign: float = -1.0) -> np.ndarra
     return _box_half_simple(kind, coords, sign)
 
 
+def _point_map(el: Element, route: DualityRoute, sign: float) -> Element:
+    """(id + sign * el box el)^(-1/2) el along one route: psi for sign = -1,
+    psi_inverse for sign = +1.  Only sign = -1 needs an interior point."""
+    if route is DualityRoute.BOX_HALF:
+        return Element(el.kind, psi_rows(el.kind, el.coords[None, :], sign)[0])
+    if sign < 0.0 and not in_domain(el):
+        raise DomainError(_outside_message(el.kind))
+    if route is DualityRoute.BERGMAN_QUARTER:
+        b = bergman_operator(el, Element(el.kind, -sign * el.coords)).matrix
+        coords = hermitian_power(b, -0.25) @ el.coords
+    elif route is DualityRoute.SPECTRAL:
+        dec = spectral_decompose(el)
+        coords = np.zeros_like(el.coords)
+        for lam, c in zip(dec.values, dec.frame):
+            coords = coords + (lam / np.sqrt(1.0 + sign * lam * lam)) * c.coords
+    else:  # pragma: no cover - enum exhausted above
+        raise ContractError(f"unknown duality route {route!r}")
+    return Element(el.kind, coords)
+
+
 def psi(z: Element, route: DualityRoute = DualityRoute.BOX_HALF) -> Element:
     """Map a domain point to the ambient space.
 
     Raises DomainError when z lies on or outside the domain boundary
     (largest spectral value >= 1).
     """
-    if route is DualityRoute.BOX_HALF:
-        return Element(z.kind, psi_rows(z.kind, z.coords[None, :])[0])
-    if not in_domain(z):
-        raise DomainError(_outside_message(z.kind))
-    if route is DualityRoute.BERGMAN_QUARTER:
-        b = bergman_operator(z, z).matrix
-        coords = hermitian_power(b, -0.25) @ z.coords
-    elif route is DualityRoute.SPECTRAL:
-        dec = spectral_decompose(z)
-        coords = np.zeros_like(z.coords)
-        for lam, c in zip(dec.values, dec.frame):
-            coords = coords + (lam / np.sqrt(1.0 - lam * lam)) * c.coords
-    else:  # pragma: no cover - enum exhausted above
-        raise ContractError(f"unknown duality route {route!r}")
-    return Element(z.kind, coords)
+    return _point_map(z, route, -1.0)
 
 
 def psi_inverse(u: Element, route: DualityRoute = DualityRoute.BOX_HALF) -> Element:
@@ -154,22 +160,14 @@ def psi_inverse(u: Element, route: DualityRoute = DualityRoute.BOX_HALF) -> Elem
     Defined on the whole ambient space; the image always satisfies
     ``in_domain`` because mu/(1+mu^2)^(1/2) < 1 for every spectral value mu.
     """
-    if route is DualityRoute.BOX_HALF:
-        return Element(u.kind, psi_rows(u.kind, u.coords[None, :], 1.0)[0])
-    if route is DualityRoute.BERGMAN_QUARTER:
-        b = bergman_operator(u, Element(u.kind, -u.coords)).matrix
-        coords = hermitian_power(b, -0.25) @ u.coords
-    elif route is DualityRoute.SPECTRAL:
-        dec = spectral_decompose(u)
-        coords = np.zeros_like(u.coords)
-        for mu, c in zip(dec.values, dec.frame):
-            coords = coords + (mu / np.sqrt(1.0 + mu * mu)) * c.coords
-    else:  # pragma: no cover - enum exhausted above
-        raise ContractError(f"unknown duality route {route!r}")
-    return Element(u.kind, coords)
+    return _point_map(u, route, 1.0)
 
 
-def _spread(images: list[np.ndarray], scale: float, label: str) -> float:
+def _route_spread(el: Element, point_map, label: str) -> float:
+    """Largest pairwise disagreement of ``point_map``'s three routes at el,
+    relative to max(1, |el|); raises ConsistencyError above 1e-7."""
+    images = [point_map(el, route).coords for route in DualityRoute]
+    scale = max(1.0, el.norm())
     worst = 0.0
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
@@ -187,8 +185,7 @@ def psi_route_spread(z: Element) -> float:
 
     Raises ConsistencyError when the spread exceeds 1e-7.
     """
-    images = [psi(z, route).coords for route in DualityRoute]
-    return _spread(images, max(1.0, z.norm()), "psi")
+    return _route_spread(z, psi, "psi")
 
 
 def psi_inverse_route_spread(u: Element) -> float:
@@ -196,8 +193,7 @@ def psi_inverse_route_spread(u: Element) -> float:
 
     Relative to max(1, |u|); raises ConsistencyError above 1e-7.
     """
-    images = [psi_inverse(u, route).coords for route in DualityRoute]
-    return _spread(images, max(1.0, u.norm()), "psi_inverse")
+    return _route_spread(u, psi_inverse, "psi_inverse")
 
 
 def check_equivariance(params, z: Element) -> float:

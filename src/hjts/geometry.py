@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .jts import Element, box_operator, d_operator, in_domain, m1_form
+from .jts import Element, box_operator, d_operator, in_domain
 from .kinds import JTSKind, format_kind
 from .linalg import det, frobenius, solve
 from .spectral import (
@@ -32,7 +32,6 @@ from .spectral import (
     log_generic_norm_minus,
     log_generic_norm_plus,
     log_norm_rows,
-    quasi_inverse,
     spectral_values,
 )
 from .duality import psi, psi_rows
@@ -242,16 +241,15 @@ def kahler_matrix(pid: PotentialId, z: Element, h: float = DEFAULT_FD_STEP) -> T
         return TwoFormSample(z, np.eye(n, dtype=np.complex128))
     _check_step(h)
     points, step, stencil = _stencil_points(z, h)
-    if pid is PotentialId.HYPERBOLIC:
+    sign = -1.0 if pid is PotentialId.HYPERBOLIC else 1.0  # -log N, or log N*
+    if sign < 0.0:
         lam1 = spectral_values(z)[0]
         if lam1 >= 1.0 - 10.0 * step:
             raise DomainError(
                 f"point too close to the boundary for differencing "
                 f"(largest spectral value {lam1:.6f}, step {step:g})"
             )
-        values = -log_norm_rows(z.kind, points, -1.0)
-    else:
-        values = log_norm_rows(z.kind, points, 1.0)
+    values = sign * log_norm_rows(z.kind, points, sign)
     return TwoFormSample(z, _assemble_hessian(values, step, stencil))
 
 
@@ -292,6 +290,19 @@ def _unit_tangent(rng: np.random.Generator, n: int) -> np.ndarray:
     return w / frobenius(w)
 
 
+def _pullback_pairs(z: Element, h: float) -> tuple[RealJacobian, list]:
+    """The Jacobian of psi at z and the pairs (form at psi(z), native form
+    at z) of psi^* omega_dual = omega_flat and psi^* omega_flat = omega_hyp."""
+    omega_hyp = kahler_matrix(PotentialId.HYPERBOLIC, z, h)
+    omega_flat_here = kahler_matrix(PotentialId.FLAT, z, h)
+    image = psi(z)
+    pairs = [
+        (kahler_matrix(PotentialId.DUAL_FS, image, h), omega_flat_here),
+        (kahler_matrix(PotentialId.FLAT, image, h), omega_hyp),
+    ]
+    return real_jacobian(psi_rows, z, h), pairs
+
+
 def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
                              h: float = DEFAULT_FD_STEP,
                              rng: np.random.Generator | None = None) -> tuple[float, float]:
@@ -305,22 +316,15 @@ def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
     if rng is None:
         rng = np.random.default_rng(7)
     n = z.coords.size
-    omega_hyp = kahler_matrix(PotentialId.HYPERBOLIC, z, h)
-    omega_flat_here = kahler_matrix(PotentialId.FLAT, z, h)
-    image = psi(z)
-    omega_flat_image = kahler_matrix(PotentialId.FLAT, image, h)
-    omega_dual_image = kahler_matrix(PotentialId.DUAL_FS, image, h)
-    jac = real_jacobian(psi_rows, z, h)
-    err1 = 0.0
-    err2 = 0.0
+    jac, pairs = _pullback_pairs(z, h)
+    errs = [0.0] * len(pairs)
     for _ in range(tangent_pairs):
         u = _unit_tangent(rng, n)
         v = _unit_tangent(rng, n)
-        pulled_dual = pullback_eval(omega_dual_image, jac, u, v)
-        err1 = max(err1, abs(pulled_dual - omega_flat_here.evaluate(u, v)))
-        pulled_flat = pullback_eval(omega_flat_image, jac, u, v)
-        err2 = max(err2, abs(pulled_flat - omega_hyp.evaluate(u, v)))
-    return err1, err2
+        for i, (at_image, native) in enumerate(pairs):
+            pulled = pullback_eval(at_image, jac, u, v)
+            errs[i] = max(errs[i], abs(pulled - native.evaluate(u, v)))
+    return errs[0], errs[1]
 
 
 def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
@@ -328,27 +332,18 @@ def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
 
     The top exterior powers of two 2-forms agree exactly when the determinants
     of their 2N x 2N real matrices do, so this checks
-    det(J^T S_flat J) = det(S_hyp) and det(J^T S_dual J) = det(S_flat),
+    det(J^T S_dual J) = det(S_flat) and det(J^T S_flat J) = det(S_hyp),
     returning the worse relative mismatch.
     """
-    image = psi(z)
-    jac = real_jacobian(psi_rows, z, h).matrix
-    s_hyp = kahler_matrix(PotentialId.HYPERBOLIC, z, h).real_matrix()
-    s_flat_here = kahler_matrix(PotentialId.FLAT, z, h).real_matrix()
-    s_flat_image = kahler_matrix(PotentialId.FLAT, image, h).real_matrix()
-    s_dual_image = kahler_matrix(PotentialId.DUAL_FS, image, h).real_matrix()
+    jac, pairs = _pullback_pairs(z, h)
 
     def _det(m: np.ndarray) -> float:
         return det(m.astype(np.complex128)).real
 
-    pairs = [
-        (jac.T @ s_flat_image @ jac, s_hyp),
-        (jac.T @ s_dual_image @ jac, s_flat_here),
-    ]
     worst = 0.0
-    for pulled, native in pairs:
-        d_pulled = _det(pulled)
-        d_native = _det(native)
+    for at_image, native in pairs:
+        d_pulled = _det(jac.matrix.T @ at_image.real_matrix() @ jac.matrix)
+        d_native = _det(native.real_matrix())
         worst = max(worst, abs(d_pulled - d_native) / max(abs(d_native), np.finfo(np.float64).tiny))
     return worst
 
@@ -373,6 +368,21 @@ def _dbar_fd(fn: Callable[[np.ndarray], float], z: Element, w: np.ndarray,
     return 0.5 * (along + 1.0j * across)
 
 
+def _resolvent(box: np.ndarray, coords: np.ndarray, sign: float, power: int) -> np.ndarray:
+    """(id + sign * box)^(-power) coords, by ``power`` solves."""
+    shifted = np.eye(box.shape[0], dtype=np.complex128) + sign * box
+    out = coords
+    for _ in range(power):
+        out = solve(shifted, out)
+    return out
+
+
+def _beta(box: np.ndarray, coords: np.ndarray, dbox_w_z: np.ndarray, sign: float) -> complex:
+    """beta(w) = m1((id + sign z box z)^(-2) z, (d(z box z))(w) z): the
+    hyperbolic beta for sign = -1, its dual mirror for sign = +1."""
+    return complex(np.sum(_resolvent(box, coords, sign, 2) * np.conj(dbox_w_z)))
+
+
 def check_lemma_a1(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -> float:
     """Logarithmic antiholomorphic derivatives of the two generic norms.
 
@@ -386,49 +396,35 @@ def check_lemma_a1(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -
     w = direction.coords
     step = h * max(1.0, z.norm())
     kind = z.kind
+    box = box_operator(z).matrix
 
-    def norm_minus(c: np.ndarray) -> float:
-        return generic_norms(Element(kind, c))[0]
+    worst = 0.0
+    # sign * m1((id + sign z box z)^(-1) z, w), with generic_norms giving (N, N*)
+    for which, sign in enumerate((-1.0, 1.0)):
+        def norm(c: np.ndarray) -> float:
+            return generic_norms(Element(kind, c))[which]
 
-    def norm_plus(c: np.ndarray) -> float:
-        return generic_norms(Element(kind, c))[1]
-
-    lhs_minus = _dbar_fd(norm_minus, z, w, step) / norm_minus(z.coords)
-    rhs_minus = -m1_form(quasi_inverse(z), direction)
-    worst = abs(lhs_minus - rhs_minus) / max(1.0, abs(rhs_minus))
-
-    n = z.coords.size
-    expanded = np.eye(n, dtype=np.complex128) + box_operator(z).matrix
-    dual_inverse = Element(kind, solve(expanded, z.coords))
-    lhs_plus = _dbar_fd(norm_plus, z, w, step) / norm_plus(z.coords)
-    rhs_plus = m1_form(dual_inverse, direction)
-    return max(worst, abs(lhs_plus - rhs_plus) / max(1.0, abs(rhs_plus)))
+        lhs = _dbar_fd(norm, z, w, step) / norm(z.coords)
+        rhs = sign * complex(np.vdot(w, _resolvent(box, z.coords, sign, 1)))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst
 
 
-def _g_hyper(t: float) -> float:
-    """G(t) with t G(t) the antiderivative of u/(1-u)^2; G(0) = 0."""
+def _g(t: float, sign: float) -> float:
+    """G(t) with t G(t) the antiderivative of u/(1 + sign u)^2 and G(0) = 0:
+    the hyperbolic G for sign = -1, its dual mirror for sign = +1."""
     if abs(t) < 0.01:
-        # series sum_{j>=1} j/(j+1) t^j; truncation below 1e-16 for |t| < 0.01
+        # sum_{j>=1} j/(j+1) (-sign t)^(j-1) t; truncation < 1e-16 for |t| < 0.01
         acc = 0.0
         for j in range(8, 0, -1):
-            acc = acc * t + j / (j + 1.0)
+            acc = acc * (-sign * t) + j / (j + 1.0)
         return acc * t
-    return (1.0 / (1.0 - t) + math.log1p(-t) - 1.0) / t
+    return (math.log1p(sign * t) + 1.0 / (1.0 + sign * t) - 1.0) / t
 
 
-def _g_dual(t: float) -> float:
-    """The mirror of _g_hyper built from u/(1+u)^2."""
-    if abs(t) < 0.01:
-        acc = 0.0
-        for j in range(8, 0, -1):
-            acc = acc * (-t) + j / (j + 1.0)
-        return acc * t
-    return (math.log1p(t) + 1.0 / (1.0 + t) - 1.0) / t
-
-
-def _gamma(coords: np.ndarray, kind, g_fn: Callable[[float], float]) -> float:
+def _gamma(coords: np.ndarray, kind, sign: float) -> float:
     lam_sq = spectral_values(Element(kind, coords)) ** 2
-    return float(sum(g_fn(t) * t for t in lam_sq))
+    return float(sum(_g(t, sign) * t for t in lam_sq))
 
 
 def _dbox_operator(z: Element, direction: Element) -> np.ndarray:
@@ -455,19 +451,15 @@ def check_beta_exactness(z: Element, direction: Element,
     w = direction.coords
     step = h * max(1.0, z.norm())
     kind = z.kind
-    n = z.coords.size
-    eye = np.eye(n, dtype=np.complex128)
     box = box_operator(z).matrix
     dbox_w_z = _dbox_operator(z, direction) @ z.coords
 
     residuals = []
     scale = 1.0
-    for sign, g_fn in ((-1.0, _g_hyper), (+1.0, _g_dual)):
-        shifted = eye + sign * box
-        resolvent_sq = solve(shifted, solve(shifted, z.coords))
-        beta = complex(np.sum(resolvent_sq * np.conj(dbox_w_z)))
-        fd = (_gamma(z.coords + step * w, kind, g_fn)
-              - _gamma(z.coords - step * w, kind, g_fn)) / (2.0 * step)
+    for sign in (-1.0, 1.0):
+        beta = _beta(box, z.coords, dbox_w_z, sign)
+        fd = (_gamma(z.coords + step * w, kind, sign)
+              - _gamma(z.coords - step * w, kind, sign)) / (2.0 * step)
         residuals.append(abs(beta.real - fd))
         residuals.append(abs(beta.imag))
         scale = max(scale, abs(fd))
@@ -532,11 +524,8 @@ def check_flat_dbar_pullback(z: Element, direction: Element,
     d_psi_w = (forward - backward) / (2.0 * step)
     lhs = complex(np.vdot(d_psi_w, image.coords))
 
-    n = z.coords.size
-    eye = np.eye(n, dtype=np.complex128)
-    contraction = eye - box_operator(z).matrix
-    resolvent_sq = solve(contraction, solve(contraction, z.coords))
+    box = box_operator(z).matrix
     dbox_w_z = _dbox_operator(z, direction) @ z.coords
-    beta = complex(np.sum(resolvent_sq * np.conj(dbox_w_z)))
-    rhs = m1_form(quasi_inverse(z), direction) + 0.5 * beta
+    rhs = (complex(np.vdot(w, _resolvent(box, z.coords, -1.0, 1)))
+           + 0.5 * _beta(box, z.coords, dbox_w_z, -1.0))
     return abs(lhs - rhs) / max(1.0, abs(rhs))

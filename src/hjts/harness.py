@@ -358,13 +358,11 @@ def _eval_spectral(kind, config, rng, sample_index) -> float:
         g = _flag(z, lambda f=factor: genus(f))  # tr D oracle; off-integer raises
         if g != _EXPECTED_GENUS[type(factor)](factor):
             worst = max(worst, 1.0)
-        norm_minus, norm_plus = generic_norms(zf)
-        det_b = det(bergman_operator(zf, zf).matrix).real
-        ref = norm_minus ** g
-        worst = max(worst, abs(det_b - ref) / max(1.0, abs(ref)))
-        det_b_dual = det(bergman_operator(zf, Element(factor, -zf.coords)).matrix).real
-        ref_dual = norm_plus ** g
-        worst = max(worst, abs(det_b_dual - ref_dual) / max(1.0, abs(ref_dual)))
+        # det B(z, -sign z) = N^g for sign = -1 and N*^g for sign = +1
+        for sign, norm in zip((-1.0, 1.0), generic_norms(zf)):
+            det_b = det(bergman_operator(zf, Element(factor, -sign * zf.coords)).matrix).real
+            ref = norm ** g
+            worst = max(worst, abs(det_b - ref) / max(1.0, abs(ref)))
     return worst
 
 
@@ -449,18 +447,6 @@ def _suite_tolerance(suite: str, config: SuiteConfig) -> float:
     return config.tol_fd  # symplectic, lemma_a1, lemma_a2, beta_exact
 
 
-class _ConsistencyAbort(Exception):
-    """An internal failure inside one sample; it ends the run."""
-
-    def __init__(self, kind: _k.JTSKind, suite: str, sample_index: int,
-                 cause: HjtsError):
-        super().__init__(str(cause))
-        self.kind = kind
-        self.suite = suite
-        self.sample_index = sample_index
-        self.cause = cause
-
-
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Execute the configured suites and aggregate a deterministic report.
 
@@ -474,16 +460,6 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     """
     started = time.perf_counter()
 
-    def evaluate(kind_index, kind, suite, sample_index) -> float:
-        rng = _cell_rng(config.seed, kind_index,
-                        SUITE_NAMES.index(suite), sample_index)
-        try:
-            return _SUITE_EVALS[suite](kind, config, rng, sample_index)
-        except (ContractError, DomainError):
-            raise
-        except HjtsError as err:
-            raise _ConsistencyAbort(kind, suite, sample_index, err) from err
-
     cells: list[tuple] = []
     for kind_index, kind in enumerate(config.kinds):
         for suite in config.suites:
@@ -496,7 +472,11 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     failure: dict | None = None
     try:
         for kind_index, kind, suite, samples in cells:
-            errors = [evaluate(kind_index, kind, suite, i) for i in range(samples)]
+            errors = []
+            for sample_index in range(samples):
+                rng = _cell_rng(config.seed, kind_index,
+                                SUITE_NAMES.index(suite), sample_index)
+                errors.append(_SUITE_EVALS[suite](kind, config, rng, sample_index))
             max_error = max(errors, default=0.0)
             tolerance = _suite_tolerance(suite, config)
             results.append(SuiteResult(
@@ -508,24 +488,26 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 passed=bool(max_error <= tolerance),
                 status="ok" if samples else "skipped",
             ))
-    except _ConsistencyAbort as abort:
-        offending = getattr(abort.cause, "offending", None)
-        consistency = isinstance(abort.cause, ConsistencyError)
+    except (ContractError, DomainError):
+        raise
+    except HjtsError as cause:
+        offending = getattr(cause, "offending", None)
+        consistency = isinstance(cause, ConsistencyError)
         failure = {
-            "kind": _k.format_kind(abort.kind),
-            "suite": abort.suite,
-            "sample_index": abort.sample_index,
-            "message": str(abort.cause) if consistency
-                       else f"{type(abort.cause).__name__}: {abort.cause}",
+            "kind": _k.format_kind(kind),
+            "suite": suite,
+            "sample_index": sample_index,
+            "message": str(cause) if consistency
+                       else f"{type(cause).__name__}: {cause}",
             "point": None if offending is None else
                      [[float(c.real), float(c.imag)] for c in offending.coords],
         }
         results.append(SuiteResult(
-            kind=_k.format_kind(abort.kind),
-            suite=abort.suite,
-            samples=abort.sample_index + 1,
+            kind=_k.format_kind(kind),
+            suite=suite,
+            samples=sample_index + 1,
             max_error=float("inf"),
-            tolerance=_suite_tolerance(abort.suite, config),
+            tolerance=_suite_tolerance(suite, config),
             passed=False,
             status="consistency-error" if consistency else "internal-error",
         ))

@@ -71,8 +71,9 @@ def zero(kind: _k.JTSKind) -> Element:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearOperator:
-    """Complex-linear operator in coordinates: el -> matrix @ coords."""
+class _Operator:
+    """Kind plus a validated N x N coordinate matrix; the subclasses say how
+    the matrix acts."""
 
     kind: _k.JTSKind
     matrix: np.ndarray
@@ -83,25 +84,18 @@ class LinearOperator:
         if m.shape[0] != n:
             raise ContractError(f"operator matrix must be {n}x{n}, got {m.shape}")
         object.__setattr__(self, "matrix", m)
+
+
+class LinearOperator(_Operator):
+    """Complex-linear operator in coordinates: el -> matrix @ coords."""
 
     def __call__(self, el: Element) -> Element:
         _same_kind(self.kind, el.kind)
         return Element(self.kind, self.matrix @ el.coords)
 
 
-@dataclass(frozen=True, eq=False)
-class AntilinearOperator:
+class AntilinearOperator(_Operator):
     """Conjugate-linear operator: el -> matrix @ conj(coords)."""
-
-    kind: _k.JTSKind
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = _k.ambient_dim(self.kind)
-        m = as_matrix(self.matrix, square=True, name="operator matrix")
-        if m.shape[0] != n:
-            raise ContractError(f"operator matrix must be {n}x{n}, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
 
     def __call__(self, el: Element) -> Element:
         _same_kind(self.kind, el.kind)

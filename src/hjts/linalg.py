@@ -117,7 +117,15 @@ def _rotation(app: float, aqq: float, apq: complex) -> tuple[float, float, compl
     return c, t * c, phase
 
 
-def eigh(a, *, max_sweeps: int = _MAX_SWEEPS) -> EighResult:
+def _rotate_columns(m: np.ndarray, p: int, q: int, c: float, s: float,
+                    phase: complex) -> None:
+    """Apply the rotation J of :func:`_rotation` to columns p, q of m in place."""
+    mp = m[:, p].copy()
+    m[:, p] = c * mp - s * np.conj(phase) * m[:, q]
+    m[:, q] = s * phase * mp + c * m[:, q]
+
+
+def eigh(a) -> EighResult:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     The input must be Hermitian to roundoff (it is symmetrized before
@@ -138,7 +146,7 @@ def eigh(a, *, max_sweeps: int = _MAX_SWEEPS) -> EighResult:
     tol = 1e-14 * scale
     skip = tol / (2.0 * n)
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if _offdiag_norm(h) <= tol:
             break
         for p in range(n - 1):
@@ -146,18 +154,13 @@ def eigh(a, *, max_sweeps: int = _MAX_SWEEPS) -> EighResult:
                 if abs(h[p, q]) <= skip:
                     continue
                 c, s, phase = _rotation(h[p, p].real, h[q, q].real, h[p, q])
-                # Two-sided update h <- J^* h J, J acting on columns p, q.
-                hp = h[:, p].copy()
-                h[:, p] = c * hp - s * np.conj(phase) * h[:, q]
-                h[:, q] = s * phase * hp + c * h[:, q]
-                rp = h[p, :].copy()
-                h[p, :] = c * rp - s * phase * h[q, :]
-                h[q, :] = s * np.conj(phase) * rp + c * h[q, :]
+                # Two-sided update h <- J^* h J: J on columns p, q, then J^* on
+                # rows p, q, i.e. on the columns of h.T with the conjugate phase.
+                _rotate_columns(h, p, q, c, s, phase)
+                _rotate_columns(h.T, p, q, c, s, np.conj(phase))
                 h[p, q] = 0.0
                 h[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * v[:, q]
-                v[:, q] = s * phase * vp + c * v[:, q]
+                _rotate_columns(v, p, q, c, s, phase)
     else:
         off = _offdiag_norm(h)
         if off > tol:
@@ -200,7 +203,7 @@ def orthonormal_extension(basis, candidates, count: int) -> list[np.ndarray]:
     return out
 
 
-def svd(a, *, max_sweeps: int = _MAX_SWEEPS) -> SvdResult:
+def svd(a) -> SvdResult:
     """Full singular value decomposition by one-sided Jacobi.
 
     Columns of a working copy are rotated pairwise until every pair is
@@ -211,12 +214,12 @@ def svd(a, *, max_sweeps: int = _MAX_SWEEPS) -> SvdResult:
     m0 = as_matrix(a)
     rows, cols_n = m0.shape
     if rows < cols_n:
-        flipped = svd(m0.conj().T, max_sweeps=max_sweeps)
+        flipped = svd(m0.conj().T)
         return SvdResult(flipped.v, flipped.sigma, flipped.u)
 
     w = m0.copy()
     v = np.eye(cols_n, dtype=np.complex128)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         rotated = False
         for p in range(cols_n - 1):
             for q in range(p + 1, cols_n):
@@ -227,12 +230,8 @@ def svd(a, *, max_sweeps: int = _MAX_SWEEPS) -> SvdResult:
                     continue
                 rotated = True
                 c, s, phase = _rotation(alpha, delta, g)
-                wp = w[:, p].copy()
-                w[:, p] = c * wp - s * np.conj(phase) * w[:, q]
-                w[:, q] = s * phase * wp + c * w[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * v[:, q]
-                v[:, q] = s * phase * vp + c * v[:, q]
+                _rotate_columns(w, p, q, c, s, phase)
+                _rotate_columns(v, p, q, c, s, phase)
         if not rotated:
             break
     else:

@@ -93,6 +93,21 @@ def test_spread_raises_on_forced_disagreement(monkeypatch):
         psi_route_spread(z)
 
 
+def test_inverse_spread_maps_through_the_module_psi_inverse_once_per_route(monkeypatch):
+    # the spread must look psi_inverse up by its module name, so that a
+    # wrapper installed there (a tracer, a probe) sees every route
+    calls = []
+    original = hjts.duality.psi_inverse
+
+    def recorder(u, route=DualityRoute.BOX_HALF):
+        calls.append(route)
+        return original(u, route)
+
+    monkeypatch.setattr(hjts.duality, "psi_inverse", recorder)
+    psi_inverse_route_spread(gaussian(K.TypeI(2, 2), seed=3, scale=2.0))
+    assert sorted(r.value for r in calls) == sorted(r.value for r in DualityRoute)
+
+
 # ---------------------------------------------------------------------------
 # the row map behind BOX_HALF
 

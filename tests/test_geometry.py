@@ -15,6 +15,7 @@ from hjts.duality import psi, psi_rows
 from hjts.errors import ContractError, DomainError
 from hjts.geometry import (
     PotentialId,
+    _g,
     check_beta_exactness,
     check_flat_dbar_pullback,
     check_lemma_a1,
@@ -295,6 +296,15 @@ def test_beta_exactness_small_scale_series_branch():
     rng = np.random.default_rng(62)
     z = Element(kind, 0.03 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
     assert check_beta_exactness(z, unit(kind, 63)) < 1e-6
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("t", [1e-4, 0.005, 0.0099, 0.01, 0.0101, 0.02, 0.05])
+def test_weight_function_matches_its_series_across_the_switch(sign, t):
+    # _g switches from an 8-term series to the closed form at t = 0.01; both
+    # sides must match sum_{j>=1} j/(j+1) (-sign t)^(j-1) t taken to 60 terms
+    series = sum(j / (j + 1.0) * (-sign * t) ** (j - 1) * t for j in range(1, 61))
+    assert _g(t, sign) == pytest.approx(series, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", [K.TypeI(1, 1), K.TypeI(2, 2), K.TypeIII(2), K.TypeIV(3)])

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import hjts.kinds as K
 from hjts.errors import ContractError
 from hjts.jts import (
+    AntilinearOperator,
     Element,
+    LinearOperator,
     basis_elements,
     bergman_operator,
     box_operator,
@@ -157,6 +159,18 @@ def test_operator_definitions_agree(kind):
     ref = (np.eye(n) - d_operator(u, v).matrix
            + q_operator(u).matrix @ np.conj(q_operator(v).matrix))
     assert np.allclose(b, ref, atol=1e-12)
+
+
+def test_operator_wrappers_validate_and_stay_distinct():
+    kind = K.TypeI(2, 2)
+    u = rnd(kind, np.random.default_rng(24))
+    assert not isinstance(q_operator(u), LinearOperator)
+    assert not isinstance(d_operator(u, u), AntilinearOperator)
+    for cls in (LinearOperator, AntilinearOperator):
+        with pytest.raises(ContractError, match="4x4"):
+            cls(kind, np.eye(3))
+        with pytest.raises(ContractError, match="square"):
+            cls(kind, np.ones((4, 3)))
 
 
 def test_box_is_hermitian_psd():
