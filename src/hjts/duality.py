@@ -13,7 +13,8 @@ the N x N box operator:
 
 * types I, II and III: f(z box z) z = f(Z Z*) Z, so psi(Z) = (I - Z Z*)^(-1/2) Z
   and psi^-1(U) = (I + U U*)^(-1/2) U, on the smaller Gram side
-  (Z (I - Z* Z)^(-1/2) when Z has more rows than columns);
+  (Z (I - Z* Z)^(-1/2) when Z has more rows than columns), with the K powers
+  taken by one stacked ``hermitian_power`` call;
 * the spin factor, with x = coords / sqrt(2), a = sum |x_j|^2, q = sum x_j^2:
   psi(x) = ((1 + sqrt N) x - q conj(x)) / (sqrt N sqrt(2 - 2a + 2 sqrt N)) with
   N = 1 - 2a + |q|^2, and
@@ -81,7 +82,8 @@ def _outside_message(kind: JTSKind) -> str:
 
 
 def _box_half_simple(kind: JTSKind, coords: np.ndarray, sign: float) -> np.ndarray:
-    """(id + sign * z box z)^(-1/2) z for each row of a simple-kind (K, N) array."""
+    """(id + sign * z box z)^(-1/2) z for each row of a simple-kind (K, N) array;
+    the matrix kinds take their K Gram-side powers in one stacked call."""
     if isinstance(kind, _k.TypeIV):
         x = _k.coords_to_ambient(kind, coords)
         a = (np.abs(x) ** 2).sum(axis=-1)
@@ -93,7 +95,7 @@ def _box_half_simple(kind: JTSKind, coords: np.ndarray, sign: float) -> np.ndarr
     mat = _k.coords_to_matrix(kind, coords)
     gram, wide = _gram(mat)
     shifted = np.eye(gram.shape[-1], dtype=np.complex128) + sign * gram
-    power = np.stack([hermitian_power(g, -0.5) for g in shifted])
+    power = hermitian_power(shifted, -0.5)
     return _k.matrix_to_coords(kind, power @ mat if wide else mat @ power)
 
 

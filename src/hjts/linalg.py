@@ -11,7 +11,10 @@ them) must finish is finished by one routine, :func:`orthonormal_extension`.
 
 Conventions: matrices are 2-D complex128 arrays, eigen/singular values are
 returned in descending order, and factors satisfy the reconstruction
-identities stated on each routine.
+identities stated on each routine.  Two routines also take a stack of
+matrices and treat each slice as on its own: :func:`cholesky_logdet`
+(shape (..., n, n)) and :func:`hermitian_power` (shape (K, n, n), one cyclic
+Jacobi iteration over the whole stack).
 """
 
 from __future__ import annotations
@@ -171,6 +174,93 @@ def eigh(a) -> EighResult:
     return EighResult(w[order], v[:, order])
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes, one per slice."""
+    return np.sqrt((np.abs(x) ** 2).sum(axis=(-2, -1)))
+
+
+def _jacobi_step(m: np.ndarray, n: int, p: int, q: int, beta: np.ndarray) -> None:
+    """One (p, q) rotation of :func:`_eigh_stack` on every slice of m, in place.
+
+    The formulas of :func:`_rotation` and :func:`_rotate_columns` with one
+    rotation per slice; beta = |m[:, p, q]|.
+    """
+    beta = beta[:, None]
+    phase = m[:, p, q, None] / beta
+    tau = (m[:, q, q, None].real - m[:, p, p, None].real) / (2.0 * beta)
+    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    sp = t * c * phase
+    sc = np.conj(sp)
+    # J on columns p, q of the slice and its eigenvectors ...
+    mp, mq = m[:, :, p], m[:, :, q]
+    new_p = c * mp - sc * mq
+    m[:, :, q] = sp * mp + c * mq
+    m[:, :, p] = new_p
+    # ... then J^* on rows p, q of the slice.
+    hp, hq = m[:, p, :n], m[:, q, :n]
+    new_p = c * hp - sp * hq
+    m[:, q, :n] = sc * hp + c * hq
+    m[:, p, :n] = new_p
+    m[:, p, q] = 0.0
+    m[:, q, p] = 0.0
+
+
+def _eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic Jacobi of :func:`eigh` on every slice of a Hermitian
+    (K, n, n) stack at once: eigenvalues (K, n), descending per slice, and
+    eigenvectors (K, n, n) as columns.
+
+    Each slice keeps eigh's rules on its own numbers: the tolerance
+    1e-14 * ||h_k||_F, the skip threshold, the stop once its off-diagonal
+    mass is below tolerance, and the sweep cap.  A rotation touches only the
+    slices it applies to and is elementwise across them, so a slice's result
+    does not depend on the stack around it.
+    """
+    k, n, _ = h.shape
+    if n == 1:
+        return h[:, 0].real.copy(), np.ones_like(h)
+    # Rows :n hold the slice and rows n: its eigenvectors, so one column
+    # rotation updates both.
+    work = np.zeros((k, 2 * n, n), dtype=np.complex128)
+    work[:, :n] = h
+    work[:, range(n, 2 * n), range(n)] = 1.0
+    tol = 1e-14 * _norms(h)
+    offdiag = ~np.eye(n, dtype=bool)
+    live, m = np.arange(k), work  # the unconverged slices and their working copy
+
+    def rough(x: np.ndarray) -> np.ndarray:
+        return _norms(np.where(offdiag, x[:, :n], 0.0))
+
+    for _ in range(_MAX_SWEEPS):
+        keep = rough(m) > tol[live]
+        if not keep.all():
+            work[live] = m
+            live, m = live[keep], m[keep]
+        if not live.size:
+            break
+        skip = tol[live] / (2.0 * n)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                beta = np.abs(m[:, p, q])
+                big = beta > skip
+                if big.all():
+                    _jacobi_step(m, n, p, q, beta)
+                elif big.any():
+                    sub = m[big]
+                    _jacobi_step(sub, n, p, q, beta[big])
+                    m[big] = sub
+    else:
+        off = rough(m)
+        if (off > tol[live]).any():
+            raise ConvergenceError("hermitian eigensolve exceeded the sweep cap",
+                                   float(off.max()))
+    work[live] = m
+    w = work[:, range(n), range(n)].real
+    slices, order = np.arange(k)[:, None], np.argsort(-w, axis=1, kind="stable")
+    return w[slices, order], work[:, n:].swapaxes(1, 2)[slices, order].swapaxes(1, 2)
+
+
 def orthonormal_extension(basis, candidates, count: int) -> list[np.ndarray]:
     """``count`` unit vectors that extend the orthonormal ``basis``.
 
@@ -305,24 +395,35 @@ def takagi(a) -> TakagiResult:
 
 
 def hermitian_power(a, t: float) -> np.ndarray:
-    """Real power ``a**t`` of a Hermitian positive definite matrix.
+    """Real power ``a**t`` of a Hermitian positive definite matrix, or of a stack.
 
     The matrix is symmetrized, eigendecomposed, and rebuilt with powered
     eigenvalues; the result is re-Hermitized.  A relative deviation from
     Hermiticity above 1e-10 raises ContractError, and any eigenvalue <= 0
     raises DomainError (fractional and negative powers need a positive
     spectrum, and this routine refuses to guess at the boundary).
+
+    ``a`` may be a (K, n, n) stack, which returns the (K, n, n) powers.  The
+    stack runs one cyclic Jacobi iteration over all slices, with eigh's rules
+    applied to each slice on its own, so a slice's power does not depend on
+    the stack around it; any slice that fails a check raises.  A 2-D input
+    goes through :func:`eigh`.
     """
-    m = as_matrix(a, square=True)
-    herm = 0.5 * (m + m.conj().T)
-    if frobenius(m - herm) > 1e-10 * max(1.0, frobenius(m)):
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        m = as_matrix(m, square=True)
+    elif m.shape[1] != m.shape[2] or not np.isfinite(m).all():
+        raise ContractError(f"matrix stack must be finite with square slices, "
+                            f"got shape {m.shape}")
+    herm = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    if (_norms(m - herm) > 1e-10 * np.maximum(1.0, _norms(m))).any():
         raise ContractError("hermitian_power requires a Hermitian matrix")
-    w, v = eigh(herm)
-    if w.size and w[-1] <= 0.0:
+    w, v = eigh(herm) if m.ndim == 2 else _eigh_stack(herm)
+    if w.size and w.min() <= 0.0:
         raise DomainError(f"matrix power {t} needs a positive spectrum; "
-                          f"smallest eigenvalue is {w[-1]:.3e}")
-    powered = (v * (w ** t)) @ v.conj().T
-    return 0.5 * (powered + powered.conj().T)
+                          f"smallest eigenvalue is {w.min():.3e}")
+    powered = (v * (w ** t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return 0.5 * (powered + powered.conj().swapaxes(-1, -2))
 
 
 def cholesky_logdet(a):

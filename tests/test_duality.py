@@ -124,13 +124,35 @@ def spin_points(n):
     return [np.sqrt(2.0) * isotropic, np.sqrt(2.0) * real, np.zeros(n, dtype=complex)]
 
 
+def diagonal_point(kind):
+    """Coordinates with a diagonal Gram matrix (a real vector for type IV), so
+    the Jacobi iteration under BOX_HALF has nothing to rotate."""
+    if isinstance(kind, K.Product):
+        return np.concatenate([diagonal_point(f) for f in kind.factors])
+    coords = np.zeros(K.ambient_dim(kind), dtype=complex)
+    if isinstance(kind, K.TypeIV):
+        coords[0] = 0.5
+        return coords
+    mat = K.coords_to_matrix(kind, coords)
+    step = 2 if isinstance(kind, K.TypeII) else 1
+    for j, value in zip(range(0, min(mat.shape) - step + 1, step), (0.5, 0.3j, 0.2)):
+        mat[j, j + step - 1] = value
+        mat[j + step - 1, j] = -value if step == 2 else value
+    return K.matrix_to_coords(kind, mat)
+
+
 @pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
 def test_box_half_is_row_zero_of_the_row_map(kind):
     z = interior(kind, seed=41)
     u = gaussian(kind, seed=42, scale=2.0)
     others = gaussian(kind, seed=43).coords
-    assert np.array_equal(psi(z).coords, psi_rows(kind, np.stack([z.coords, 0.5 * z.coords]))[0])
-    assert np.array_equal(psi_inverse(u).coords, psi_rows(kind, np.stack([u.coords, others]), 1.0)[0])
+    flat, origin = diagonal_point(kind), np.zeros(K.ambient_dim(kind), dtype=complex)
+    # every row of a mixed stack is the bytes of its own K = 1 call
+    for rows, sign, single in ((np.stack([z.coords, 0.5 * z.coords, flat, origin]), -1.0, psi),
+                               (np.stack([u.coords, others, flat, origin]), 1.0, psi_inverse)):
+        images = psi_rows(kind, rows, sign)
+        for row, image in zip(rows, images):
+            assert single(Element(kind, row)).coords.tobytes() == image.tobytes()
 
 
 @pytest.mark.parametrize("kind", GRAM_KINDS, ids=K.format_kind)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hjts.errors import ContractError, DomainError
+import hjts.linalg
+from hjts.errors import ContractError, ConvergenceError, DomainError
 from hjts.linalg import (
     as_matrix,
     as_vector,
@@ -215,6 +216,83 @@ def test_hermitian_power_rejects_nonhermitian():
 def test_hermitian_power_rejects_indefinite():
     with pytest.raises(DomainError):
         hermitian_power(np.diag([1.0, -0.5]).astype(complex), 0.5)
+
+
+def _power_oracle(h, t):
+    w, v = np.linalg.eigh(h)
+    return (v * w[..., None, :] ** t) @ v.conj().swapaxes(-1, -2)
+
+
+def test_stacked_hermitian_power_matches_oracle():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        stack = np.array([_random_hpd(rng, n) for _ in range(5)])
+        for t in (-0.5, -0.25, 0.5):
+            got = hermitian_power(stack, t)
+            assert got.shape == stack.shape
+            assert np.allclose(got, _power_oracle(stack, t), rtol=0.0, atol=1e-10)
+            # the per-slice 2-D path rounds differently, within a few ulps
+            loop = np.array([hermitian_power(m, t) for m in stack])
+            assert np.max(np.abs(got - loop)) <= 1e-13 * np.max(np.abs(loop))
+
+
+def _mixed_stack(rng, n):
+    """Slices that converge after different sweep counts: identity, diagonal,
+    dense, nearly degenerate (eigenvalues 1 + O(1e-9)) and a scaled copy."""
+    dense = _random_hpd(rng, n)
+    nearly = np.eye(n) + 1e-9 * _random_hpd(rng, n, shift=0.0)
+    return np.array([np.eye(n), np.diag(np.linspace(2.0, 0.5, n)), dense, nearly,
+                     1e3 * dense]).astype(complex)
+
+
+def test_stacked_hermitian_power_slices_are_their_own_k1_calls():
+    rng = np.random.default_rng(22)
+    for n in range(1, 7):
+        stack = _mixed_stack(rng, n)
+        got = hermitian_power(stack, -0.5)
+        for k, m in enumerate(stack):
+            assert got[k].tobytes() == hermitian_power(m[None], -0.5)[0].tobytes()
+        assert np.allclose(got, _power_oracle(stack, -0.5), rtol=0.0, atol=1e-10)
+
+
+def test_stacked_hermitian_power_rejects_one_bad_slice():
+    rng = np.random.default_rng(23)
+    stack = np.array([_random_hpd(rng, 3) for _ in range(4)])
+    skewed = stack.copy()
+    skewed[2, 0, 1] += 1e-3
+    with pytest.raises(ContractError, match="Hermitian"):
+        hermitian_power(skewed, 0.5)
+    holed = stack.copy()
+    holed[1, 2, 2] = np.nan
+    with pytest.raises(ContractError, match="finite"):
+        hermitian_power(holed, 0.5)
+    indefinite = stack.copy()
+    indefinite[3] = np.diag([1.0, 2.0, -1e-3])
+    with pytest.raises(DomainError, match="positive spectrum"):
+        hermitian_power(indefinite, 0.5)
+    with pytest.raises(ContractError, match="square"):
+        hermitian_power(np.ones((2, 3, 4)), 0.5)
+
+
+def test_stacked_hermitian_power_respects_the_sweep_cap(monkeypatch):
+    rng = np.random.default_rng(24)
+    stack = np.array([np.eye(3), _random_hpd(rng, 3)])
+    monkeypatch.setattr(hjts.linalg, "_MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError):
+        hermitian_power(stack, 0.5)
+    # a stack with nothing to rotate needs no sweep
+    assert np.array_equal(hermitian_power(np.array([np.eye(3), np.diag([4.0, 1.0, 9.0])]), 0.5),
+                          np.array([np.eye(3), np.diag([2.0, 1.0, 3.0])]))
+
+
+def test_two_dimensional_hermitian_power_goes_through_eigh():
+    rng = np.random.default_rng(25)
+    for n in range(1, 7):
+        h = _random_hpd(rng, n)
+        w, v = eigh(0.5 * (h + h.conj().T))
+        powered = (v * w ** -0.5) @ v.conj().T
+        expected = 0.5 * (powered + powered.conj().T)
+        assert hermitian_power(h, -0.5).tobytes() == expected.tobytes()
 
 
 def test_cholesky_logdet_matches_slogdet():
