@@ -200,9 +200,9 @@ def psi_inverse_route_spread(u: Element) -> float:
 
 def check_equivariance(params, z: Element) -> float:
     """Residual of psi(tau z) = tau psi(z) for an isotropy tau, relative to max(1, |z|)."""
-    moved = psi(isotropy_action(params, z))
-    expected = isotropy_action(params, psi(z))
-    return frobenius(moved.coords - expected.coords) / max(1.0, z.norm())
+    moved, image = psi_rows(z.kind, np.stack([isotropy_action(params, z).coords, z.coords]))
+    expected = isotropy_action(params, Element(z.kind, image))
+    return frobenius(moved - expected.coords) / max(1.0, z.norm())
 
 
 def check_hereditary(sub: JTSKind, super_: JTSKind, z: Element) -> float:

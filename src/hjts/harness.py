@@ -108,6 +108,11 @@ DEFAULT_KINDS = (
 )
 
 
+def _check_boundary_cap(cap: float) -> None:
+    if not 0.0 < cap < 1.0:  # also rejects nan
+        raise ContractError(f"boundary_cap must lie strictly between 0 and 1, got {cap!r}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Everything a verification run depends on (echoed into the report)."""
@@ -136,10 +141,7 @@ class SuiteConfig:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ContractError(f"{name} must be positive, got {value!r}")
-        if not 0.0 < self.boundary_cap < 1.0:
-            raise ContractError(
-                f"boundary_cap must lie strictly between 0 and 1, got {self.boundary_cap!r}"
-            )
+        _check_boundary_cap(self.boundary_cap)
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ContractError(
@@ -257,8 +259,9 @@ def sample_domain(kind: _k.JTSKind, rng: np.random.Generator,
 
     Entries are independent complex Gaussians, rescaled so that lambda_1 is
     uniform in (0, boundary_cap); an (essentially impossible) zero draw is
-    redrawn.
+    redrawn.  Raises ContractError unless 0 < boundary_cap < 1.
     """
+    _check_boundary_cap(boundary_cap)
     n = _k.ambient_dim(kind)
     while True:
         coords = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)

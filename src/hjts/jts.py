@@ -119,6 +119,7 @@ def basis_elements(kind: _k.JTSKind) -> tuple:
 # Triple product and derived operators
 
 def _triple_coords(kind: _k.JTSKind, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """{u, v, w} on coordinate arrays; leading axes of u, v and w broadcast."""
     if isinstance(kind, _k.Product):
         us, vs, ws = (_k.split_coords(kind, c) for c in (u, v, w))
         return _k.join_coords(
@@ -128,15 +129,15 @@ def _triple_coords(kind: _k.JTSKind, u: np.ndarray, v: np.ndarray, w: np.ndarray
         x = _k.coords_to_ambient(kind, u)
         y = _k.coords_to_ambient(kind, v)
         z = _k.coords_to_ambient(kind, w)
-        herm_xy = np.sum(x * np.conj(y))
-        herm_zy = np.sum(z * np.conj(y))
-        bil_xz = np.sum(x * z)
+        herm_xy = np.sum(x * np.conj(y), axis=-1, keepdims=True)
+        herm_zy = np.sum(z * np.conj(y), axis=-1, keepdims=True)
+        bil_xz = np.sum(x * z, axis=-1, keepdims=True)
         out = 2.0 * (herm_xy * z + herm_zy * x - bil_xz * np.conj(y))
         return _k.ambient_to_coords(kind, out)
     a = _k.coords_to_matrix(kind, u)
     b = _k.coords_to_matrix(kind, v)
     c = _k.coords_to_matrix(kind, w)
-    bstar = b.conj().T
+    bstar = np.conj(b).swapaxes(-1, -2)
     return _k.matrix_to_coords(kind, a @ bstar @ c + c @ bstar @ a)
 
 
@@ -148,14 +149,10 @@ def triple_product(u: Element, v: Element, w: Element) -> Element:
 
 
 def d_operator(u: Element, v: Element) -> LinearOperator:
-    """D(u, v): w -> {u, v, w}, materialized column by column."""
+    """D(u, v): w -> {u, v, w}; one triple product broadcast over the basis gives all columns."""
     _same_kind(u.kind, v.kind)
-    n = _k.ambient_dim(u.kind)
-    mat = np.empty((n, n), dtype=np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
-    for k in range(n):
-        mat[:, k] = _triple_coords(u.kind, u.coords, v.coords, eye[k])
-    return LinearOperator(u.kind, mat)
+    eye = np.eye(_k.ambient_dim(u.kind), dtype=np.complex128)
+    return LinearOperator(u.kind, _triple_coords(u.kind, u.coords, v.coords, eye).T)
 
 
 def box_operator(z: Element) -> LinearOperator:
@@ -164,14 +161,10 @@ def box_operator(z: Element) -> LinearOperator:
 
 
 def q_operator(u: Element) -> AntilinearOperator:
-    """Quadratic representation Q(u): v -> {u, v, u}/2 (antilinear)."""
-    n = _k.ambient_dim(u.kind)
-    mat = np.empty((n, n), dtype=np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
-    for k in range(n):
-        # Standard basis coords are real, so the column is Q(u) e_k itself.
-        mat[:, k] = 0.5 * _triple_coords(u.kind, u.coords, eye[k], u.coords)
-    return AntilinearOperator(u.kind, mat)
+    """Quadratic representation Q(u): v -> {u, v, u}/2 (antilinear); basis
+    coordinates are real, so one broadcast triple product gives every column."""
+    eye = np.eye(_k.ambient_dim(u.kind), dtype=np.complex128)
+    return AntilinearOperator(u.kind, 0.5 * _triple_coords(u.kind, u.coords, eye, u.coords).T)
 
 
 def bergman_operator(u: Element, v: Element) -> LinearOperator:

@@ -334,8 +334,9 @@ def split_coords(kind: Product, coords: np.ndarray) -> list[np.ndarray]:
 
 
 def join_coords(kind: Product, pieces) -> np.ndarray:
+    """Inverse of ``split_coords``: concatenates the pieces on the last axis."""
     if not isinstance(kind, Product):
         raise ContractError("join_coords needs a Product kind")
     if len(pieces) != len(kind.factors):
         raise ContractError(f"expected {len(kind.factors)} pieces, got {len(pieces)}")
-    return np.concatenate([np.asarray(p, dtype=np.complex128) for p in pieces])
+    return np.concatenate([np.asarray(p, dtype=np.complex128) for p in pieces], axis=-1)

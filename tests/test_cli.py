@@ -231,9 +231,18 @@ def test_sample_points_are_interior(capsys):
         assert in_domain(Element(kind, coords))
 
 
-def test_sample_bad_count_exit_3(capsys):
-    code, _, _ = run_cli(capsys, "sample", "--kind", "II:4", "--count", "0")
+@pytest.mark.parametrize("flag", [
+    ("--count", "0"),
+    ("--boundary-cap", "1.5"),
+    ("--boundary-cap", "0"),
+    ("--boundary-cap", "-0.5"),
+    ("--boundary-cap", "nan"),
+], ids=lambda flag: " ".join(flag))
+def test_sample_bad_count_exit_3(capsys, flag):
+    code, _, err = run_cli(capsys, "sample", "--kind", "II:4", *flag)
     assert code == 3
+    assert flag[0][2:].replace("-", "_") in err.replace("-", "_")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from hjts.duality import psi, psi_rows
 from hjts.errors import ContractError, DomainError
 from hjts.geometry import (
     PotentialId,
+    _box_apply,
+    _dbox_z,
     _g,
     check_beta_exactness,
     check_flat_dbar_pullback,
@@ -29,7 +31,7 @@ from hjts.geometry import (
     real_jacobian,
 )
 from hjts.harness import DEFAULT_KINDS, sample_domain
-from hjts.jts import Element, bergman_operator, genus, zero
+from hjts.jts import Element, bergman_operator, box_operator, d_operator, genus, zero
 from hjts.linalg import det
 from hjts.spectral import log_generic_norm_minus, log_generic_norm_plus, spectral_values
 
@@ -273,6 +275,23 @@ def test_lemma_a2_grid(kind):
     for p in (0, 1, 2):
         for k in (0, 1, 2):
             assert check_lemma_a2(z, w, p, k) < 1e-5
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS)
+def test_applied_box_matches_built_operators(kind):
+    # the lemma checks apply z box z and d(z box z)(w) z without building them
+    z = interior(kind, seed=52)
+    w = unit(kind, seed=53)
+    v = unit(kind, seed=54).coords
+    box = box_operator(z).matrix
+    built = v
+    for k in range(4):
+        applied = _box_apply(kind, z.coords, k, v)
+        assert np.linalg.norm(applied - built) <= 1e-13 * np.linalg.norm(built)
+        built = box @ built
+    dbox = 0.5 * (d_operator(w, z).matrix + d_operator(z, w).matrix) @ z.coords
+    assert np.linalg.norm(_dbox_z(kind, z.coords, w.coords) - dbox) \
+        <= 1e-13 * np.linalg.norm(dbox)
 
 
 def test_lemma_a2_validates_orders():

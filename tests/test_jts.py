@@ -147,7 +147,8 @@ def test_jordan_residual_detects_breakage():
 # ---------------------------------------------------------------------------
 # derived operators
 
-@pytest.mark.parametrize("kind", [K.TypeI(2, 2), K.TypeII(4), K.TypeIV(3)])
+@pytest.mark.parametrize("kind", [K.TypeI(2, 2), K.TypeII(4), K.TypeIV(3), K.TypeIII(3),
+                                  K.Product((K.TypeI(1, 1), K.TypeIV(3)))])
 def test_operator_definitions_agree(kind):
     rng = np.random.default_rng(23)
     u, v, w = (rnd(kind, rng) for _ in range(3))
@@ -159,6 +160,11 @@ def test_operator_definitions_agree(kind):
     ref = (np.eye(n) - d_operator(u, v).matrix
            + q_operator(u).matrix @ np.conj(q_operator(v).matrix))
     assert np.allclose(b, ref, atol=1e-12)
+    # the broadcast columns are, byte for byte, the triple product on each basis element
+    d, q = d_operator(u, v).matrix, q_operator(u).matrix
+    for k, e in enumerate(basis_elements(kind)):
+        assert d[:, k].tobytes() == triple_product(u, v, e).coords.tobytes()
+        assert q[:, k].tobytes() == (0.5 * triple_product(u, e, u).coords).tobytes()
 
 
 def test_operator_wrappers_validate_and_stay_distinct():
