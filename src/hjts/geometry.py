@@ -450,9 +450,8 @@ def check_beta_exactness(z: Element, direction: Element,
     beta(w) = m1((id - z box z)^(-2) z, (d(z box z))(w) z) must equal the real
     finite-difference derivative of gamma(z) = m1(G(z box z) z, z) along w; the
     dual variant swaps the sign of the box operator and uses the mirrored G.
-    (d(z box z))(w) z is ({w z z} + {z w z})/2; only the resolvent's z box z is
-    built.  Both imaginary parts must vanish.  Returns the worst residual
-    relative to max(1, |derivative|).
+    (d(z box z))(w) z is applied as two triple products.  Both imaginary parts
+    must vanish.  Returns the worst residual relative to max(1, |derivative|).
     """
     _same_kind_direction(z, direction)
     lam1 = spectral_values(z)[0]
