@@ -41,6 +41,11 @@ EXIT_TOLERANCE = 1
 EXIT_CONSISTENCY = 2
 EXIT_CONFIG = 3
 
+#: The ``SuiteConfig`` fields that ``verify`` exposes as ``--name-with-dashes``
+#: options; each option takes its type and default from the field.
+_RUN_FIELDS = ("points", "tangent_pairs", "seed", "tol_exact", "tol_fd",
+               "fd_step", "boundary_cap")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2; the contract reserves 3 for that."""
@@ -64,13 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="kind to verify, e.g. I:2,2 (repeatable)")
     verify.add_argument("--suites", metavar="NAMES",
                         help=f"comma-separated subset of: {','.join(SUITE_NAMES)}")
-    verify.add_argument("--points", type=int, default=100)
-    verify.add_argument("--tangent-pairs", type=int, default=8)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol-exact", type=float, default=1e-9)
-    verify.add_argument("--tol-fd", type=float, default=1e-5)
-    verify.add_argument("--fd-step", type=float, default=1e-5)
-    verify.add_argument("--boundary-cap", type=float, default=0.95)
+    for name in _RUN_FIELDS:
+        default = getattr(SuiteConfig, name)
+        verify.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     verify.add_argument("--out", metavar="FILE",
                         help="write the report here instead of stdout")
 
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--kind", required=True, metavar="KIND")
     sample.add_argument("--count", type=int, default=5)
     sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--boundary-cap", type=float, default=0.95)
+    sample.add_argument("--boundary-cap", type=float, default=SuiteConfig.boundary_cap)
 
     return parser
 
@@ -147,17 +148,8 @@ def _cmd_verify(args) -> int:
     suites = SUITE_NAMES if args.suites is None else tuple(
         name.strip() for name in args.suites.split(",") if name.strip()
     )
-    config = SuiteConfig(
-        kinds=kinds,
-        seed=args.seed,
-        points=args.points,
-        tangent_pairs=args.tangent_pairs,
-        tol_exact=args.tol_exact,
-        tol_fd=args.tol_fd,
-        fd_step=args.fd_step,
-        boundary_cap=args.boundary_cap,
-        suites=suites,
-    )
+    config = SuiteConfig(kinds=kinds, suites=suites,
+                         **{name: getattr(args, name) for name in _RUN_FIELDS})
     report = run_suite(config)
     text = report.to_json()
     if args.out:

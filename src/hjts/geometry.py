@@ -80,9 +80,10 @@ def _real_directions(n: int) -> np.ndarray:
 
 
 def _to_real(u: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * u.size, dtype=np.float64)
-    out[0::2] = u.real
-    out[1::2] = u.imag
+    """Real coordinates of the last axis, Re/Im interleaved."""
+    out = np.empty(u.shape[:-1] + (2 * u.shape[-1],), dtype=np.float64)
+    out[..., 0::2] = u.real
+    out[..., 1::2] = u.imag
     return out
 
 
@@ -290,17 +291,16 @@ def _unit_tangent(rng: np.random.Generator, n: int) -> np.ndarray:
     return w / frobenius(w)
 
 
-def _pullback_pairs(z: Element, h: float) -> tuple[RealJacobian, list]:
-    """The Jacobian of psi at z and the pairs (form at psi(z), native form
-    at z) of psi^* omega_dual = omega_flat and psi^* omega_flat = omega_hyp."""
-    omega_hyp = kahler_matrix(PotentialId.HYPERBOLIC, z, h)
-    omega_flat_here = kahler_matrix(PotentialId.FLAT, z, h)
-    image = psi(z)
-    pairs = [
-        (kahler_matrix(PotentialId.DUAL_FS, image, h), omega_flat_here),
-        (kahler_matrix(PotentialId.FLAT, image, h), omega_hyp),
-    ]
-    return real_jacobian(psi_rows, z, h), pairs
+def _pullback_pairs(z: Element, h: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(pulled back, native) real 2N x 2N form matrices (``real_matrix``) of
+    psi^* omega_dual = omega_flat and psi^* omega_flat = omega_hyp: with J the
+    real Jacobian of psi at z, (J^T S_dual(psi(z)) J, S_flat) and
+    (J^T S_flat J, S_hyp(z)).  S_flat is the same at z and at psi(z)."""
+    hyp = kahler_matrix(PotentialId.HYPERBOLIC, z, h).real_matrix()
+    flat = kahler_matrix(PotentialId.FLAT, z, h).real_matrix()
+    dual = kahler_matrix(PotentialId.DUAL_FS, psi(z), h).real_matrix()
+    jac = real_jacobian(psi_rows, z, h).matrix
+    return [(jac.T @ dual @ jac, flat), (jac.T @ flat @ jac, hyp)]
 
 
 def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
@@ -310,21 +310,17 @@ def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
 
     Returns ``(err1, err2)`` where ``err1`` is the worst
     |(psi^* omega_dual)(u,v) - omega_flat(u,v)| and ``err2`` the worst
-    |(psi^* omega_flat)(u,v) - omega_hyp(u,v)| over a batch of random tangent
-    pairs at z.
+    |(psi^* omega_flat)(u,v) - omega_hyp(u,v)| over random unit tangent pairs
+    at z (u then v per pair), each as max |x_u^T (P - S) x_v| on a pair
+    (P, S) of ``_pullback_pairs``, x being a vector's real coordinates.
     """
     if rng is None:
         rng = np.random.default_rng(7)
-    n = z.coords.size
-    jac, pairs = _pullback_pairs(z, h)
-    errs = [0.0] * len(pairs)
-    for _ in range(tangent_pairs):
-        u = _unit_tangent(rng, n)
-        v = _unit_tangent(rng, n)
-        for i, (at_image, native) in enumerate(pairs):
-            pulled = pullback_eval(at_image, jac, u, v)
-            errs[i] = max(errs[i], abs(pulled - native.evaluate(u, v)))
-    return errs[0], errs[1]
+    pairs = _pullback_pairs(z, h)
+    x = _to_real(np.array([_unit_tangent(rng, z.coords.size) for _ in range(2 * tangent_pairs)]))
+    err1, err2 = (float(np.max(np.abs(np.sum((x[0::2] @ (p - s)) * x[1::2], axis=1)), initial=0.0))
+                  for p, s in pairs)
+    return err1, err2
 
 
 def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
@@ -332,18 +328,13 @@ def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
 
     The top exterior powers of two 2-forms agree exactly when the determinants
     of their 2N x 2N real matrices do, so this checks
-    det(J^T S_dual J) = det(S_flat) and det(J^T S_flat J) = det(S_hyp),
-    returning the worse relative mismatch.
+    det(J^T S_dual J) = det(S_flat) and det(J^T S_flat J) = det(S_hyp) on the
+    pairs of ``_pullback_pairs``, returning the worse relative mismatch.
     """
-    jac, pairs = _pullback_pairs(z, h)
-
-    def _det(m: np.ndarray) -> float:
-        return det(m.astype(np.complex128)).real
-
     worst = 0.0
-    for at_image, native in pairs:
-        d_pulled = _det(jac.matrix.T @ at_image.real_matrix() @ jac.matrix)
-        d_native = _det(native.real_matrix())
+    for pulled, native in _pullback_pairs(z, h):
+        d_pulled = det(pulled).real
+        d_native = det(native).real
         worst = max(worst, abs(d_pulled - d_native) / max(abs(d_native), np.finfo(np.float64).tiny))
     return worst
 
@@ -426,8 +417,7 @@ def _g(t: float, sign: float) -> float:
     return (math.log1p(sign * t) + 1.0 / (1.0 + sign * t) - 1.0) / t
 
 
-def _gamma(coords: np.ndarray, kind, sign: float) -> float:
-    lam_sq = spectral_values(Element(kind, coords)) ** 2
+def _gamma(lam_sq: np.ndarray, sign: float) -> float:
     return float(sum(_g(t, sign) * t for t in lam_sq))
 
 
@@ -450,8 +440,9 @@ def check_beta_exactness(z: Element, direction: Element,
     beta(w) = m1((id - z box z)^(-2) z, (d(z box z))(w) z) must equal the real
     finite-difference derivative of gamma(z) = m1(G(z box z) z, z) along w; the
     dual variant swaps the sign of the box operator and uses the mirrored G.
-    (d(z box z))(w) z is applied as two triple products.  Both imaginary parts
-    must vanish.  Returns the worst residual relative to max(1, |derivative|).
+    (d(z box z))(w) z is applied as two triple products, and the spectral
+    values at z +- step w are computed once for both signs.  Both imaginary
+    parts must vanish.  Returns the worst residual relative to max(1, |derivative|).
     """
     _same_kind_direction(z, direction)
     lam1 = spectral_values(z)[0]
@@ -464,13 +455,14 @@ def check_beta_exactness(z: Element, direction: Element,
     kind = z.kind
     box = box_operator(z).matrix
     dbox_w_z = _dbox_z(kind, z.coords, w)
+    forward, backward = (spectral_values(Element(kind, z.coords + s * step * w)) ** 2
+                         for s in (1.0, -1.0))
 
     residuals = []
     scale = 1.0
     for sign in (-1.0, 1.0):
         beta = _beta(box, z.coords, dbox_w_z, sign)
-        fd = (_gamma(z.coords + step * w, kind, sign)
-              - _gamma(z.coords - step * w, kind, sign)) / (2.0 * step)
+        fd = (_gamma(forward, sign) - _gamma(backward, sign)) / (2.0 * step)
         residuals.append(abs(beta.real - fd))
         residuals.append(abs(beta.imag))
         scale = max(scale, abs(fd))
@@ -522,10 +514,10 @@ def check_flat_dbar_pullback(z: Element, direction: Element,
     w = direction.coords
     step = h * max(1.0, z.norm())
     kind = z.kind
-    image = psi(z)
-    forward, backward = psi_rows(kind, np.stack([z.coords + step * w, z.coords - step * w]))
+    image, forward, backward = psi_rows(
+        kind, np.stack([z.coords, z.coords + step * w, z.coords - step * w]))
     d_psi_w = (forward - backward) / (2.0 * step)
-    lhs = complex(np.vdot(d_psi_w, image.coords))
+    lhs = complex(np.vdot(d_psi_w, image))
 
     box = box_operator(z).matrix
     dbox_w_z = _dbox_z(kind, z.coords, w)

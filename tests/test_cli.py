@@ -4,6 +4,8 @@ Most tests call main() in-process so exit paths are easy to assert; one
 subprocess test confirms the installed entry point wires up the same way.
 """
 
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -13,8 +15,10 @@ import pytest
 
 import hjts.duality
 import hjts.harness
-from hjts.cli import main
+from hjts.cli import build_parser, main
 from hjts.errors import ConvergenceError, SingularityError
+from hjts.geometry import DEFAULT_FD_STEP
+from hjts.harness import SuiteConfig, sample_domain
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +49,21 @@ def test_verify_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert doc["seed"] == 9
+
+
+def test_run_defaults_have_one_source():
+    defaults = SuiteConfig()
+    args = vars(build_parser().parse_args(["verify"]))
+    for field in dataclasses.fields(SuiteConfig):
+        if field.name in ("kinds", "suites"):
+            continue  # --all / --kind and --suites, which default to None
+        value = getattr(defaults, field.name)
+        assert args[field.name] == value and type(args[field.name]) is type(value), field.name
+    sample = build_parser().parse_args(["sample", "--kind", "I:1,1"])
+    assert sample.boundary_cap == defaults.boundary_cap
+    assert inspect.signature(sample_domain).parameters["boundary_cap"].default \
+        == defaults.boundary_cap
+    assert defaults.fd_step == DEFAULT_FD_STEP
 
 
 def test_verify_multiple_kinds(capsys):

@@ -243,6 +243,51 @@ def test_symplectic_rng_reproducible():
     assert a == b
 
 
+def _public_form_pairs(z):
+    """(form at psi(z), native form at z) of both identities, and the Jacobian
+    of psi at z, from the public sampling API."""
+    image = psi(z)
+    forms = [
+        (kahler_matrix(PotentialId.DUAL_FS, image), kahler_matrix(PotentialId.FLAT, z)),
+        (kahler_matrix(PotentialId.FLAT, image), kahler_matrix(PotentialId.HYPERBOLIC, z)),
+    ]
+    return forms, real_jacobian(psi_rows, z)
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_symplectic_check_equals_the_per_pair_form_loop(kind):
+    # oracle: pullback_eval and evaluate on each tangent pair, drawn u then v
+    # from the same rng; the two agree to 1e-12 of the largest form value
+    z = interior(kind, seed=40)
+    got = check_symplectic_duality(z, tangent_pairs=8, rng=np.random.default_rng(3))
+    forms, jac = _public_form_pairs(z)
+    rng = np.random.default_rng(3)
+    n = z.coords.size
+    errs, scale = [0.0, 0.0], 0.0
+    for _ in range(8):
+        u, v = (w / np.linalg.norm(w) for w in
+                (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2)))
+        for i, (at_image, native) in enumerate(forms):
+            pulled, expected = pullback_eval(at_image, jac, u, v), native.evaluate(u, v)
+            errs[i] = max(errs[i], abs(pulled - expected))
+            scale = max(scale, abs(pulled), abs(expected))
+    assert max(errs) > 0.0
+    assert np.allclose(got, errs, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_volume_check_equals_the_public_determinant_comparison(kind):
+    z = interior(kind, seed=41, cap=0.7)
+    forms, jac = _public_form_pairs(z)
+    j = jac.matrix
+    worst = 0.0
+    for at_image, native in forms:
+        d_pulled = det(j.T @ at_image.real_matrix() @ j).real
+        d_native = det(native.real_matrix()).real
+        worst = max(worst, abs(d_pulled - d_native) / max(abs(d_native), np.finfo(float).tiny))
+    assert check_volume_duality(z) == worst
+
+
 # ---------------------------------------------------------------------------
 # derivative identities
 

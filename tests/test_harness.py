@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import hjts.duality
+import hjts.harness
 import hjts.kinds as K
-from hjts.errors import ContractError
+from hjts.errors import ConsistencyError, ContractError
 from hjts.harness import (
     DEFAULT_KINDS,
     SUITE_NAMES,
@@ -185,3 +186,35 @@ def test_consistency_error_aborts_with_point(monkeypatch):
     assert rows["duality"]["pass"] is False
     assert rows["jordan"]["pass"] is True    # completed before the abort
     assert "equivariance" not in rows        # never reached
+
+
+@pytest.fixture
+def fresh_genus_cache():
+    hjts.harness._checked_genus.cache_clear()
+    yield
+    hjts.harness._checked_genus.cache_clear()
+
+
+def test_spectral_suite_computes_each_genus_once(monkeypatch, fresh_genus_cache):
+    calls = []
+    real_genus = hjts.harness.genus
+    monkeypatch.setattr(hjts.harness, "genus", lambda kind: calls.append(kind) or real_genus(kind))
+    report = run_suite(SuiteConfig(kinds=FAST_KINDS, seed=11, points=3, suites=("spectral",)))
+    assert report.all_pass
+    # I:1,1 and IV:3, each also a factor of the product
+    assert sorted(map(K.format_kind, calls)) == ["I:1,1", "IV:3"]
+
+
+def test_genus_consistency_error_carries_each_samples_point(monkeypatch, fresh_genus_cache):
+    def off_integer(kind):
+        raise ConsistencyError("genus of I:2,2 is not an integer: 4.5")
+
+    monkeypatch.setattr(hjts.harness, "genus", off_integer)
+    report = run_suite(SuiteConfig(kinds=(K.TypeI(2, 2),), points=2, suites=("spectral",)))
+    failure = report.consistency_failure
+    assert failure["suite"] == "spectral" and failure["sample_index"] == 0
+    assert "not an integer" in failure["message"]
+    assert len(failure["point"]) == 4
+    # an error is never cached: the next run raises again on its own sample
+    again = run_suite(SuiteConfig(kinds=(K.TypeI(2, 2),), seed=1, points=2, suites=("spectral",)))
+    assert again.consistency_failure["point"] != failure["point"]

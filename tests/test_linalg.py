@@ -476,3 +476,44 @@ def test_oracle_rule_scanner_finds_every_form():
 def test_library_never_uses_numpy_linalg(path):
     uses = _numpy_linalg_uses(ast.parse(path.read_text(encoding="utf-8")))
     assert uses == [], f"{path.name} reaches numpy.linalg: {uses}"
+
+
+# ---------------------------------------------------------------------------
+# no dead imports: every module-level import of a library module is used
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imports whose bound name the module never reads.
+
+    ``from __future__`` imports and names listed in ``__all__`` count as used.
+    """
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name.split(".")[0], node.lineno)
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound
+            if name not in read and name not in exported]
+
+
+def test_unused_import_scanner_finds_every_form():
+    source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
+              "import os.path\nfrom math import pi\nfrom math import tau as turn\n"
+              "from .jts import Element, zero\nimport json\n__all__ = ['zero']\n"
+              "def f(x: Element):\n    import sys\n    return json.dumps(x)\n")
+    assert _unused_imports(ast.parse(source)) == [
+        "line 2: os", "line 3: np", "line 4: os", "line 5: pi", "line 6: turn"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=[p.name for p in SOURCES if p.name != "__init__.py"])
+def test_library_has_no_unused_imports(path):
+    unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
