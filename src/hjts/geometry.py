@@ -316,8 +316,9 @@ def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
     """
     if rng is None:
         rng = np.random.default_rng(7)
+    n = z.coords.size
     pairs = _pullback_pairs(z, h)
-    x = _to_real(np.array([_unit_tangent(rng, z.coords.size) for _ in range(2 * tangent_pairs)]))
+    x = _to_real(np.array([_unit_tangent(rng, n) for _ in range(2 * tangent_pairs)]).reshape(-1, n))
     err1, err2 = (float(np.max(np.abs(np.sum((x[0::2] @ (p - s)) * x[1::2], axis=1)), initial=0.0))
                   for p, s in pairs)
     return err1, err2

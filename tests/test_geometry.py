@@ -243,6 +243,11 @@ def test_symplectic_rng_reproducible():
     assert a == b
 
 
+def test_symplectic_without_tangent_pairs_reads_zero():
+    z = interior(K.TypeI(2, 2), seed=30)
+    assert check_symplectic_duality(z, tangent_pairs=0) == (0.0, 0.0)
+
+
 def _public_form_pairs(z):
     """(form at psi(z), native form at z) of both identities, and the Jacobian
     of psi at z, from the public sampling API."""
