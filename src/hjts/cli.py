@@ -28,6 +28,7 @@ from .harness import (
     SUITE_NAMES,
     SuiteConfig,
     VerificationReport,
+    _check_seed,
     run_suite,
     sample_domain,
 )
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="draw reproducible interior points")
     sample.add_argument("--kind", required=True, metavar="KIND")
     sample.add_argument("--count", type=int, default=5)
-    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--seed", type=type(SuiteConfig.seed), default=SuiteConfig.seed)
     sample.add_argument("--boundary-cap", type=float, default=SuiteConfig.boundary_cap)
 
     return parser
@@ -185,6 +186,7 @@ def _cmd_sample(args) -> int:
     kind = _k.parse_kind(args.kind)
     if args.count < 1:
         raise ContractError(f"--count must be positive, got {args.count}")
+    _check_seed(args.seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     points = [sample_domain(kind, rng, args.boundary_cap) for _ in range(args.count)]
     doc = {

@@ -8,19 +8,9 @@ spectral resolution); they agree to high accuracy on valid inputs, and the
 internal-consistency failure.
 
 The default route, BOX_HALF, is (id -+ z box z)^(-1/2) z, evaluated by
-:func:`psi_rows` on every row of a (K, N) coordinate array without building
-the N x N box operator:
-
-* types I, II and III: f(z box z) z = f(Z Z*) Z, so psi(Z) = (I - Z Z*)^(-1/2) Z
-  and psi^-1(U) = (I + U U*)^(-1/2) U, on the smaller Gram side
-  (Z (I - Z* Z)^(-1/2) when Z has more rows than columns), with the K powers
-  taken by one stacked ``hermitian_power`` call;
-* the spin factor, with x = coords / sqrt(2), a = sum |x_j|^2, q = sum x_j^2:
-  psi(x) = ((1 + sqrt N) x - q conj(x)) / (sqrt N sqrt(2 - 2a + 2 sqrt N)) with
-  N = 1 - 2a + |q|^2, and
-  psi^-1(x) = ((1 + sqrt N*) x + q conj(x)) / (sqrt N* sqrt(2 + 2a + 2 sqrt N*))
-  with N* = 1 + 2a + |q|^2;
-* products factor by factor.
+:func:`psi_rows` on every row of a (K, N) coordinate array through
+``spectral._box_power_rows``, which works on the p x p Gram side (a closed
+form for the spin factor) and builds no N x N operator.
 
 ``psi`` and ``psi_inverse`` on BOX_HALF are the K = 1 case of ``psi_rows``.
 """
@@ -30,7 +20,6 @@ import enum
 
 import numpy as np
 
-from . import kinds as _k
 from .errors import ConsistencyError, ContractError, DomainError
 from .jts import (
     Element,
@@ -42,7 +31,7 @@ from .jts import (
 )
 from .kinds import JTSKind, format_kind
 from .linalg import frobenius, hermitian_power
-from .spectral import _gram, log_norm_rows, spectral_decompose
+from .spectral import _box_power_rows, _rows, log_norm_rows, spectral_decompose
 
 __all__ = [
     "DualityRoute",
@@ -81,24 +70,6 @@ def _outside_message(kind: JTSKind) -> str:
             "(largest spectral value must be < 1)")
 
 
-def _box_half_simple(kind: JTSKind, coords: np.ndarray, sign: float) -> np.ndarray:
-    """(id + sign * z box z)^(-1/2) z for each row of a simple-kind (K, N) array;
-    the matrix kinds take their K Gram-side powers in one stacked call."""
-    if isinstance(kind, _k.TypeIV):
-        x = _k.coords_to_ambient(kind, coords)
-        a = (np.abs(x) ** 2).sum(axis=-1)
-        q = (x * x).sum(axis=-1)
-        root = np.sqrt(1.0 + sign * 2.0 * a + np.abs(q) ** 2)  # sqrt N or sqrt N*
-        scale = root * np.sqrt(2.0 + sign * 2.0 * a + 2.0 * root)
-        out = ((1.0 + root)[:, None] * x + sign * q[:, None] * np.conj(x)) / scale[:, None]
-        return _k.ambient_to_coords(kind, out)
-    mat = _k.coords_to_matrix(kind, coords)
-    gram, wide = _gram(mat)
-    shifted = np.eye(gram.shape[-1], dtype=np.complex128) + sign * gram
-    power = hermitian_power(shifted, -0.5)
-    return _k.matrix_to_coords(kind, power @ mat if wide else mat @ power)
-
-
 def psi_rows(kind: JTSKind, coords: np.ndarray, sign: float = -1.0) -> np.ndarray:
     """The BOX_HALF route of psi (sign = -1) or psi_inverse (sign = +1) on every
     row of a (K, N) coordinate array; returns the (K, N) images.
@@ -108,23 +79,13 @@ def psi_rows(kind: JTSKind, coords: np.ndarray, sign: float = -1.0) -> np.ndarra
     DomainError.  Rows are processed by the same steps whatever K is, so a
     row's image does not depend on the batch it is mapped in.
     """
-    coords = np.asarray(coords, dtype=np.complex128)
-    if coords.ndim != 2 or coords.shape[1] != _k.ambient_dim(kind):
-        raise ContractError(
-            f"{format_kind(kind)} needs a (K, {_k.ambient_dim(kind)}) coordinate "
-            f"array, got shape {coords.shape}"
-        )
+    coords = _rows(kind, coords)
     if sign < 0.0:
         try:
             log_norm_rows(kind, coords, -1.0)
         except DomainError:
             raise DomainError(_outside_message(kind)) from None
-    if isinstance(kind, _k.Product):
-        return np.concatenate([
-            _box_half_simple(f, c, sign)
-            for f, c in zip(kind.factors, _k.split_coords(kind, coords))
-        ], axis=-1)
-    return _box_half_simple(kind, coords, sign)
+    return _box_power_rows(kind, coords, sign, -0.5)
 
 
 def _point_map(el: Element, route: DualityRoute, sign: float) -> Element:

@@ -110,6 +110,11 @@ DEFAULT_KINDS = (
 )
 
 
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
+        raise ContractError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 def _check_boundary_cap(cap: float) -> None:
     if not 0.0 < cap < 1.0:  # also rejects nan
         raise ContractError(f"boundary_cap must lie strictly between 0 and 1, got {cap!r}")
@@ -132,9 +137,7 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "suites", tuple(self.suites))
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
-                or not 0 <= self.seed < 2 ** 64:
-            raise ContractError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_seed(self.seed)
         for name in ("points", "tangent_pairs"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:

@@ -141,6 +141,13 @@ def _triple_coords(kind: _k.JTSKind, u: np.ndarray, v: np.ndarray, w: np.ndarray
     return _k.matrix_to_coords(kind, a @ bstar @ c + c @ bstar @ a)
 
 
+def _box_apply(kind: _k.JTSKind, c: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
+    """(z box z)^k v at z = c as k applications of v -> {z z v}/2, without building z box z."""
+    for _ in range(k):
+        v = 0.5 * _triple_coords(kind, c, c, v)
+    return v
+
+
 def triple_product(u: Element, v: Element, w: Element) -> Element:
     """{u, v, w}: bilinear symmetric in (u, w), antilinear in v."""
     _same_kind(u.kind, v.kind)

@@ -8,6 +8,10 @@ two-term closed form for the spin factor, and componentwise merging for
 products.  On top of the decomposition sit the generic norms
 N = prod(1 - lambda_j^2) and N* = prod(1 + lambda_j^2), the quasi-inverse
 (id - z box z)^(-1) z, and odd powers z^(2j+1).
+
+One Gram-side row map, ``_box_power_rows``, applies (id + sign z box z)^t z
+for t = -1/2 (psi, psi^-1), -1 (resolvents, quasi-inverse) and -2 (beta);
+no function here builds the N x N box or quadratic operator.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import numpy as np
 
 from . import kinds as _k
 from .errors import ConsistencyError, ContractError, DomainError, SingularityError
-from .jts import Element, box_operator, q_operator
-from .linalg import cholesky_logdet, eigh, frobenius, orthonormal_extension, solve, svd, takagi
+from .jts import Element, _box_apply
+from .linalg import (cholesky_logdet, eigh, frobenius, hermitian_power,
+                     orthonormal_extension, solve, svd, takagi)
 
 __all__ = [
     "SpectralDecomposition",
@@ -97,6 +102,17 @@ def spectral_values(z: Element) -> np.ndarray:
     return _values_simple(kind, z.coords)
 
 
+def _rows(kind: _k.JTSKind, coords) -> np.ndarray:
+    """``coords`` as a (K, N) complex128 array; ContractError on any other shape."""
+    coords = np.asarray(coords, dtype=np.complex128)
+    if coords.ndim != 2 or coords.shape[1] != _k.ambient_dim(kind):
+        raise ContractError(
+            f"{_k.format_kind(kind)} needs a (K, {_k.ambient_dim(kind)}) coordinate "
+            f"array, got shape {coords.shape}"
+        )
+    return coords
+
+
 def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.ndarray:
     """log prod(1 + sign * lambda_j^2) of each row of a (K, N) simple-kind array.
 
@@ -142,12 +158,7 @@ def log_norm_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.ndarr
     are processed by the same elementwise steps whatever K is, so a row's
     value does not depend on the batch it is evaluated in.
     """
-    coords = np.asarray(coords, dtype=np.complex128)
-    if coords.ndim != 2 or coords.shape[1] != _k.ambient_dim(kind):
-        raise ContractError(
-            f"{_k.format_kind(kind)} needs a (K, {_k.ambient_dim(kind)}) coordinate "
-            f"array, got shape {coords.shape}"
-        )
+    coords = _rows(kind, coords)
     if isinstance(kind, _k.Product):
         return sum(
             _log_norm_simple(f, c, sign)
@@ -357,24 +368,63 @@ def generic_norms(z: Element) -> tuple[float, float]:
     return float(np.prod(1.0 - sq)), float(np.prod(1.0 + sq))
 
 
+def _box_power_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float,
+                    t: float) -> np.ndarray:
+    """(id + sign * z box z)^t z for every row z of a (K, N) coordinate array,
+    t in {-1/2, -1, -2}, through f(z box z) z = f(Z Z*) Z: no N x N operator.
+
+    Types I-III power I + sign * Gram on the smaller Gram side (``_gram``):
+    t = -1/2 by one stacked ``hermitian_power``, t = -1 and -2 by inverting
+    each slice by elimination (squared for -2).  The spin factor maps
+    x = coords / sqrt(2) to (c_x x + c_q q conj(x)) / den, with a = |x|^2,
+    q = x.x and N_s = 1 + 2 sign a + |q|^2; (c_x, c_q, den) is
+    (1 + sqrt N_s, sign, sqrt N_s sqrt(2 + 2 sign a + 2 sqrt N_s)) at -1/2,
+    (1, sign, N_s) at -1 and (1 - |q|^2, 2 (sign + a), N_s^2) at -2.
+    Products go factor by factor.  t = -1/2 with sign = -1 needs every row
+    inside the domain, which the callers check; t = -1 and -2 need only an
+    invertible shift.  A row's image does not depend on its batch.
+    """
+    if isinstance(kind, _k.Product):
+        return np.concatenate([
+            _box_power_rows(f, c, sign, t)
+            for f, c in zip(kind.factors, _k.split_coords(kind, coords))
+        ], axis=-1)
+    if isinstance(kind, _k.TypeIV):
+        x = _k.coords_to_ambient(kind, coords)
+        a = (np.abs(x) ** 2).sum(axis=-1, keepdims=True)
+        q = (x * x).sum(axis=-1, keepdims=True)
+        norm = 1.0 + sign * 2.0 * a + np.abs(q) ** 2  # N_s
+        if t == -0.5:
+            root = np.sqrt(norm)
+            c_x, c_q, den = 1.0 + root, sign, root * np.sqrt(2.0 + sign * 2.0 * a + 2.0 * root)
+        elif t == -1:
+            c_x, c_q, den = 1.0, sign, norm
+        else:
+            c_x, c_q, den = 1.0 - np.abs(q) ** 2, 2.0 * (sign + a), norm * norm
+        return _k.ambient_to_coords(kind, (c_x * x + c_q * q * np.conj(x)) / den)
+    mat = _k.coords_to_matrix(kind, coords)
+    gram, wide = _gram(mat)
+    eye = np.eye(gram.shape[-1], dtype=np.complex128)
+    shifted = eye + sign * gram
+    if t == -0.5:
+        power = hermitian_power(shifted, -0.5)
+    else:
+        power = np.stack([solve(s, eye) for s in shifted])
+        if t == -2:
+            power = power @ power
+    return _k.matrix_to_coords(kind, power @ mat if wide else mat @ power)
+
+
 def quasi_inverse(z: Element) -> Element:
     """z^z = (id - z box z)^(-1) z; spectral values at 1 are poles."""
     values = spectral_values(z)
     if values.size and np.min(np.abs(values - 1.0)) <= 1e-12:
         raise SingularityError("quasi-inverse pole: a spectral value equals 1")
-    box = box_operator(z).matrix
-    n = box.shape[0]
-    return Element(z.kind, solve(np.eye(n, dtype=np.complex128) - box, z.coords))
+    return Element(z.kind, _box_power_rows(z.kind, z.coords[None, :], -1.0, -1)[0])
 
 
 def odd_power(z: Element, j: int) -> Element:
-    """z^(2j+1), built by repeated application of Q(z) (z^(1) = z)."""
+    """z^(2j+1) = (z box z)^j z, by j applications of v -> {z z v}/2 (z^(1) = z)."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 0:
         raise ContractError(f"power index must be an integer >= 0, got {j!r}")
-    out = z
-    if j == 0:
-        return out
-    q = q_operator(z)
-    for _ in range(j):
-        out = q(out)
-    return out
+    return Element(z.kind, _box_apply(z.kind, z.coords, j, z.coords))

@@ -61,6 +61,7 @@ def test_run_defaults_have_one_source():
         assert args[field.name] == value and type(args[field.name]) is type(value), field.name
     sample = build_parser().parse_args(["sample", "--kind", "I:1,1"])
     assert sample.boundary_cap == defaults.boundary_cap
+    assert sample.seed == defaults.seed and type(sample.seed) is type(defaults.seed)
     assert inspect.signature(sample_domain).parameters["boundary_cap"].default \
         == defaults.boundary_cap
     assert defaults.fd_step == DEFAULT_FD_STEP
@@ -256,10 +257,13 @@ def test_sample_points_are_interior(capsys):
     ("--boundary-cap", "0"),
     ("--boundary-cap", "-0.5"),
     ("--boundary-cap", "nan"),
+    ("--seed", "-1"),
+    ("--seed", str(2 ** 64)),
 ], ids=lambda flag: " ".join(flag))
 def test_sample_bad_count_exit_3(capsys, flag):
-    code, _, err = run_cli(capsys, "sample", "--kind", "II:4", *flag)
+    code, out, err = run_cli(capsys, "sample", "--kind", "II:4", *flag)
     assert code == 3
+    assert out == ""
     assert flag[0][2:].replace("-", "_") in err.replace("-", "_")
     assert "Traceback" not in err
 

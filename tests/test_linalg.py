@@ -517,3 +517,43 @@ def test_unused_import_scanner_finds_every_form():
 def test_library_has_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+# ---------------------------------------------------------------------------
+# no N x N box or quadratic operator built outside jts: f(z box z) z has a
+# p x p Gram-side form (spectral._box_power_rows) and powers of z box z apply
+# as triple products (jts._box_apply)
+
+OPERATOR_BUILDERS = {"box_operator", "q_operator"}
+
+
+def _operator_builds(tree: ast.AST) -> list[str]:
+    """Calls of box_operator or q_operator: by name, by import alias, or as an attribute."""
+    names = set(OPERATOR_BUILDERS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.asname for a in node.names if a.name in OPERATOR_BUILDERS and a.asname}
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name in names:
+                calls.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(calls)]
+
+
+def test_operator_build_scanner_finds_every_form():
+    source = ("from .jts import box_operator, q_operator as quad\nimport hjts.jts as J\n"
+              "box_operator(z)\nquad(u)(v)\nJ.box_operator(z).matrix\nhjts.jts.q_operator(u)\n"
+              "d_operator(z, z)\nbergman_operator(z, z)\nbox = None\n")
+    assert [call.split(":")[0] for call in _operator_builds(ast.parse(source))] == [
+        f"line {n}" for n in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "jts.py"],
+                         ids=[p.name for p in SOURCES if p.name != "jts.py"])
+def test_library_builds_no_box_or_quadratic_operator_outside_jts(path):
+    calls = _operator_builds(ast.parse(path.read_text(encoding="utf-8")))
+    assert calls == [], f"{path.name} builds an N x N box or quadratic operator: {calls}"

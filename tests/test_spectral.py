@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import hjts.kinds as K
 from hjts.duality import DualityRoute, psi, psi_route_spread
 from hjts.errors import ContractError, DomainError, SingularityError
+from hjts.harness import DEFAULT_KINDS, sample_domain
 from hjts.jts import (
     Element,
     bergman_operator,
@@ -22,6 +23,7 @@ from hjts.jts import (
 )
 from hjts.linalg import det, frobenius
 from hjts.spectral import (
+    _box_power_rows,
     generic_norms,
     log_generic_norm_minus,
     log_generic_norm_plus,
@@ -283,6 +285,54 @@ def test_log_norm_rows_raise_when_any_row_leaves_the_domain():
         log_norm_rows(kind, rows[0], -1.0)  # one point still needs a (1, N) array
 
 
+# the Gram-side row map (id + sign z box z)^t z ------------------------------
+
+POWERS = (-0.5, -1, -2)
+ORACLE_KINDS = DEFAULT_KINDS + (K.TypeI(3, 2), K.TypeII(5), K.TypeIV(6))
+
+
+def operator_power(z, sign, t):
+    """(id + sign z box z)^t z through numpy's eigendecomposition of the N x N operator."""
+    shifted = np.eye(K.ambient_dim(z.kind)) + sign * box_operator(z).matrix
+    values, vectors = np.linalg.eigh(shifted)
+    return (vectors * values ** t) @ vectors.conj().T @ z.coords
+
+
+def spin_special_points(n):
+    """q = 0, a real vector, and the origin."""
+    isotropic = np.zeros(n, dtype=complex)
+    isotropic[:2] = 0.5, 0.5j
+    real = np.linspace(0.1, 0.4, n).astype(complex) / math.sqrt(n)
+    return [isotropic, real, np.zeros(n, dtype=complex)]
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=K.format_kind)
+def test_box_power_rows_match_the_operator_power(kind):
+    rng = np.random.default_rng(K.ambient_dim(kind) + 300)
+    points = [sample_domain(kind, rng).coords for _ in range(4)]
+    if isinstance(kind, K.TypeIV):
+        points += spin_special_points(kind.n)
+    rows = np.stack(points)
+    for sign in (-1.0, 1.0):
+        for t in POWERS:
+            images = _box_power_rows(kind, rows, sign, t)
+            for row, image in zip(rows, images):
+                expected = operator_power(Element(kind, row), sign, t)
+                assert frobenius(image - expected) <= 1e-12 * frobenius(expected)
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_box_power_rows_are_their_own_k1_calls(kind):
+    rng = np.random.default_rng(K.ambient_dim(kind) + 400)
+    rows = np.stack([sample_domain(kind, rng).coords for _ in range(3)]
+                    + [np.zeros(K.ambient_dim(kind), dtype=complex)])
+    for sign in (-1.0, 1.0):
+        for t in POWERS:
+            images = _box_power_rows(kind, rows, sign, t)
+            for i, image in enumerate(images):
+                assert _box_power_rows(kind, rows[i:i + 1], sign, t)[0].tobytes() == image.tobytes()
+
+
 # quasi-inverse & odd powers --------------------------------------------------
 
 def test_quasi_inverse_spectral_form():
@@ -295,15 +345,31 @@ def test_quasi_inverse_spectral_form():
         assert np.allclose(quasi_inverse(z).coords, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_quasi_inverse_off_the_domain_is_the_operator_solve(kind):
+    rng = np.random.default_rng(K.ambient_dim(kind) + 500)
+    checked = 0
+    while checked < 3:
+        z = rnd(kind, rng, 1.5)
+        values = spectral_values(z)
+        if values[0] <= 1.0 or np.min(np.abs(values - 1.0)) < 0.1:
+            continue  # inside the domain, or near a pole
+        box = box_operator(z).matrix
+        expected = np.linalg.solve(np.eye(box.shape[0]) - box, z.coords)
+        assert frobenius(quasi_inverse(z).coords - expected) <= 1e-12 * frobenius(expected)
+        checked += 1
+
+
 def test_quasi_inverse_pole():
     kind = K.TypeI(1, 1)
     with pytest.raises(SingularityError):
         quasi_inverse(Element(kind, np.array([1.0], dtype=complex)))
 
 
-def test_odd_powers_are_spectral_powers():
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_odd_powers_are_spectral_powers(kind):
     rng = np.random.default_rng(6)
-    z = rnd(K.TypeIII(3), rng, 0.5)
+    z = rnd(kind, rng, 0.5)
     dec = spectral_decompose(z)
     for j in (0, 1, 2):
         expected = sum(lam ** (2 * j + 1) * c.coords
