@@ -12,6 +12,8 @@ top of that sit the verification routines: the symplectic pullback identities
 for psi, their volume-form consequence, the logarithmic-derivative identities
 for N and N*, the exactness of the one-form beta, and the trace-derivative
 identity for powers of the box operator.
+Every driver takes its step h * max(1, |z|), h in [1e-7, 1e-2], from
+``_fd_step``, and every first-order central difference from ``_central``.
 """
 from __future__ import annotations
 
@@ -52,6 +54,11 @@ __all__ = [
 #: h^2 truncation term against the eps/h roundoff term near 1e-5 in double
 #: precision.
 DEFAULT_FD_STEP = 1e-5
+
+#: Interior margin, in steps, that the hyperbolic Hessian keeps to the boundary.
+_FD_MARGIN = 10.0
+#: The beta check needs the largest spectral value below this.
+_BETA_LAMBDA_MAX = 0.99
 
 
 class PotentialId(enum.Enum):
@@ -181,14 +188,28 @@ def _stencil(n: int) -> _Stencil:
     return _Stencil(offsets, rows, cols, taps)
 
 
-def _check_step(h: float) -> None:
-    if not (1e-7 <= h <= 1e-2):
-        raise ContractError(f"finite-difference step {h:g} outside [1e-7, 1e-2]")
+def _fd_step(norm: float, h: float) -> float:
+    """The step h * max(1, norm) at a point of that norm, for h in [1e-7, 1e-2]
+    (below, roundoff swamps a difference; above, truncation does)."""
+    if not 1e-7 <= h <= 1e-2:  # also rejects nan
+        raise ContractError(f"fd_step {h!r} lies outside [1e-7, 1e-2], the steps "
+                            f"the finite-difference drivers accept")
+    return h * max(1.0, norm)
+
+
+def _central(fn: Callable[[np.ndarray], np.ndarray], z: Element, dirs: np.ndarray,
+             h: float) -> np.ndarray:
+    """Central differences (f(z + step d) - f(z - step d)) / (2 step), one row per
+    direction d of ``dirs``, with ``fn`` mapping all rows z + step [dirs; -dirs] in
+    one call."""
+    step = _fd_step(z.norm(), h)
+    values = fn(z.coords + step * np.concatenate([dirs, -dirs]))
+    return (values[:len(dirs)] - values[len(dirs):]) / (2.0 * step)
 
 
 def _stencil_points(z: Element, h: float) -> tuple[np.ndarray, float, _Stencil]:
-    """The (K, N) coordinate rows of the stencil at z, with step h * max(1, |z|)."""
-    step = h * max(1.0, z.norm())
+    """The (K, N) coordinate rows of the stencil at z, with step ``_fd_step``."""
+    step = _fd_step(z.norm(), h)
     stencil = _stencil(z.coords.size)
     return z.coords + step * stencil.offsets, step, stencil
 
@@ -217,7 +238,6 @@ def complex_hessian(fn: Callable[[Element], float], z: Element,
     Evaluates fn once per stencil row (step h scaled by max(1, |z|)); see
     ``_assemble_hessian`` for how the second differences combine.
     """
-    _check_step(h)
     points, step, stencil = _stencil_points(z, h)
     values = np.array([fn(Element(z.kind, p)) for p in points], dtype=np.float64)
     return _assemble_hessian(values, step, stencil)
@@ -232,19 +252,16 @@ def kahler_matrix(pid: PotentialId, z: Element, h: float = DEFAULT_FD_STEP) -> T
     boundary.  The whole stencil is evaluated in one batched log-norm call;
     it yields the same bytes as ``complex_hessian`` over ``potential``.
     """
-    n = z.coords.size
     if pid is PotentialId.FLAT:
-        return TwoFormSample(z, np.eye(n, dtype=np.complex128))
-    _check_step(h)
+        _fd_step(z.norm(), h)  # the step range binds every potential
+        return TwoFormSample(z, np.eye(z.coords.size, dtype=np.complex128))
     points, step, stencil = _stencil_points(z, h)
     sign = -1.0 if pid is PotentialId.HYPERBOLIC else 1.0  # -log N, or log N*
     if sign < 0.0:
         lam1 = spectral_values(z)[0]
-        if lam1 >= 1.0 - 10.0 * step:
-            raise DomainError(
-                f"point too close to the boundary for differencing "
-                f"(largest spectral value {lam1:.6f}, step {step:g})"
-            )
+        if lam1 >= 1.0 - _FD_MARGIN * step:
+            raise DomainError(f"point too close to the boundary for differencing "
+                              f"(largest spectral value {lam1:.6f}, step {step:g})")
     values = sign * log_norm_rows(z.kind, points, sign)
     return TwoFormSample(z, _assemble_hessian(values, step, stencil))
 
@@ -258,17 +275,15 @@ def real_jacobian(map_rows: Callable[[JTSKind, np.ndarray], np.ndarray], z: Elem
     scaled by max(1, |z|)) go through it in one call, and the mapped rows
     must be finite.
     """
+    def checked_rows(rows: np.ndarray) -> np.ndarray:
+        mapped = np.asarray(map_rows(z.kind, rows))
+        if mapped.shape != rows.shape or not np.isfinite(mapped).all():
+            raise ContractError(f"row map must return finite coordinates of shape "
+                                f"{rows.shape}, got shape {mapped.shape}")
+        return mapped
+
     n = z.coords.size
-    step = h * max(1.0, z.norm())
-    dirs = _real_directions(n)
-    rows = z.coords + step * np.concatenate([dirs, -dirs])
-    mapped = np.asarray(map_rows(z.kind, rows))
-    if mapped.shape != rows.shape or not np.isfinite(mapped).all():
-        raise ContractError(
-            f"row map must return finite coordinates of shape {rows.shape}, "
-            f"got shape {mapped.shape}"
-        )
-    diff = (mapped[:2 * n] - mapped[2 * n:]) / (2.0 * step)  # row a: d map / d x_a
+    diff = _central(checked_rows, z, _real_directions(n), h)  # row a: d map / d x_a
     jac = np.empty((2 * n, 2 * n), dtype=np.float64)
     jac[0::2] = diff.real.T
     jac[1::2] = diff.imag.T
@@ -309,6 +324,8 @@ def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
     at z (u then v per pair), each as max |x_u^T (P - S) x_v| on a pair
     (P, S) of ``_pullback_pairs``, x being a vector's real coordinates.
     """
+    if not isinstance(tangent_pairs, int) or isinstance(tangent_pairs, bool) or tangent_pairs < 0:
+        raise ContractError(f"tangent_pairs must be a nonnegative integer, got {tangent_pairs!r}")
     if rng is None:
         rng = np.random.default_rng(7)
     n = z.coords.size
@@ -343,19 +360,6 @@ def _same_kind_direction(z: Element, direction: Element) -> None:
         )
 
 
-def _dbar_fd(values, step: float) -> complex:
-    """Antiholomorphic directional derivative via the Wirtinger split.
-
-    dbar f (w) = ( d/dt f(z + t w) + i d/dt f(z + i t w) ) / 2 with real t,
-    each derivative taken by a central difference of size ``step``; ``values``
-    holds f at z + step w, z - step w, z + i step w and z - i step w.
-    """
-    plus, minus, plus_i, minus_i = values
-    along = (plus - minus) / (2.0 * step)
-    across = (plus_i - minus_i) / (2.0 * step)
-    return 0.5 * (along + 1.0j * across)
-
-
 def _beta(kind: JTSKind, coords: np.ndarray, dbox_w_z: np.ndarray, sign: float) -> complex:
     """beta(w) = m1((id + sign z box z)^(-2) z, (d(z box z))(w) z): the
     hyperbolic beta for sign = -1, its dual mirror for sign = +1."""
@@ -368,23 +372,24 @@ def check_lemma_a1(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -
 
     Checks dbar N / N = -m1(quasi-inverse of z, w) and
     dbar N* / N* = +m1((id + z box z)^(-1) z, w) against finite differences,
-    returning the worse residual relative to max(1, |analytic value|).
+    returning the worse residual relative to max(1, |analytic value|).  The
+    antiholomorphic derivative is the Wirtinger split
+    dbar f (w) = (d/dt f(z + t w) + i d/dt f(z + i t w)) / 2 over real t.
     """
     _same_kind_direction(z, direction)
     if not in_domain(z):
         raise DomainError("logarithmic derivative of N needs an interior point")
     w = direction.coords
-    step = h * max(1.0, z.norm())
     kind, c = z.kind, z.coords
-    # (N, N*) at the four stencil points and at z, each point evaluated once
-    *stencil, centre = [
-        generic_norms(Element(kind, p))
-        for p in (c + step * w, c - step * w, c + step * 1.0j * w, c - step * 1.0j * w, c)
-    ]
+    # d(N, N*)/dt along w and i w; Python floats keep the division below exact
+    along, across = _central(
+        lambda rows: np.array([generic_norms(Element(kind, p)) for p in rows]),
+        z, np.stack([w, 1.0j * w]), h).tolist()
+    centre = generic_norms(z)
     worst = 0.0
     # sign * m1((id + sign z box z)^(-1) z, w), with N for sign -1, N* for +1
     for which, sign in enumerate((-1.0, 1.0)):
-        lhs = _dbar_fd([pair[which] for pair in stencil], step) / centre[which]
+        lhs = 0.5 * (along[which] + 1.0j * across[which]) / centre[which]
         rhs = sign * complex(np.vdot(w, _box_power_rows(kind, c[None, :], sign, -1)[0]))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst
@@ -424,22 +429,21 @@ def check_beta_exactness(z: Element, direction: Element,
     """
     _same_kind_direction(z, direction)
     lam1 = spectral_values(z)[0]
-    if lam1 >= 0.99:
-        raise DomainError(
-            f"beta exactness check needs largest spectral value < 0.99 (got {lam1:.6f})"
-        )
+    if lam1 >= _BETA_LAMBDA_MAX:
+        raise DomainError(f"beta exactness check needs largest spectral value "
+                          f"< {_BETA_LAMBDA_MAX} (got {lam1:.6f})")
     w = direction.coords
-    step = h * max(1.0, z.norm())
     kind = z.kind
     dbox_w_z = _dbox_z(kind, z.coords, w)
-    forward, backward = (spectral_values(Element(kind, z.coords + s * step * w)) ** 2
-                         for s in (1.0, -1.0))
-
+    # d gamma / dt along w for sign -1 and +1, from one spectral_values call per row
+    [derivative] = _central(
+        lambda rows: np.array([[_gamma(sq, sign) for sign in (-1.0, 1.0)] for sq in
+                               (spectral_values(Element(kind, p)) ** 2 for p in rows)]),
+        z, w[None, :], h).tolist()
     residuals = []
     scale = 1.0
-    for sign in (-1.0, 1.0):
+    for sign, fd in zip((-1.0, 1.0), derivative):
         beta = _beta(kind, z.coords, dbox_w_z, sign)
-        fd = (_gamma(forward, sign) - _gamma(backward, sign)) / (2.0 * step)
         residuals.append(abs(beta.real - fd))
         residuals.append(abs(beta.imag))
         scale = max(scale, abs(fd))
@@ -460,12 +464,11 @@ def check_lemma_a2(z: Element, direction: Element, p: int, k: int,
         if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 3:
             raise ContractError(f"exponent {name} must be an integer in [0, 3], got {value!r}")
     w = direction.coords
-    step = h * max(1.0, z.norm())
     kind, c = z.kind, z.coords
     left_slot = _box_apply(kind, c, p, c)
 
-    d_power_z = (_box_apply(kind, c + step * w, k, c)
-                 - _box_apply(kind, c - step * w, k, c)) / (2.0 * step)
+    [d_power_z] = _central(lambda rows: np.array([_box_apply(kind, r, k, c) for r in rows]),
+                           z, w[None, :], h)
     lhs = complex(np.sum(left_slot * d_power_z.conj()))
 
     if k == 0:
@@ -489,11 +492,9 @@ def check_flat_dbar_pullback(z: Element, direction: Element,
     if not in_domain(z):
         raise DomainError("flat pullback check needs an interior point")
     w = direction.coords
-    step = h * max(1.0, z.norm())
     kind = z.kind
-    image, forward, backward = psi_rows(
-        kind, np.stack([z.coords, z.coords + step * w, z.coords - step * w]))
-    d_psi_w = (forward - backward) / (2.0 * step)
+    [image] = psi_rows(kind, z.coords[None, :])
+    [d_psi_w] = _central(lambda rows: psi_rows(kind, rows), z, w[None, :], h)
     lhs = complex(np.vdot(d_psi_w, image))
 
     dbox_w_z = _dbox_z(kind, z.coords, w)

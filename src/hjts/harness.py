@@ -56,6 +56,9 @@ from .duality import (
 )
 from .geometry import (
     DEFAULT_FD_STEP,
+    _BETA_LAMBDA_MAX,
+    _FD_MARGIN,
+    _fd_step,
     check_beta_exactness,
     check_lemma_a1,
     check_lemma_a2,
@@ -93,8 +96,8 @@ SUITE_NAMES = (
 #: Suites that take finite differences with step ``fd_step``.
 _FD_SUITES = ("symplectic", "volume", "lemma_a1", "lemma_a2", "beta_exact")
 
-#: Suites that difference the Kähler potentials (kahler_matrix's ten-step
-#: boundary margin applies to them).
+#: Suites that difference the Kähler potentials (kahler_matrix's boundary
+#: margin of ``_FD_MARGIN`` steps applies to them).
 _HESSIAN_SUITES = ("symplectic", "volume")
 
 #: Kinds exercised by ``verify --all``: every classical family, a non-square
@@ -156,29 +159,24 @@ class SuiteConfig:
             self._check_fd_step()
 
     def _check_fd_step(self) -> None:
-        """Reject a step the finite-difference suites would refuse or misuse.
+        """Reject a config a finite-difference suite would refuse mid-run.
 
-        Every such suite needs fd_step in [1e-7, 1e-2].  For the Hessian
-        suites, a sample z has lambda_1 <= boundary_cap and |z| <= sqrt(rank) *
-        lambda_1, and the hyperbolic Hessian needs lambda_1 below
-        1 - 10 * fd_step * max(1, |z|); the bound below keeps every sample clear.
+        ``geometry._fd_step`` checks the step range.  A sample z has lambda_1 <=
+        cap and |z| <= sqrt(rank) * lambda_1, so its step is at most the one
+        below.  The hyperbolic Hessian (symplectic, volume) needs lambda_1 below
+        1 - _FD_MARGIN * step, and beta_exact needs lambda_1 < _BETA_LAMBDA_MAX.
         """
         h, cap = self.fd_step, self.boundary_cap
-        if not 1e-7 <= h <= 1e-2:
-            raise ContractError(
-                f"fd_step {h!r} lies outside [1e-7, 1e-2], the steps the "
-                f"finite-difference suites ({', '.join(_FD_SUITES)}) accept"
-            )
-        if not any(s in _HESSIAN_SUITES for s in self.suites):
-            return
         rank_max = max((_k.rank(kind) for kind in self.kinds), default=1)
-        reach = cap + 10.0 * h * max(1.0, math.sqrt(rank_max) * cap)
-        if not reach < 1.0:
+        reach = cap + _FD_MARGIN * _fd_step(math.sqrt(rank_max) * cap, h)
+        if any(s in _HESSIAN_SUITES for s in self.suites) and not reach < 1.0:
             raise ContractError(
-                f"fd_step {h!r} is too large for boundary_cap {cap!r}: points drawn "
-                f"up to the cap come within ten steps of the boundary "
-                f"(cap + 10 * fd_step * max(1, sqrt({rank_max}) * cap) = {reach:.6g} >= 1)"
-            )
+                f"fd_step {h!r} is too large for boundary_cap {cap!r}: points drawn up to the "
+                f"cap come within {_FD_MARGIN:g} steps of the boundary (cap + {_FD_MARGIN:g} "
+                f"* fd_step * max(1, sqrt({rank_max}) * cap) = {reach:.6g} >= 1)")
+        if "beta_exact" in self.suites and not cap < _BETA_LAMBDA_MAX:
+            raise ContractError(f"boundary_cap {cap!r} is too large for beta_exact, which "
+                                f"needs largest spectral value < {_BETA_LAMBDA_MAX}")
 
     def to_dict(self) -> dict:
         return {

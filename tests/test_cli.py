@@ -1,7 +1,8 @@
 """CLI surface: argument grammar, exit codes, and output formats.
 
 Most tests call main() in-process so exit paths are easy to assert; one
-subprocess test confirms the installed entry point wires up the same way.
+subprocess test confirms that ``python -m hjts`` wires up the same way.  The
+installed ``hjts`` console script is smoke-tested in CI after the install step.
 """
 
 import dataclasses
@@ -174,6 +175,15 @@ def test_verify_fd_step_outside_range_for_lemma_suites_is_exit_3(capsys):
     assert code == 3
     assert out == ""  # rejected before any sample runs
     assert "fd_step 0.5" in err and "[1e-7, 1e-2]" in err
+
+
+@pytest.mark.parametrize("points", ["3", "300"])
+def test_verify_beta_cap_at_the_limit_is_exit_3_for_any_points(capsys, points):
+    code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "beta_exact",
+                             "--boundary-cap", "0.999", "--points", points)
+    assert code == 3
+    assert out == ""  # rejected before any sample runs
+    assert "boundary_cap 0.999" in err and "0.99" in err
 
 
 def test_unparsable_flags_are_exit_3():

@@ -5,11 +5,13 @@ at z = 0.6 the hyperbolic Hessian is 1/(1-0.36)^2 = 2.44140625 and the
 differential of the point map is (1-0.36)^(-3/2) = 1.953125.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import hjts.geometry
 import hjts.kinds as K
 from hjts.duality import psi, psi_rows
 from hjts.errors import ContractError, DomainError
@@ -143,6 +145,51 @@ def test_hessian_step_guard():
         complex_hessian(lambda e: 0.0, z, 0.5)
 
 
+# Every public function with a step h, called at (z, w) with step h, keyed by
+# its name (and the potential).  A new driver with a step must be listed here,
+# or the coverage test below fails.
+_STEP_DRIVERS = {
+    "complex_hessian":
+        lambda z, w, h: complex_hessian(lambda e: potential(PotentialId.DUAL_FS, e), z, h),
+    **{f"kahler_matrix-{pid.value}": lambda z, w, h, pid=pid: kahler_matrix(pid, z, h)
+       for pid in PotentialId},
+    "real_jacobian": lambda z, w, h: real_jacobian(psi_rows, z, h),
+    "check_symplectic_duality": lambda z, w, h: check_symplectic_duality(z, tangent_pairs=1, h=h),
+    "check_volume_duality": lambda z, w, h: check_volume_duality(z, h),
+    "check_lemma_a1": lambda z, w, h: check_lemma_a1(z, w, h),
+    "check_lemma_a2": lambda z, w, h: check_lemma_a2(z, w, 1, 1, h),
+    "check_beta_exactness": lambda z, w, h: check_beta_exactness(z, w, h),
+    "check_flat_dbar_pullback": lambda z, w, h: check_flat_dbar_pullback(z, w, h),
+}
+
+
+def test_step_drivers_cover_every_function_with_a_step():
+    with_step = {name for name in hjts.geometry.__all__
+                 if inspect.isfunction(fn := getattr(hjts.geometry, name))
+                 and "h" in inspect.signature(fn).parameters}
+    assert with_step == {key.split("-")[0] for key in _STEP_DRIVERS}
+
+
+@pytest.fixture(scope="module")
+def step_point():
+    z = interior(K.TypeI(2, 2), seed=70, cap=0.5)
+    assert spectral_values(z)[0] <= 0.5
+    return z, unit(K.TypeI(2, 2), seed=71)
+
+
+@pytest.mark.parametrize("h", [0.0, math.nan, -1e-5, 0.5])
+@pytest.mark.parametrize("call", _STEP_DRIVERS.values(), ids=_STEP_DRIVERS.keys())
+def test_step_outside_the_range_is_a_contract_error(step_point, call, h):
+    with pytest.raises(ContractError, match=r"fd_step .* outside \[1e-7, 1e-2\]"):
+        call(*step_point, h)
+
+
+@pytest.mark.parametrize("h", [1e-7, 1e-2])
+@pytest.mark.parametrize("call", _STEP_DRIVERS.values(), ids=_STEP_DRIVERS.keys())
+def test_steps_at_the_range_ends_are_accepted(step_point, call, h):
+    call(*step_point, h)
+
+
 def test_hyperbolic_hessian_boundary_margin():
     kind = K.TypeI(1, 1)
     close = Element(kind, np.array([1.0 - 1e-6], dtype=complex))
@@ -246,6 +293,13 @@ def test_symplectic_rng_reproducible():
 def test_symplectic_without_tangent_pairs_reads_zero():
     z = interior(K.TypeI(2, 2), seed=30)
     assert check_symplectic_duality(z, tangent_pairs=0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [-3, 2.5, True, "2"])
+def test_symplectic_rejects_a_bad_tangent_pair_count(bad):
+    z = interior(K.TypeI(2, 2), seed=30)
+    with pytest.raises(ContractError, match="tangent_pairs"):
+        check_symplectic_duality(z, tangent_pairs=bad)
 
 
 def _public_form_pairs(z):

@@ -112,6 +112,15 @@ def test_fd_step_range_binds_every_finite_difference_suite(suite):
     SuiteConfig(kinds=FAST_KINDS, fd_step=1e-2, suites=(suite,))
 
 
+def test_config_rejects_a_cap_beta_exact_would_refuse():
+    # beta_exact refuses a sample with lambda_1 >= 0.99, so a cap there is a config error
+    for cap in (0.99, 0.999):
+        with pytest.raises(ContractError, match=rf"boundary_cap {cap} .* beta_exact"):
+            SuiteConfig(kinds=FAST_KINDS, boundary_cap=cap, suites=FAST_SUITES + ("beta_exact",))
+    SuiteConfig(kinds=FAST_KINDS, boundary_cap=0.989, suites=("beta_exact",))
+    SuiteConfig(kinds=FAST_KINDS, boundary_cap=0.999, suites=("lemma_a1", "lemma_a2"))
+
+
 def test_config_accepts_lists():
     cfg = SuiteConfig(kinds=[K.TypeI(1, 1)], suites=["jordan"])
     assert cfg.kinds == (K.TypeI(1, 1),)
