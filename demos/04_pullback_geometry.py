@@ -57,5 +57,5 @@ kind = TypeI(2, 2)
 z = sample_domain(kind, rng, 0.85)
 w = Element(kind, np.array([1.0, 0, 0, 0], dtype=complex))
 print(f"  log-derivative of N, N*:  {check_lemma_a1(z, w):.2e}")
-print(f"  trace-derivative (p=k=2): {check_lemma_a2(z, w, 2, 2):.2e}")
+print(f"  trace-derivative, worst (p, k): {check_lemma_a2(z, w):.2e}")
 print(f"  beta = d(gamma), both mirrors: {check_beta_exactness(z, w):.2e}")
