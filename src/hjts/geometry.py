@@ -18,7 +18,7 @@ Every driver takes its step h * max(1, |z|), h in [1e-7, 1e-2], from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import enum
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -59,6 +59,8 @@ DEFAULT_FD_STEP = 1e-5
 _FD_MARGIN = 10.0
 #: The beta check needs the largest spectral value below this.
 _BETA_LAMBDA_MAX = 0.99
+#: The 1/pi of the form convention omega = -(1/pi) Im(u^T H conj(v)).
+_FORM_SCALE = 1.0 / math.pi
 
 
 class PotentialId(enum.Enum):
@@ -102,15 +104,13 @@ class TwoFormSample:
     antisymmetric and real.
     """
 
-    point: Element
     hessian: np.ndarray
-    scale: float = field(default=1.0 / math.pi)
 
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> float:
         """omega(u, v) for complex tangent vectors u, v at the sample point."""
         pairing = np.dot(np.asarray(u, dtype=np.complex128),
                          self.hessian @ np.conj(np.asarray(v, dtype=np.complex128)))
-        return -self.scale * float(pairing.imag)
+        return -_FORM_SCALE * float(pairing.imag)
 
     def real_matrix(self) -> np.ndarray:
         """The 2N x 2N real antisymmetric matrix of the form (Re/Im interleaved).
@@ -120,7 +120,7 @@ class TwoFormSample:
         Hessian entry, bit for bit the value ``evaluate`` gives.
         """
         dirs = _real_directions(self.hessian.shape[0])
-        return -self.scale * (dirs @ self.hessian @ dirs.conj().T).imag
+        return -_FORM_SCALE * (dirs @ self.hessian @ dirs.conj().T).imag
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,6 @@ class RealJacobian:
     identity map it is the 2N x 2N identity.
     """
 
-    point: Element
     matrix: np.ndarray
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -254,7 +253,7 @@ def kahler_matrix(pid: PotentialId, z: Element, h: float = DEFAULT_FD_STEP) -> T
     """
     if pid is PotentialId.FLAT:
         _fd_step(z.norm(), h)  # the step range binds every potential
-        return TwoFormSample(z, np.eye(z.coords.size, dtype=np.complex128))
+        return TwoFormSample(np.eye(z.coords.size, dtype=np.complex128))
     points, step, stencil = _stencil_points(z, h)
     sign = -1.0 if pid is PotentialId.HYPERBOLIC else 1.0  # -log N, or log N*
     if sign < 0.0:
@@ -263,7 +262,7 @@ def kahler_matrix(pid: PotentialId, z: Element, h: float = DEFAULT_FD_STEP) -> T
             raise DomainError(f"point too close to the boundary for differencing "
                               f"(largest spectral value {lam1:.6f}, step {step:g})")
     values = sign * log_norm_rows(z.kind, points, sign)
-    return TwoFormSample(z, _assemble_hessian(values, step, stencil))
+    return TwoFormSample(_assemble_hessian(values, step, stencil))
 
 
 def real_jacobian(map_rows: Callable[[JTSKind, np.ndarray], np.ndarray], z: Element,
@@ -287,7 +286,7 @@ def real_jacobian(map_rows: Callable[[JTSKind, np.ndarray], np.ndarray], z: Elem
     jac = np.empty((2 * n, 2 * n), dtype=np.float64)
     jac[0::2] = diff.real.T
     jac[1::2] = diff.imag.T
-    return RealJacobian(z, jac)
+    return RealJacobian(jac)
 
 
 def pullback_eval(omega: TwoFormSample, jac: RealJacobian,

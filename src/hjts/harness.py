@@ -361,12 +361,7 @@ def _eval_spectral(kind, config, rng, sample_index) -> float:
     for i in range(len(dec.frame)):
         for j in range(i + 1, len(dec.frame)):
             worst = max(worst, frobenius(d_operator(dec.frame[i], dec.frame[j]).matrix))
-    pieces = (
-        zip(kind.factors, _k.split_coords(kind, z.coords))
-        if isinstance(kind, _k.Product)
-        else [(kind, z.coords)]
-    )
-    for factor, coords in pieces:
+    for factor, coords in zip(_k.simple_factors(kind), _k.split_coords(kind, z.coords)):
         zf = Element(factor, coords)
         g, matches = _flag(z, lambda f=factor: _checked_genus(f))  # off-integer raises
         if not matches:

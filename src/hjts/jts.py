@@ -295,20 +295,23 @@ def isotropy_action(params, z: Element) -> Element:
 # --------------------------------------------------------------------------
 # Sub-system embeddings
 
-def _factor_block_shape(f: _k.JTSKind) -> tuple[int, int]:
-    if isinstance(f, _k.TypeI):
-        return f.p, f.q
-    if isinstance(f, (_k.TypeII, _k.TypeIII)):
-        return f.n, f.n
-    raise ContractError(
-        f"{_k.format_kind(f)} has no supported matrix embedding (spin factors are excluded)"
-    )
+def _blocks(sub: _k.JTSKind):
+    """(factor, row slice, column slice) of each simple factor's diagonal
+    block in the TypeI envelope of `sub`, in factor order."""
+    at_p = at_q = 0
+    for f in _k.simple_factors(sub):
+        if isinstance(f, _k.TypeIV):
+            raise ContractError(f"{_k.format_kind(f)} has no supported matrix embedding "
+                                "(spin factors are excluded)")
+        bp, bq = (f.p, f.q) if isinstance(f, _k.TypeI) else (f.n, f.n)
+        yield f, slice(at_p, at_p + bp), slice(at_q, at_q + bq)
+        at_p, at_q = at_p + bp, at_q + bq
 
 
 def embedding_target(sub: _k.JTSKind) -> _k.TypeI:
     """The smallest TypeI kind that `embed` maps `sub` into."""
-    shapes = [_factor_block_shape(f) for f in _k.simple_factors(sub)]
-    return _k.TypeI(sum(s[0] for s in shapes), sum(s[1] for s in shapes))
+    _, rows, cols = list(_blocks(sub))[-1]
+    return _k.TypeI(rows.stop, cols.stop)
 
 
 def embed(sub: _k.JTSKind, super_: _k.JTSKind, z: Element) -> Element:
@@ -322,24 +325,13 @@ def embed(sub: _k.JTSKind, super_: _k.JTSKind, z: Element) -> Element:
     _same_kind(sub, z.kind)
     if not isinstance(super_, _k.TypeI):
         raise ContractError(f"embedding target must be TypeI, got {_k.format_kind(super_)}")
-    factors = _k.simple_factors(sub)
-    shapes = [_factor_block_shape(f) for f in factors]
-    need_p = sum(s[0] for s in shapes)
-    need_q = sum(s[1] for s in shapes)
-    if super_.p < need_p or super_.q < need_q:
-        raise ContractError(
-            f"{_k.format_kind(sub)} needs at least TypeI({need_p},{need_q}), "
-            f"got {_k.format_kind(super_)}"
-        )
+    need = embedding_target(sub)
+    if super_.p < need.p or super_.q < need.q:
+        raise ContractError(f"{_k.format_kind(sub)} needs at least {_k.format_kind(need)}, "
+                            f"got {_k.format_kind(super_)}")
     big = np.zeros((super_.p, super_.q), dtype=np.complex128)
-    pieces = (
-        _k.split_coords(sub, z.coords) if isinstance(sub, _k.Product) else [z.coords]
-    )
-    at_p = at_q = 0
-    for f, (bp, bq), piece in zip(factors, shapes, pieces):
-        big[at_p:at_p + bp, at_q:at_q + bq] = _k.coords_to_matrix(f, piece)
-        at_p += bp
-        at_q += bq
+    for (f, rows, cols), piece in zip(_blocks(sub), _k.split_coords(sub, z.coords)):
+        big[rows, cols] = _k.coords_to_matrix(f, piece)
     return Element(super_, _k.matrix_to_coords(super_, big))
 
 
@@ -353,18 +345,9 @@ def restrict(sub: _k.JTSKind, super_: _k.JTSKind, w: Element) -> Element:
     _same_kind(super_, w.kind)
     if not isinstance(super_, _k.TypeI):
         raise ContractError(f"embedding target must be TypeI, got {_k.format_kind(super_)}")
-    factors = _k.simple_factors(sub)
-    shapes = [_factor_block_shape(f) for f in factors]
     big = _k.coords_to_matrix(super_, w.coords)
-    pieces = []
-    at_p = at_q = 0
-    for f, (bp, bq) in zip(factors, shapes):
-        block = big[at_p:at_p + bp, at_q:at_q + bq]
-        pieces.append(_k.matrix_to_coords(f, block))
-        at_p += bp
-        at_q += bq
-    coords = _k.join_coords(sub, pieces) if isinstance(sub, _k.Product) else pieces[0]
-    return Element(sub, coords)
+    pieces = [_k.matrix_to_coords(f, big[rows, cols]) for f, rows, cols in _blocks(sub)]
+    return Element(sub, _k.join_coords(sub, pieces))
 
 
 def jordan_residual(x: Element, y: Element, u: Element, v: Element, w: Element) -> float:

@@ -17,6 +17,11 @@ e_j/sqrt(2) for type IV, whose natural ("ambient") vector is therefore
 coords/sqrt(2).  This module owns the conversions between coordinates and
 those natural representations, plus the textual kind grammar used by the CLI:
 ``"I:p,q" | "II:n" | "III:n" | "IV:n" | "prod(K1;K2;...)"``.
+
+Every kind is a product of its ``simple_factors``, a simple kind being its
+own single factor; ``split_coords`` and ``join_coords`` cut coordinates into,
+and glue them from, the factors' slices, so factor-wise code needs no product
+branch.
 """
 
 from __future__ import annotations
@@ -316,27 +321,24 @@ def ambient_to_coords(kind: TypeIV, ambient: np.ndarray) -> np.ndarray:
     return np.asarray(ambient, dtype=np.complex128) * _SQRT2
 
 
-def split_coords(kind: Product, coords: np.ndarray) -> list[np.ndarray]:
-    """Per-factor coordinate slices of a product element (last axis; leading
-    axes are batch axes)."""
-    if not isinstance(kind, Product):
-        raise ContractError("split_coords needs a Product kind")
+def split_coords(kind: JTSKind, coords: np.ndarray) -> list[np.ndarray]:
+    """Per-factor coordinate slices along the last axis, aligned with
+    ``simple_factors(kind)`` (leading axes are batch axes); a simple kind is
+    its own single factor."""
     if coords.shape[-1] != ambient_dim(kind):
         raise ContractError(
             f"{format_kind(kind)} needs {ambient_dim(kind)} coordinates, got {coords.shape[-1]}"
         )
     out, at = [], 0
-    for f in kind.factors:
+    for f in simple_factors(kind):
         d = ambient_dim(f)
         out.append(coords[..., at:at + d])
         at += d
     return out
 
 
-def join_coords(kind: Product, pieces) -> np.ndarray:
+def join_coords(kind: JTSKind, pieces) -> np.ndarray:
     """Inverse of ``split_coords``: concatenates the pieces on the last axis."""
-    if not isinstance(kind, Product):
-        raise ContractError("join_coords needs a Product kind")
-    if len(pieces) != len(kind.factors):
-        raise ContractError(f"expected {len(kind.factors)} pieces, got {len(pieces)}")
+    if len(pieces) != len(simple_factors(kind)):
+        raise ContractError(f"expected {len(simple_factors(kind))} pieces, got {len(pieces)}")
     return np.concatenate([np.asarray(p, dtype=np.complex128) for p in pieces], axis=-1)

@@ -3,9 +3,12 @@
 Every element factors as z = sum_j lambda_j c_j over a frame (mutually
 orthogonal primitive-type tripotents), lambda_1 >= ... >= lambda_r >= 0 with
 r = rank(kind).  The factorizations are kind-specific: SVD for type I,
-Takagi for type III, the paired (Youla) eigenstructure of Z Z* for type II, a
-two-term closed form for the spin factor, and componentwise merging for
-products.  On top of the decomposition sit the generic norms
+Takagi for type III, the paired (Youla) eigenstructure of Z Z* for type II,
+and a two-term closed form for the spin factor.  The factor-wise routines loop
+over the (simple factor, coordinate slice) pairs of ``kinds.split_coords``, a
+simple kind being one pair, and combines the factors' results: values and
+frames merge in descending order, log-norms add, row maps concatenate.  On top
+of the decomposition sit the generic norms
 N = prod(1 - lambda_j^2) and N* = prod(1 + lambda_j^2), the quasi-inverse
 (id - z box z)^(-1) z, and odd powers z^(2j+1).
 
@@ -90,26 +93,26 @@ def _values_simple(kind: _k.JTSKind, coords: np.ndarray) -> np.ndarray:
 
 
 def spectral_values(z: Element) -> np.ndarray:
-    """The lambda_j of z, descending, length rank(kind)."""
+    """The lambda_j of z (its factors' values merged), descending, length rank(kind)."""
     kind = z.kind
-    if isinstance(kind, _k.Product):
-        parts = [
-            _values_simple(f, c)
-            for f, c in zip(kind.factors, _k.split_coords(kind, z.coords))
-        ]
-        merged = np.concatenate(parts)
-        return np.sort(merged)[::-1].copy()
-    return _values_simple(kind, z.coords)
+    parts = [_values_simple(f, c)
+             for f, c in zip(_k.simple_factors(kind), _k.split_coords(kind, z.coords))]
+    values = np.concatenate(parts)
+    values[::-1].sort()  # ascending in reverse: descending in place
+    return values
 
 
 def _rows(kind: _k.JTSKind, coords) -> np.ndarray:
-    """``coords`` as a (K, N) complex128 array; ContractError on any other shape."""
+    """``coords`` as a finite (K, N) complex128 array; ContractError on any
+    other shape or on a non-finite entry."""
     coords = np.asarray(coords, dtype=np.complex128)
     if coords.ndim != 2 or coords.shape[1] != _k.ambient_dim(kind):
         raise ContractError(
             f"{_k.format_kind(kind)} needs a (K, {_k.ambient_dim(kind)}) coordinate "
             f"array, got shape {coords.shape}"
         )
+    if not np.isfinite(coords).all():
+        raise ContractError("coordinate array contains non-finite entries")
     return coords
 
 
@@ -159,12 +162,9 @@ def log_norm_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.ndarr
     value does not depend on the batch it is evaluated in.
     """
     coords = _rows(kind, coords)
-    if isinstance(kind, _k.Product):
-        return sum(
-            _log_norm_simple(f, c, sign)
-            for f, c in zip(kind.factors, _k.split_coords(kind, coords))
-        )
-    return _log_norm_simple(kind, coords, sign)
+    parts = [_log_norm_simple(f, c, sign)
+             for f, c in zip(_k.simple_factors(kind), _k.split_coords(kind, coords))]
+    return sum(parts[1:], parts[0])
 
 
 def log_generic_norm_minus(z: Element) -> float:
@@ -184,21 +184,14 @@ def _decompose_type_i(kind: _k.TypeI, coords: np.ndarray):
     mat = _k.coords_to_matrix(kind, coords)
     u, sigma, v = svd(mat)
     r = min(kind.p, kind.q)
-    frame = [
-        Element(kind, _k.matrix_to_coords(kind, np.outer(u[:, j], np.conj(v[:, j]))))
-        for j in range(r)
-    ]
-    return sigma, frame
+    return sigma, [_k.matrix_to_coords(kind, np.outer(u[:, j], np.conj(v[:, j])))
+                   for j in range(r)]
 
 
 def _decompose_type_iii(kind: _k.TypeIII, coords: np.ndarray):
     mat = _k.coords_to_matrix(kind, coords)
     u, sigma = takagi(mat)
-    frame = [
-        Element(kind, _k.matrix_to_coords(kind, np.outer(u[:, j], u[:, j])))
-        for j in range(kind.n)
-    ]
-    return sigma, frame
+    return sigma, [_k.matrix_to_coords(kind, np.outer(u[:, j], u[:, j])) for j in range(kind.n)]
 
 
 def _decompose_type_ii(kind: _k.TypeII, coords: np.ndarray):
@@ -277,8 +270,7 @@ def _decompose_type_ii(kind: _k.TypeII, coords: np.ndarray):
             frame_mats.append(np.outer(b, a) - np.outer(a, b))
         i0 = i1
 
-    frame = [Element(kind, _k.matrix_to_coords(kind, m)) for m in frame_mats]
-    return np.asarray(values), frame
+    return np.asarray(values), [_k.matrix_to_coords(kind, m) for m in frame_mats]
 
 
 def _decompose_type_iv(kind: _k.TypeIV, coords: np.ndarray):
@@ -317,46 +309,35 @@ def _decompose_type_iv(kind: _k.TypeIV, coords: np.ndarray):
     phase = cmath.exp(0.5j * theta)
     c_plus = phase * (u + 1j * v) / 2.0
     c_minus = phase * (u - 1j * v) / 2.0
-    frame = [
-        Element(kind, _k.ambient_to_coords(kind, c_plus)),
-        Element(kind, _k.ambient_to_coords(kind, c_minus)),
-    ]
-    return np.array([lam_hi, lam_lo]), frame
+    return np.array([lam_hi, lam_lo]), [_k.ambient_to_coords(kind, c_plus),
+                                        _k.ambient_to_coords(kind, c_minus)]
+
+
+_DECOMPOSERS = {_k.TypeI: _decompose_type_i, _k.TypeII: _decompose_type_ii,
+                _k.TypeIII: _decompose_type_iii, _k.TypeIV: _decompose_type_iv}
 
 
 def spectral_decompose(z: Element) -> SpectralDecomposition:
-    """Full frame decomposition z = sum lambda_j c_j, r = rank(kind) terms."""
+    """Full frame decomposition z = sum lambda_j c_j, r = rank(kind) terms.
+
+    Each simple factor is decomposed on its coordinate slice; the factor
+    frames, zero-padded to the whole space, and their values are merged by
+    one stable sort on descending value.
+    """
     kind = z.kind
-    if isinstance(kind, _k.Product):
-        entries: list[tuple[float, np.ndarray]] = []
-        offset = 0
-        total = _k.ambient_dim(kind)
-        for f, piece in zip(kind.factors, _k.split_coords(kind, z.coords)):
-            dec = spectral_decompose(Element(f, piece))
-            d = _k.ambient_dim(f)
-            for lam, c in zip(dec.values, dec.frame):
-                padded = np.zeros(total, dtype=np.complex128)
-                padded[offset:offset + d] = c.coords
-                entries.append((float(lam), padded))
-            offset += d
-        entries.sort(key=lambda e: -e[0])
-        values = np.array([e[0] for e in entries])
-        frame = tuple(Element(kind, e[1]) for e in entries)
-        return SpectralDecomposition(kind, values, frame)
-    if isinstance(kind, _k.TypeI):
-        values, frame = _decompose_type_i(kind, z.coords)
-    elif isinstance(kind, _k.TypeII):
-        values, frame = _decompose_type_ii(kind, z.coords)
-    elif isinstance(kind, _k.TypeIII):
-        values, frame = _decompose_type_iii(kind, z.coords)
-    elif isinstance(kind, _k.TypeIV):
-        values, frame = _decompose_type_iv(kind, z.coords)
-    else:
-        raise ContractError(f"not a kind: {kind!r}")
-    order = np.argsort(-np.asarray(values), kind="stable")
-    values = np.asarray(values)[order]
-    frame = tuple(frame[int(i)] for i in order)
-    return SpectralDecomposition(kind, values, frame)
+    values, frames, at = [], [], 0
+    for f, piece in zip(_k.simple_factors(kind), _k.split_coords(kind, z.coords)):
+        vals, rows = _DECOMPOSERS[type(f)](f, piece)
+        padded = np.zeros((len(rows), z.coords.size), dtype=np.complex128)
+        padded[:, at:at + piece.size] = rows
+        values.append(vals)
+        frames.append(padded)
+        at += piece.size
+    values = np.concatenate(values)
+    order = np.argsort(-values, kind="stable")
+    frames = np.concatenate(frames)
+    return SpectralDecomposition(kind, values[order],
+                                 tuple(Element(kind, frames[i]) for i in order))
 
 
 # --------------------------------------------------------------------------
@@ -384,11 +365,14 @@ def _box_power_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float,
     inside the domain, which the callers check; t = -1 and -2 need only an
     invertible shift.  A row's image does not depend on its batch.
     """
-    if isinstance(kind, _k.Product):
-        return np.concatenate([
-            _box_power_rows(f, c, sign, t)
-            for f, c in zip(kind.factors, _k.split_coords(kind, coords))
-        ], axis=-1)
+    return _k.join_coords(kind, [
+        _box_power_simple(f, c, sign, t)
+        for f, c in zip(_k.simple_factors(kind), _k.split_coords(kind, coords))
+    ])
+
+
+def _box_power_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float,
+                      t: float) -> np.ndarray:
     if isinstance(kind, _k.TypeIV):
         x = _k.coords_to_ambient(kind, coords)
         a = (np.abs(x) ** 2).sum(axis=-1, keepdims=True)

@@ -153,6 +153,21 @@ def test_split_and_join_coords():
         assert np.array_equal(batched, np.stack([piece, 2.0 * piece]))
 
 
+def test_a_simple_kind_is_its_own_single_factor():
+    kind = TypeIII(2)
+    coords = np.arange(3, dtype=complex) + 1j
+    (piece,) = split_coords(kind, coords)
+    assert piece.tobytes() == coords.tobytes()
+    assert join_coords(kind, [piece]).tobytes() == coords.tobytes()
+    stacked = np.stack([coords, 2.0 * coords])
+    (batched,) = split_coords(kind, stacked)
+    assert join_coords(kind, [batched]).tobytes() == stacked.tobytes()
+    with pytest.raises(ContractError):
+        split_coords(kind, coords[:-1])
+    with pytest.raises(ContractError):
+        join_coords(kind, [piece, piece])
+
+
 def test_kinds_are_hashable_values():
     assert TypeI(2, 2) == TypeI(2, 2)
     assert len({TypeI(2, 2), TypeI(2, 2), TypeII(4)}) == 2

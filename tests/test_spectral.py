@@ -1,13 +1,14 @@
 """Spectral decomposition, generic norms, and the odd functional calculus."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hjts.kinds as K
-from hjts.duality import DualityRoute, psi, psi_route_spread
+from hjts.duality import DualityRoute, psi, psi_route_spread, psi_rows
 from hjts.errors import ContractError, DomainError, SingularityError
 from hjts.harness import DEFAULT_KINDS, sample_domain
 from hjts.jts import (
@@ -212,11 +213,7 @@ def test_tiny_singular_value_recovered():
 def test_det_bergman_equals_norm_to_genus(kind):
     rng = np.random.default_rng(77)
     z = rnd(kind, rng, 0.4 / math.sqrt(K.ambient_dim(kind)))
-    factors = (
-        zip(kind.factors, K.split_coords(kind, z.coords))
-        if isinstance(kind, K.Product) else [(kind, z.coords)]
-    )
-    for f, piece in factors:
+    for f, piece in zip(K.simple_factors(kind), K.split_coords(kind, z.coords)):
         zf = Element(f, piece)
         norm_minus, norm_plus = generic_norms(zf)
         g = genus(f)
@@ -285,6 +282,21 @@ def test_log_norm_rows_raise_when_any_row_leaves_the_domain():
         log_norm_rows(kind, rows[0], -1.0)  # one point still needs a (1, N) array
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["minus", "plus"])
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_row_maps_reject_non_finite_rows(kind, sign, bad):
+    # one contract for every kind and sign: no NaN result, no DomainError
+    rng = np.random.default_rng(K.ambient_dim(kind) + 600)
+    rows = np.stack([sample_domain(kind, rng).coords for _ in range(2)])
+    rows[1, -1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row_map in (log_norm_rows, psi_rows):
+            with pytest.raises(ContractError, match="non-finite"):
+                row_map(kind, rows, sign)
+
+
 # the Gram-side row map (id + sign z box z)^t z ------------------------------
 
 POWERS = (-0.5, -1, -2)
@@ -331,6 +343,73 @@ def test_box_power_rows_are_their_own_k1_calls(kind):
             images = _box_power_rows(kind, rows, sign, t)
             for i, image in enumerate(images):
                 assert _box_power_rows(kind, rows[i:i + 1], sign, t)[0].tobytes() == image.tobytes()
+
+
+# products are their factors, byte for byte ----------------------------------
+
+PRODUCTS = (K.parse_kind("prod(I:2,2;III:2;II:4)"), K.parse_kind("prod(IV:3;IV:4)"))
+
+
+def product_rows(kind):
+    """Three interior rows of a product, and each factor's columns of them,
+    cut by hand and copied."""
+    rng = np.random.default_rng(K.ambient_dim(kind) + 500)
+    rows = np.stack([sample_domain(kind, rng).coords for _ in range(3)])
+    parts, at = [], 0
+    for f in kind.factors:
+        d = K.ambient_dim(f)
+        parts.append((f, rows[:, at:at + d].copy()))
+        at += d
+    return rows, parts
+
+
+@pytest.mark.parametrize("kind", PRODUCTS, ids=K.format_kind)
+def test_product_values_merge_the_factor_values(kind):
+    rows, parts = product_rows(kind)
+    for i, row in enumerate(rows):
+        merged = np.concatenate([spectral_values(Element(f, c[i])) for f, c in parts])
+        expected = np.sort(merged)[::-1]
+        assert spectral_values(Element(kind, row)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", PRODUCTS, ids=K.format_kind)
+def test_product_log_norms_add_the_factor_log_norms(kind):
+    rows, parts = product_rows(kind)
+    for sign in (-1.0, 1.0):
+        expected = log_norm_rows(*parts[0], sign)
+        for f, c in parts[1:]:
+            expected = expected + log_norm_rows(f, c, sign)
+        assert log_norm_rows(kind, rows, sign).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", PRODUCTS, ids=K.format_kind)
+def test_product_box_powers_concatenate_the_factor_images(kind):
+    rows, parts = product_rows(kind)
+    for sign in (-1.0, 1.0):
+        for t in POWERS:
+            expected = np.concatenate([_box_power_rows(f, c, sign, t) for f, c in parts],
+                                      axis=-1)
+            assert _box_power_rows(kind, rows, sign, t).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", PRODUCTS, ids=K.format_kind)
+def test_product_frames_merge_the_padded_factor_frames(kind):
+    rows, parts = product_rows(kind)
+    for i, row in enumerate(rows):
+        entries, at = [], 0
+        for f, c in parts:
+            dec = spectral_decompose(Element(f, c[i]))
+            for lam, frame in zip(dec.values, dec.frame):
+                padded = np.zeros(row.size, dtype=complex)
+                padded[at:at + c.shape[1]] = frame.coords
+                entries.append((lam, padded))
+            at += c.shape[1]
+        entries.sort(key=lambda e: -e[0])  # stable: ties keep factor order
+        dec = spectral_decompose(Element(kind, row))
+        assert dec.values.tobytes() == np.array([lam for lam, _ in entries]).tobytes()
+        assert len(dec.frame) == len(entries)
+        for c, (_, padded) in zip(dec.frame, entries):
+            assert c.coords.tobytes() == padded.tobytes()
 
 
 # quasi-inverse & odd powers --------------------------------------------------
