@@ -147,6 +147,8 @@ def test_split_and_join_coords():
     assert np.array_equal(join_coords(kind, pieces), coords)
     with pytest.raises(ContractError):
         split_coords(kind, coords[:-1])
+    with pytest.raises(ContractError):
+        join_coords(kind, [pieces[0], pieces[1][:-1], pieces[2]])  # pieces too short
     # leading axes are batch axes
     stacked = np.stack([coords, 2.0 * coords])
     for piece, batched in zip(pieces, split_coords(kind, stacked)):
@@ -166,6 +168,8 @@ def test_a_simple_kind_is_its_own_single_factor():
         split_coords(kind, coords[:-1])
     with pytest.raises(ContractError):
         join_coords(kind, [piece, piece])
+    with pytest.raises(ContractError):
+        join_coords(kind, [np.zeros(5)])
 
 
 def test_kinds_are_hashable_values():
