@@ -339,8 +339,9 @@ def split_coords(kind: JTSKind, coords: np.ndarray) -> list[np.ndarray]:
 
 def join_coords(kind: JTSKind, pieces) -> np.ndarray:
     """Inverse of ``split_coords``: concatenates the pieces on the last axis."""
-    if len(pieces) != len(simple_factors(kind)):
-        raise ContractError(f"expected {len(simple_factors(kind))} pieces, got {len(pieces)}")
+    count = len(simple_factors(kind))
+    if len(pieces) != count:
+        raise ContractError(f"expected {count} pieces, got {len(pieces)}")
     joined = np.concatenate([np.asarray(p, dtype=np.complex128) for p in pieces], axis=-1)
     if joined.shape[-1] != ambient_dim(kind):
         raise ContractError(f"{format_kind(kind)} needs {ambient_dim(kind)} coordinates, "

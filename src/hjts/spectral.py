@@ -6,7 +6,7 @@ r = rank(kind).  The factorizations are kind-specific: SVD for type I,
 Takagi for type III, the paired (Youla) eigenstructure of Z Z* for type II,
 and a two-term closed form for the spin factor.  The factor-wise routines loop
 over the (simple factor, coordinate slice) pairs of ``kinds.split_coords``, a
-simple kind being one pair, and combines the factors' results: values and
+simple kind being one pair, and combine the factors' results: values and
 frames merge in descending order, log-norms add, row maps concatenate.  On top
 of the decomposition sit the generic norms
 N = prod(1 - lambda_j^2) and N* = prod(1 + lambda_j^2), the quasi-inverse

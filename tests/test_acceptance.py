@@ -161,11 +161,7 @@ def test_criterion_6_algebraic_backbone(criterion):
         for _ in range(50):
             z = sample_domain(kind, rng, 0.95)
             worst_spectral = max(worst_spectral, _spectral_residual(z))
-            pieces = (
-                zip(kind.factors, K.split_coords(kind, z.coords))
-                if isinstance(kind, K.Product) else [(kind, z.coords)]
-            )
-            for f, piece in pieces:
+            for f, piece in zip(K.simple_factors(kind), K.split_coords(kind, z.coords)):
                 zf = Element(f, piece)
                 g = genus(f)
                 genus_ok = genus_ok and (g == _EXPECTED_GENUS[type(f)](f))
