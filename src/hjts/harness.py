@@ -141,14 +141,18 @@ class SuiteConfig:
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "suites", tuple(self.suites))
         _check_seed(self.seed)
+        for kind in self.kinds:
+            if not isinstance(kind, _k.JTSKind):
+                raise ContractError(f"kinds must hold kind objects (kinds.parse_kind), got {kind!r}")
         for name in ("points", "tangent_pairs"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ContractError(f"{name} must be a positive integer, got {value!r}")
         for name in ("tol_exact", "tol_fd", "fd_step"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ContractError(f"{name} must be positive, got {value!r}")
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and 0.0 < value < math.inf):  # also rejects nan
+                raise ContractError(f"{name} must be positive and finite, got {value!r}")
         _check_boundary_cap(self.boundary_cap)
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:

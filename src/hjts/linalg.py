@@ -9,6 +9,10 @@ behaviour of the package does not depend on any external solver.  Every
 orthonormal basis these factorizations (and the spectral frames built on
 them) must finish is finished by one routine, :func:`orthonormal_extension`.
 
+Every Jacobi rotation (:func:`eigh`, its stacked form, :func:`svd`) goes
+through :func:`_rotate` on one work layout, the matrix above its accumulated
+factor, so one call rotates both; both eigensolvers stop on :func:`_offdiag_norm`.
+
 Conventions: matrices are 2-D complex128 arrays, eigen/singular values are
 returned in descending order, and factors satisfy the reconstruction
 identities stated on each routine.  Two routines also take a stack of
@@ -100,32 +104,49 @@ def frobenius(a) -> float:
     return math.sqrt(float(np.sum(np.abs(np.asarray(a)) ** 2)))
 
 
-def _offdiag_norm(h: np.ndarray) -> float:
-    off = h.copy()
-    np.fill_diagonal(off, 0.0)
-    return frobenius(off)
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes, one per slice."""
+    return np.sqrt((np.abs(x) ** 2).sum(axis=(-2, -1)))
 
 
-def _rotation(app: float, aqq: float, apq: complex) -> tuple[float, float, complex]:
-    """Jacobi rotation (c, s, phase) annihilating the (p, q) coupling.
+def _offdiag_norm(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of the off-diagonal part over the last two axes."""
+    off = x.reshape(x.shape[:-2] + (-1,)).copy()
+    off[..., :: x.shape[-1] + 1] = 0.0  # the diagonal of each slice
+    return _norms(off.reshape(x.shape))
 
-    For the Hermitian 2x2 block [[app, apq], [conj(apq), aqq]] the returned
-    unitary J = [[c, s*phase], [-s*conj(phase), c]] makes J^* A J diagonal.
+
+def _rotation(app: float, aqq: float, apq: complex) -> tuple[float, complex]:
+    """Jacobi rotation (c, sp = s * phase) annihilating the (p, q) coupling.
+
+    For the Hermitian 2x2 block [[app, apq], [conj(apq), aqq]] the unitary
+    J = [[c, sp], [-conj(sp), c]] makes J^* A J diagonal.
     """
     beta = abs(apq)
     phase = apq / beta
     tau = (aqq - app) / (2.0 * beta)
     t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
     c = 1.0 / math.sqrt(1.0 + t * t)
-    return c, t * c, phase
+    return c, t * c * phase
 
 
-def _rotate_columns(m: np.ndarray, p: int, q: int, c: float, s: float,
-                    phase: complex) -> None:
-    """Apply the rotation J of :func:`_rotation` to columns p, q of m in place."""
-    mp = m[:, p].copy()
-    m[:, p] = c * mp - s * np.conj(phase) * m[:, q]
-    m[:, q] = s * phase * mp + c * m[:, q]
+def _rotate(m: np.ndarray, p: int, q: int, c, sp) -> None:
+    """Apply J of :func:`_rotation` to columns p, q of m in place.  Leading axes
+    of m are slices; c and sp are scalars, or (K, 1) arrays, one per slice."""
+    mp, mq = m[..., p], m[..., q]
+    new_p = c * mp - np.conj(sp) * mq
+    m[..., q] = sp * mp + c * mq
+    m[..., p] = new_p
+
+
+def _rotate_two_sided(m: np.ndarray, n: int, p: int, q: int, c, sp) -> None:
+    """h <- J^* h J on a (..., 2n, n) work array of h above its eigenvectors:
+    J on columns p, q of both blocks, J^* on rows p, q of h (J with the
+    conjugate sp on the columns of h.T), then zero the annihilated pair."""
+    _rotate(m, p, q, c, sp)
+    _rotate(m[..., :n, :].swapaxes(-1, -2), p, q, c, np.conj(sp))
+    m[..., p, q] = 0.0
+    m[..., q, p] = 0.0
 
 
 def eigh(a) -> EighResult:
@@ -141,11 +162,11 @@ def eigh(a) -> EighResult:
     n = m.shape[0]
     if frobenius(m - m.conj().T) > 1e-10 * max(1.0, frobenius(m)):
         raise ContractError("eigh requires a Hermitian matrix")
-    h = 0.5 * (m + m.conj().T)
-    v = np.eye(n, dtype=np.complex128)
+    work = np.concatenate((0.5 * (m + m.conj().T), np.eye(n, dtype=np.complex128)))
+    h = work[:n]
     scale = frobenius(h)
     if n == 1 or scale == 0.0:
-        return EighResult(np.diag(h).real.copy(), v)
+        return EighResult(np.diag(h).real.copy(), work[n:])
     tol = 1e-14 * scale
     skip = tol / (2.0 * n)
 
@@ -156,54 +177,27 @@ def eigh(a) -> EighResult:
             for q in range(p + 1, n):
                 if abs(h[p, q]) <= skip:
                     continue
-                c, s, phase = _rotation(h[p, p].real, h[q, q].real, h[p, q])
-                # Two-sided update h <- J^* h J: J on columns p, q, then J^* on
-                # rows p, q, i.e. on the columns of h.T with the conjugate phase.
-                _rotate_columns(h, p, q, c, s, phase)
-                _rotate_columns(h.T, p, q, c, s, np.conj(phase))
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                _rotate_columns(v, p, q, c, s, phase)
+                c, sp = _rotation(h[p, p].real, h[q, q].real, h[p, q])
+                _rotate_two_sided(work, n, p, q, c, sp)
     else:
-        off = _offdiag_norm(h)
+        off = float(_offdiag_norm(h))
         if off > tol:
             raise ConvergenceError("hermitian eigensolve exceeded the sweep cap", off)
 
     w = np.diag(h).real.copy()
     order = np.argsort(-w, kind="stable")
-    return EighResult(w[order], v[:, order])
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the last two axes, one per slice."""
-    return np.sqrt((np.abs(x) ** 2).sum(axis=(-2, -1)))
+    return EighResult(w[order], work[n:, order])
 
 
 def _jacobi_step(m: np.ndarray, n: int, p: int, q: int, beta: np.ndarray) -> None:
-    """One (p, q) rotation of :func:`_eigh_stack` on every slice of m, in place.
-
-    The formulas of :func:`_rotation` and :func:`_rotate_columns` with one
-    rotation per slice; beta = |m[:, p, q]|.
-    """
+    """One (p, q) rotation of :func:`_eigh_stack`: the formulas of
+    :func:`_rotation`, one rotation per slice of m; beta = |m[:, p, q]|."""
     beta = beta[:, None]
     phase = m[:, p, q, None] / beta
     tau = (m[:, q, q, None].real - m[:, p, p, None].real) / (2.0 * beta)
     t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
     c = 1.0 / np.sqrt(1.0 + t * t)
-    sp = t * c * phase
-    sc = np.conj(sp)
-    # J on columns p, q of the slice and its eigenvectors ...
-    mp, mq = m[:, :, p], m[:, :, q]
-    new_p = c * mp - sc * mq
-    m[:, :, q] = sp * mp + c * mq
-    m[:, :, p] = new_p
-    # ... then J^* on rows p, q of the slice.
-    hp, hq = m[:, p, :n], m[:, q, :n]
-    new_p = c * hp - sp * hq
-    m[:, q, :n] = sc * hp + c * hq
-    m[:, p, :n] = new_p
-    m[:, p, q] = 0.0
-    m[:, q, p] = 0.0
+    _rotate_two_sided(m, n, p, q, c, t * c * phase)
 
 
 def _eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,20 +214,12 @@ def _eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k, n, _ = h.shape
     if n == 1:
         return h[:, 0].real.copy(), np.ones_like(h)
-    # Rows :n hold the slice and rows n: its eigenvectors, so one column
-    # rotation updates both.
-    work = np.zeros((k, 2 * n, n), dtype=np.complex128)
-    work[:, :n] = h
-    work[:, range(n, 2 * n), range(n)] = 1.0
+    work = np.concatenate((h, np.broadcast_to(np.eye(n, dtype=h.dtype), h.shape)), axis=1)
     tol = 1e-14 * _norms(h)
-    offdiag = ~np.eye(n, dtype=bool)
     live, m = np.arange(k), work  # the unconverged slices and their working copy
 
-    def rough(x: np.ndarray) -> np.ndarray:
-        return _norms(np.where(offdiag, x[:, :n], 0.0))
-
     for _ in range(_MAX_SWEEPS):
-        keep = rough(m) > tol[live]
+        keep = _offdiag_norm(m[:, :n]) > tol[live]
         if not keep.all():
             work[live] = m
             live, m = live[keep], m[keep]
@@ -251,7 +237,7 @@ def _eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     _jacobi_step(sub, n, p, q, beta[big])
                     m[big] = sub
     else:
-        off = rough(m)
+        off = _offdiag_norm(m[:, :n])
         if (off > tol[live]).any():
             raise ConvergenceError("hermitian eigensolve exceeded the sweep cap",
                                    float(off.max()))
@@ -299,7 +285,9 @@ def svd(a) -> SvdResult:
     Columns of a working copy are rotated pairwise until every pair is
     orthogonal relative to its own scale (|<ai, aj>| <= 1e-15 * |ai| * |aj|),
     which keeps the returned factors unitary even in the presence of tiny
-    singular values; a sweep with no rotations ends the iteration.
+    singular values; a sweep with no rotations ends the iteration.  Columns
+    not exactly orthogonal at the sweep cap raise ConvergenceError carrying
+    the off-diagonal norm of their Gram matrix.
     """
     m0 = as_matrix(a)
     rows, cols_n = m0.shape
@@ -307,8 +295,8 @@ def svd(a) -> SvdResult:
         flipped = svd(m0.conj().T)
         return SvdResult(flipped.v, flipped.sigma, flipped.u)
 
-    w = m0.copy()
-    v = np.eye(cols_n, dtype=np.complex128)
+    work = np.concatenate((m0, np.eye(cols_n, dtype=np.complex128)))
+    w = work[:rows]
     for _ in range(_MAX_SWEEPS):
         rotated = False
         for p in range(cols_n - 1):
@@ -319,20 +307,20 @@ def svd(a) -> SvdResult:
                 if abs(g) <= 1e-15 * math.sqrt(alpha * delta):
                     continue
                 rotated = True
-                c, s, phase = _rotation(alpha, delta, g)
-                _rotate_columns(w, p, q, c, s, phase)
-                _rotate_columns(v, p, q, c, s, phase)
+                c, sp = _rotation(alpha, delta, g)
+                _rotate(work, p, q, c, sp)
         if not rotated:
             break
     else:
-        gram = w.conj().T @ w
-        raise ConvergenceError("one-sided SVD exceeded the sweep cap", _offdiag_norm(gram))
+        off = float(_offdiag_norm(w.conj().T @ w))
+        if off > 0.0:
+            raise ConvergenceError("one-sided SVD exceeded the sweep cap", off)
 
     sigma = np.array([frobenius(w[:, k]) for k in range(cols_n)])
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
     w = w[:, order]
-    v = v[:, order]
+    v = work[rows:, order]
 
     # sigma is descending, so the columns carrying signal are a prefix; they
     # are normalized, and completion fills the numerically dead ones and the

@@ -106,10 +106,14 @@ def test_verify_consistency_failure_is_exit_2(capsys, monkeypatch):
     ("verify", "--kind", "I:1,1", "--suites", "jordan,bogus"),
     ("verify", "--kind", "I:1,1", "--points", "0"),
     ("verify", "--kind", "I:1,1", "--boundary-cap", "1.5"),
+    ("verify", "--kind", "I:1,1", "--suites", "duality", "--tol-exact", "inf"),
+    ("verify", "--kind", "I:1,1", "--suites", "duality", "--tol-fd", "inf"),
+    ("verify", "--kind", "I:1,1", "--suites", "jordan,duality", "--fd-step", "inf"),
 ])
 def test_verify_config_errors_are_exit_3(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 3
+    assert out == ""  # rejected before any sample runs
     assert err != ""
 
 
@@ -187,9 +191,10 @@ def test_verify_beta_cap_at_the_limit_is_exit_3_for_any_points(capsys, points):
 
 
 def test_unparsable_flags_are_exit_3():
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--bogus"])
-    assert info.value.code == 3
+    for argv in (["verify", "--bogus"], ["verify", "--kind", "I:1,1", "--tol-exact", "1e-9x"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3
 
 
 def test_empty_suites_is_a_passing_run(capsys):

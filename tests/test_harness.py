@@ -1,6 +1,7 @@
 """Verification harness: sampling, suite orchestration, report determinism."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -78,10 +79,17 @@ def test_config_defaults():
     dict(tol_exact=0.0), dict(tol_fd=-1e-5), dict(fd_step=0.0),
     dict(boundary_cap=0.0), dict(boundary_cap=1.0),
     dict(suites=("jordan", "nope")),
+    # an infinite tolerance passes every cell and writes the non-JSON token
+    # Infinity; the step is checked with no finite-difference suite selected
+    dict(tol_exact=math.inf), dict(tol_fd=math.inf), dict(tol_fd=math.nan),
+    dict(fd_step=math.inf, suites=("jordan", "duality")),
+    # values that would fail only mid-run
+    dict(tol_exact="1e-9"), dict(kinds=("I:1,1",), suites=("jordan",)),
+    dict(kinds=(K.TypeI(1, 1), None), suites=("jordan",)),
 ])
 def test_config_validation(bad):
     with pytest.raises(ContractError):
-        SuiteConfig(kinds=FAST_KINDS, **bad)
+        SuiteConfig(**{"kinds": FAST_KINDS, **bad})
 
 
 @pytest.mark.parametrize("step", [1e-8, 0.05])

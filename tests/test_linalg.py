@@ -285,6 +285,31 @@ def test_stacked_hermitian_power_respects_the_sweep_cap(monkeypatch):
                           np.array([np.eye(3), np.diag([2.0, 1.0, 3.0])]))
 
 
+@pytest.mark.parametrize("kernel, shape", [(eigh, (3, 3)), (svd, (4, 3)), (svd, (3, 4))],
+                         ids=["eigh", "svd-tall", "svd-wide"])
+def test_eigh_and_svd_respect_the_sweep_cap(monkeypatch, kernel, shape):
+    rng = np.random.default_rng(26)
+    a = random_complex(rng, *shape)
+    if kernel is eigh:
+        a = _random_hpd(rng, shape[0])
+    monkeypatch.setattr(hjts.linalg, "_MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError) as info:
+        kernel(a)
+    residual = info.value.residual
+    assert isinstance(residual, float) and 0.0 < residual < np.inf
+    # a diagonal input has nothing to rotate, so it needs no sweep
+    d = np.zeros(shape)
+    d[range(3), range(3)] = [4.0, 1.0, 9.0]
+    if kernel is eigh:
+        w, v = eigh(d)
+        assert np.array_equal(w, [9.0, 4.0, 1.0])
+        assert np.array_equal(np.abs(v), np.eye(3)[:, [2, 0, 1]])
+    else:
+        u, sigma, v = svd(d)
+        assert np.array_equal(sigma, [9.0, 4.0, 1.0])
+        assert np.allclose(u[:, :3] @ np.diag(sigma) @ v[:, :3].conj().T, d, rtol=0.0, atol=1e-15)
+
+
 def test_two_dimensional_hermitian_power_goes_through_eigh():
     rng = np.random.default_rng(25)
     for n in range(1, 7):
