@@ -8,8 +8,8 @@ Prints the best-of-N time per call, in microseconds, of
 * 2-D ``hermitian_power`` at n = 16 and 27.
 
 The inputs are seeded, so two source trees time the same matrices.  Each
-timing repeats the call until it lasts at least ``--min-time`` seconds, and
-the best of ``--repeat`` timings is printed.  ``--src`` picks the tree whose
+timing repeats the call until it lasts at least MIN_TIME seconds, and the
+best of ``--repeat`` timings is printed.  ``--src`` picks the tree whose
 ``src`` directory is imported, so a parent and a change can be compared on
 one machine, alternating runs::
 
@@ -31,6 +31,7 @@ SIZES = (2, 3, 4, 6, 8)
 STACK_SIZES = (2, 3, 4)
 STACK_SLICES = 16
 LARGE_SIZES = (16, 27)
+MIN_TIME = 0.02
 
 
 def _hpd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -38,9 +39,9 @@ def _hpd(rng: np.random.Generator, n: int) -> np.ndarray:
     return b @ b.conj().T / n + 0.1 * np.eye(n)
 
 
-def cases(linalg, seed: int = 0) -> list[tuple[str, object]]:
+def cases(linalg) -> list[tuple[str, object]]:
     """(label, zero-argument call) for every timed case."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     out = []
     for n in SIZES:
         h = _hpd(rng, n)
@@ -58,11 +59,11 @@ def cases(linalg, seed: int = 0) -> list[tuple[str, object]]:
     return out
 
 
-def best_time(call, repeat: int, min_time: float) -> float:
+def best_time(call, repeat: int) -> float:
     """Best over ``repeat`` timings of the seconds per call."""
     start = time.perf_counter()
     call()  # warm-up, and the estimate of the calls per timing
-    number = max(1, int(min_time / max(time.perf_counter() - start, 1e-9)))
+    number = max(1, int(MIN_TIME / max(time.perf_counter() - start, 1e-9)))
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
@@ -77,16 +78,14 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1]),
                         help="source tree to time (its src/ is imported); default: this one")
     parser.add_argument("--repeat", type=int, default=7, help="timings per case (best is shown)")
-    parser.add_argument("--min-time", type=float, default=0.02,
-                        help="seconds each timing lasts at least")
     args = parser.parse_args(argv)
-    if args.repeat < 1 or not args.min_time >= 0.0:
-        parser.error("--repeat must be >= 1 and --min-time >= 0")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     sys.path.insert(0, str(Path(args.src).resolve() / "src"))
     linalg = importlib.import_module("hjts.linalg")
     print(f"# {linalg.__file__}, best of {args.repeat}, us per call")
     for label, call in cases(linalg):
-        print(f"{label:<28} {best_time(call, args.repeat, args.min_time) * 1e6:12.1f}")
+        print(f"{label:<28} {best_time(call, args.repeat) * 1e6:12.1f}")
     return 0
 
 
