@@ -14,6 +14,7 @@ human summary to stderr, so piping the report stays clean.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -89,6 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--boundary-cap", type=float, default=SuiteConfig.boundary_cap)
 
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and kept for the process;
+    ``build_parser`` still returns a fresh one to any other caller."""
+    return build_parser()
 
 
 def _encode(coords: np.ndarray) -> list:
@@ -202,7 +210,7 @@ def _cmd_sample(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help(sys.stderr)

@@ -28,10 +28,10 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .jts import Element, _triple_coords, in_domain
 from .kinds import JTSKind, format_kind
-from .linalg import det, frobenius
+from .linalg import det
 from .spectral import (_box_power_rows, generic_norms, log_generic_norm_minus,
                        log_generic_norm_plus, log_norm_rows, spectral_values)
-from .duality import psi, psi_rows
+from .duality import psi_rows
 
 __all__ = [
     "PotentialId",
@@ -295,20 +295,26 @@ def pullback_eval(omega: TwoFormSample, jac: RealJacobian,
     return omega.evaluate(jac.apply(u), jac.apply(v))
 
 
-def _unit_tangent(rng: np.random.Generator, n: int) -> np.ndarray:
-    w = rng.standard_normal(n) + 1.0j * rng.standard_normal(n)
-    return w / frobenius(w)
-
-
 def _pullback_pairs(z: Element, h: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """(pulled back, native) real 2N x 2N form matrices (``real_matrix``) of
     psi^* omega_dual = omega_flat and psi^* omega_flat = omega_hyp: with J the
     real Jacobian of psi at z, (J^T S_dual(psi(z)) J, S_flat) and
-    (J^T S_flat J, S_hyp(z)).  S_flat is the same at z and at psi(z)."""
+    (J^T S_flat J, S_hyp(z)).  S_flat is the same at z and at psi(z).
+
+    psi(z) comes from the Jacobian's one ``psi_rows`` call, which maps z's row
+    after the 4N stencil rows; a row's image does not depend on its batch.
+    """
     hyp = kahler_matrix(PotentialId.HYPERBOLIC, z, h).real_matrix()
     flat = kahler_matrix(PotentialId.FLAT, z, h).real_matrix()
-    dual = kahler_matrix(PotentialId.DUAL_FS, psi(z), h).real_matrix()
-    jac = real_jacobian(psi_rows, z, h).matrix
+    image = []
+
+    def stencil_then_z(kind: JTSKind, rows: np.ndarray) -> np.ndarray:
+        mapped = psi_rows(kind, np.concatenate([rows, z.coords[None, :]]))
+        image.append(mapped[-1])
+        return mapped[:-1]
+
+    jac = real_jacobian(stencil_then_z, z, h).matrix
+    dual = kahler_matrix(PotentialId.DUAL_FS, Element(z.kind, image[0]), h).real_matrix()
     return [(jac.T @ dual @ jac, flat), (jac.T @ flat @ jac, hyp)]
 
 
@@ -329,7 +335,9 @@ def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
         rng = np.random.default_rng(7)
     n = z.coords.size
     pairs = _pullback_pairs(z, h)
-    x = _to_real(np.array([_unit_tangent(rng, n) for _ in range(2 * tangent_pairs)]).reshape(-1, n))
+    draws = rng.standard_normal((2 * tangent_pairs, 2, n))  # per tangent: n real, n imaginary
+    tangents = draws[:, 0] + 1.0j * draws[:, 1]
+    x = _to_real(tangents / np.sqrt(np.sum(np.abs(tangents) ** 2, axis=1))[:, None])
     err1, err2 = (float(np.max(np.abs(np.sum((x[0::2] @ (p - s)) * x[1::2], axis=1)), initial=0.0))
                   for p, s in pairs)
     return err1, err2
@@ -341,12 +349,12 @@ def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
     The top exterior powers of two 2-forms agree exactly when the determinants
     of their 2N x 2N real matrices do, so this checks
     det(J^T S_dual J) = det(S_flat) and det(J^T S_flat J) = det(S_hyp) on the
-    pairs of ``_pullback_pairs``, returning the worse relative mismatch.
+    pairs of ``_pullback_pairs``, returning the worse relative mismatch.  The
+    four determinants are one ``det`` call on the (4, 2N, 2N) stack.
     """
+    dets = det(np.stack([m for pair in _pullback_pairs(z, h) for m in pair])).real.tolist()
     worst = 0.0
-    for pulled, native in _pullback_pairs(z, h):
-        d_pulled = det(pulled).real
-        d_native = det(native).real
+    for d_pulled, d_native in zip(dets[0::2], dets[1::2]):
         worst = max(worst, abs(d_pulled - d_native) / max(abs(d_native), np.finfo(np.float64).tiny))
     return worst
 

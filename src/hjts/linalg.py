@@ -130,11 +130,12 @@ def _rotation(app: float, aqq: float, apq: complex) -> tuple[float, complex]:
     return c, t * c * phase
 
 
-def _rotate(m: np.ndarray, p: int, q: int, c, sp) -> None:
+def _rotate(m: np.ndarray, p: int, q: int, c, sp, sp_conj) -> None:
     """Apply J of :func:`_rotation` to columns p, q of m in place.  Leading axes
-    of m are slices; c and sp are scalars, or (K, 1) arrays, one per slice."""
+    of m are slices; c and sp are scalars, or (K, 1) arrays, one per slice,
+    and sp_conj is conj(sp), which the caller has at hand."""
     mp, mq = m[..., p], m[..., q]
-    new_p = c * mp - np.conj(sp) * mq
+    new_p = c * mp - sp_conj * mq
     m[..., q] = sp * mp + c * mq
     m[..., p] = new_p
 
@@ -143,8 +144,9 @@ def _rotate_two_sided(m: np.ndarray, n: int, p: int, q: int, c, sp) -> None:
     """h <- J^* h J on a (..., 2n, n) work array of h above its eigenvectors:
     J on columns p, q of both blocks, J^* on rows p, q of h (J with the
     conjugate sp on the columns of h.T), then zero the annihilated pair."""
-    _rotate(m, p, q, c, sp)
-    _rotate(m[..., :n, :].swapaxes(-1, -2), p, q, c, np.conj(sp))
+    sp_conj = sp.conjugate()
+    _rotate(m, p, q, c, sp, sp_conj)
+    _rotate(m[..., :n, :].swapaxes(-1, -2), p, q, c, sp_conj, sp)
     m[..., p, q] = 0.0
     m[..., q, p] = 0.0
 
@@ -308,7 +310,7 @@ def svd(a) -> SvdResult:
                     continue
                 rotated = True
                 c, sp = _rotation(alpha, delta, g)
-                _rotate(work, p, q, c, sp)
+                _rotate(work, p, q, c, sp, sp.conjugate())
         if not rotated:
             break
     else:
@@ -454,48 +456,88 @@ def cholesky_logdet(a):
     return float(logdet) if m.ndim == 2 else logdet
 
 
-def _lu_partial_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """In-place-style LU with partial pivoting; zero pivots are left as zeros."""
-    n = a.shape[0]
+def _lu_partial_pivot(a: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """LU with partial pivoting of every slice of a (K, n, n) stack.
+
+    Returns the packed factors (K, n, n), and per slice the row order of the
+    factored rows and the permutation's sign.  Each slice picks its own
+    pivots; a slice whose pivot column is exactly zero from the diagonal down
+    skips that step and keeps the zero pivot.  Every step is elementwise
+    across the slices, so a slice's factors do not depend on the stack.
+    """
+    k_slices, n = a.shape[0], a.shape[-1]
     lu = a.copy()
-    perm = np.arange(n)
-    sign = 1
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-            sign = -sign
-        if lu[k, k] == 0.0:
-            continue  # whole subcolumn is exactly zero
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm, sign
+    slices = np.arange(k_slices)
+    offsets = []  # per step k, each slice's pivot row less k
+    for k in range(n - 1):
+        off = np.abs(lu[:, k:, k]).argmax(axis=1)
+        offsets.append(off.tolist())
+        if any(offsets[-1]):
+            piv = k + off
+            rows = lu[slices, piv]
+            lu[slices, piv] = lu[:, k]
+            lu[:, k] = rows
+        pivot = lu[:, k, k]
+        live = [s for s, value in enumerate(pivot.tolist()) if value]
+        if len(live) == k_slices:
+            rest = lu
+        elif live:
+            rest, pivot = lu[live], pivot[live]
+        else:
+            continue  # every slice's subcolumn is exactly zero
+        col = rest[:, k + 1:, k]
+        col /= pivot[:, None]
+        rest[:, k + 1:, k + 1:] -= col[:, :, None] * rest[:, k, None, k + 1:]
+        if rest is not lu:
+            lu[live] = rest
+    perms, signs = [], []
+    for s in range(k_slices):
+        perm, sign = list(range(n)), 1
+        for k, step in enumerate(offsets):
+            if step[s]:
+                perm[k], perm[k + step[s]] = perm[k + step[s]], perm[k]
+                sign = -sign
+        perms.append(perm)
+        signs.append(sign)
+    return lu, perms, signs
 
 
-def det(a) -> complex:
-    """Determinant via pivoted elimination.
+def det(a):
+    """Determinant via pivoted elimination, of a matrix or of a stack.
 
     Triangular matrices short-circuit to the exact product of the diagonal;
     everything else goes through LU with partial pivoting, where an exactly
-    zero pivot column makes the determinant exactly 0.
+    zero pivot column makes the determinant exactly 0.  The diagonal product
+    is taken in order on Python complex numbers.
+
+    ``a`` may be a (K, n, n) stack, which returns the (K,) determinants.  The
+    stack runs one elimination over its non-triangular slices, each with its
+    own pivots, so a slice's determinant does not depend on the stack and is
+    bit for bit the one its 2-D call returns.  A 2-D input returns a complex.
     """
-    m = as_matrix(a, square=True)
-    n = m.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    lower = np.tril(m, -1)
-    upper = np.triu(m, 1)
-    if not lower.any() or not upper.any():
-        out = 1.0 + 0.0j
-        for k in range(n):
-            out *= complex(m[k, k])
-        return out
-    lu, _, sign = _lu_partial_pivot(m)
-    out = complex(sign)
-    for k in range(n):
-        out *= complex(lu[k, k])
-    return out
+    m = np.asarray(a, dtype=np.complex128)
+    stacked = m.ndim == 3
+    if not stacked:
+        m = as_matrix(m, square=True)[None]
+    elif m.shape[1] != m.shape[2] or not np.isfinite(m).all():
+        raise ContractError(f"matrix stack must be finite with square slices, "
+                            f"got shape {m.shape}")
+    low = np.tri(m.shape[-1], k=-1, dtype=bool)  # below the diagonal
+    general = np.flatnonzero(m[:, low].any(axis=1) & m[:, low.T].any(axis=1))
+    signs, diag = [1] * len(m), m.diagonal(axis1=1, axis2=2)
+    if general.size:
+        lu, _, lu_signs = _lu_partial_pivot(m if general.size == len(m) else m[general])
+        diag = diag.copy()
+        diag[general] = lu.diagonal(axis1=1, axis2=2)
+        for s, sign in zip(general.tolist(), lu_signs):
+            signs[s] = sign
+    out = []
+    for sign, entries in zip(signs, diag.tolist()):
+        value = complex(sign)
+        for entry in entries:
+            value *= entry
+        out.append(value)
+    return np.array(out, dtype=np.complex128) if stacked else out[0]
 
 
 def solve(a, b) -> np.ndarray:
@@ -513,11 +555,10 @@ def solve(a, b) -> np.ndarray:
         rhs = rhs[:, None]
     if rhs.ndim != 2 or rhs.shape[0] != n:
         raise ContractError(f"right-hand side shape {np.shape(b)} does not match {m.shape}")
-    lu, perm, _ = _lu_partial_pivot(m)
-    diag = np.diagonal(lu)
-    if np.any(diag == 0.0):
+    (lu,), (perm,), _ = _lu_partial_pivot(m[None])
+    if not np.diagonal(lu).all():
         raise SingularityError("matrix is exactly singular")
-    x = rhs[perm].astype(np.complex128, copy=True)
+    x = rhs[perm]
     for k in range(n):
         x[k + 1:] -= lu[k + 1:, k][:, None] * x[k][None, :]
     for k in range(n - 1, -1, -1):

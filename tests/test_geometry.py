@@ -16,11 +16,14 @@ import hjts.kinds as K
 from hjts.duality import psi, psi_rows
 from hjts.errors import ContractError, DomainError
 from hjts.geometry import (
+    DEFAULT_FD_STEP,
     PotentialId,
     _BETA_LAMBDA_MAX,
     _central,
     _dbox_z,
     _g,
+    _pullback_pairs,
+    _to_real,
     check_beta_exactness,
     check_flat_dbar_pullback,
     check_lemma_a1,
@@ -36,7 +39,7 @@ from hjts.geometry import (
 from hjts.harness import DEFAULT_KINDS, sample_domain
 from hjts.jts import (Element, _box_apply, bergman_operator, box_operator, d_operator,
                       genus, zero)
-from hjts.linalg import det
+from hjts.linalg import det, frobenius
 from hjts.spectral import log_generic_norm_minus, log_generic_norm_plus, spectral_values
 
 SIMPLE_KINDS = [K.TypeI(1, 1), K.TypeI(2, 2), K.TypeII(4), K.TypeIII(3), K.TypeIV(3)]
@@ -347,6 +350,51 @@ def test_volume_check_equals_the_public_determinant_comparison(kind):
         d_native = det(native.real_matrix()).real
         worst = max(worst, abs(d_pulled - d_native) / max(abs(d_native), np.finfo(float).tiny))
     assert check_volume_duality(z) == worst
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Count calls of ``name`` through each module's binding of it."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_pullback_checks_map_rows_once_and_take_one_determinant(kind, monkeypatch):
+    # psi_rows is counted in duality too, so a psi(z) call would show
+    z = interior(kind, seed=42, cap=0.7)
+    rows = _count_calls(monkeypatch, "psi_rows", hjts.geometry, hjts.duality)
+    dets = _count_calls(monkeypatch, "det", hjts.geometry)
+    check_symplectic_duality(z)
+    assert (len(rows), len(dets)) == (1, 0)
+    check_volume_duality(z)
+    assert (len(rows), len(dets)) == (2, 1)
+
+
+@pytest.mark.parametrize("kind", [K.TypeI(1, 1), K.TypeIV(3), K.TypeI(4, 4)],
+                         ids=K.format_kind)
+def test_symplectic_tangents_equal_the_per_tangent_draws(kind):
+    # oracle: each tangent drawn by two standard_normal(n) calls and scaled by
+    # its norm; the errors agree bit for bit and the generators end level
+    z = interior(kind, seed=43)
+    n = z.coords.size
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = check_symplectic_duality(z, tangent_pairs=8, rng=rng)
+    tangents = []
+    for _ in range(16):
+        w = oracle_rng.standard_normal(n) + 1j * oracle_rng.standard_normal(n)
+        tangents.append(w / frobenius(w))
+    x = _to_real(np.array(tangents))
+    expected = tuple(float(np.max(np.abs(np.sum((x[0::2] @ (p - s)) * x[1::2], axis=1))))
+                     for p, s in _pullback_pairs(z, DEFAULT_FD_STEP))
+    assert got == expected
+    assert rng.standard_normal() == oracle_rng.standard_normal()
 
 
 # ---------------------------------------------------------------------------

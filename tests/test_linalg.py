@@ -389,6 +389,38 @@ def test_det_singular_is_zero():
     assert abs(det(a)) < 1e-12
 
 
+def test_stacked_det_equals_each_2d_det_bit_for_bit():
+    # random slices, a triangular one, one with an exactly zero pivot column
+    # and an exactly singular rank-one one: det 0, from the zero-pivot rule
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 4, 7):
+        zero_column = random_complex(rng, n, n)
+        zero_column[:, n // 2] = 0.0
+        rank_one = np.outer(np.arange(1, n + 1), np.arange(2, n + 2)).astype(complex)
+        slices = [random_complex(rng, n, n), np.triu(random_complex(rng, n, n)),
+                  random_complex(rng, n, n).real.astype(complex), zero_column, rank_one]
+        for stack in (np.array(slices), np.array(slices[::-1])):
+            dets = det(stack)
+            assert dets.shape == (len(slices),) and dets.dtype == np.complex128
+            for a, d in zip(stack, dets):
+                single = det(a)
+                assert type(single) is complex
+                assert np.array([single]).tobytes() == np.array([d]).tobytes()
+            assert np.allclose(dets, np.linalg.det(stack), rtol=1e-10, atol=1e-12)
+        assert det(zero_column) == 0.0
+        assert n == 1 or det(rank_one) == 0.0
+
+
+def test_det_stack_edge_shapes_and_contract():
+    assert det(np.zeros((0, 3, 3))).shape == (0,)
+    assert list(det(np.zeros((2, 0, 0)))) == [1.0, 1.0]
+    stack = np.array([np.eye(3), 2 * np.eye(3)], dtype=complex)
+    stack[1, 0, 2] = np.nan
+    for bad in (stack, np.ones((2, 2, 3)), np.ones((1, 2, 2, 2))):
+        with pytest.raises(ContractError):
+            det(bad)
+
+
 def test_solve_roundtrip():
     rng = np.random.default_rng(21)
     a = random_complex(rng, 5, 5) + 5 * np.eye(5)

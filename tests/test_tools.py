@@ -6,18 +6,36 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+LABELS = (
+    [f"eigh n={n}" for n in (2, 3, 4, 6, 8)] + [f"svd n={n}" for n in (2, 3, 4, 6, 8)]
+    + [f"hermitian_power (16,{n},{n})" for n in (2, 3, 4)]
+    + ["hermitian_power (16,16)", "hermitian_power (27,27)"]
+    + [f"det n={n}" for n in (3, 6, 8, 12)] + [f"det (4,{n},{n})" for n in (3, 6, 8, 12)]
+    + [f"solve n={n}" for n in (3, 6, 8, 12)])
 
-def test_bench_jacobi_times_every_case():
+
+def _bench(*args: str) -> list[str]:
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_jacobi.py"), "--src", str(ROOT),
-         "--repeat", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=60)
+         "--repeat", "1", *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    header, *rows = done.stdout.splitlines()
-    assert str(ROOT / "src" / "hjts" / "linalg.py") in header
-    labels = [row[:28].strip() for row in rows]
-    assert labels == (
-        [f"eigh n={n}" for n in (2, 3, 4, 6, 8)] + [f"svd n={n}" for n in (2, 3, 4, 6, 8)]
-        + [f"hermitian_power (16,{n},{n})" for n in (2, 3, 4)]
-        + ["hermitian_power (16,16)", "hermitian_power (27,27)"])
-    assert all(float(row[28:]) > 0.0 for row in rows)
+    lines = done.stdout.splitlines()
+    assert str(ROOT / "src" / "hjts" / "linalg.py") in lines[0]
+    return [line for line in lines if not line.startswith("#")]
+
+
+def _check_rows(rows: list[str], columns: int) -> None:
+    assert [row[:28].strip() for row in rows] == LABELS
+    for row in rows:
+        values = [float(x) for x in row[28:].split()]
+        assert len(values) == columns and all(v > 0.0 for v in values)
+
+
+def test_bench_jacobi_times_every_case():
+    _check_rows(_bench(), 1)
+
+
+def test_bench_jacobi_interleaves_two_trees():
+    # this tree against itself: each row has both times and their ratio
+    _check_rows(_bench("--against", str(ROOT)), 3)

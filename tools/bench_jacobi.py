@@ -1,28 +1,38 @@
-"""Micro-benchmark of the Jacobi kernels in ``hjts.linalg``.
+"""Micro-benchmark of the dense kernels in ``hjts.linalg``.
 
 Prints the best-of-N time per call, in microseconds, of
 
 * ``eigh`` (Hermitian positive definite input) and ``svd`` (general complex
   input) at n in {2, 3, 4, 6, 8};
 * ``hermitian_power`` on a (16, n, n) stack at n in {2, 3, 4};
-* 2-D ``hermitian_power`` at n = 16 and 27.
+* 2-D ``hermitian_power`` at n = 16 and 27;
+* ``det`` and ``solve`` (general complex input, one right-hand side) at n in
+  {3, 6, 8, 12}, and ``det`` on a (4, n, n) stack at the same n.  On a tree
+  whose ``det`` takes no stack, that case times four 2-D calls, the work the
+  stack replaces.
 
 The inputs are seeded, so two source trees time the same matrices.  Each
-timing repeats the call until it lasts at least MIN_TIME seconds, and the
-best of ``--repeat`` timings is printed.  ``--src`` picks the tree whose
-``src`` directory is imported, so a parent and a change can be compared on
-one machine, alternating runs::
+timing repeats the call until it lasts at least MIN_TIME seconds.  ``--src``
+picks the tree whose ``src/hjts/linalg.py`` is loaded::
 
     python tools/bench_jacobi.py --src . --repeat 7
-    python tools/bench_jacobi.py --src ../parent --repeat 7
+
+``--against DIR`` loads a second tree's ``linalg`` into the same process and
+times the two trees case by case, alternating which goes first, so a drift in
+the host's speed hits both alike.  It prints each tree's best time and the
+median over rounds of the per-round ratio src/against::
+
+    python tools/bench_jacobi.py --src . --against ../parent --repeat 21
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import statistics
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +41,35 @@ SIZES = (2, 3, 4, 6, 8)
 STACK_SIZES = (2, 3, 4)
 STACK_SLICES = 16
 LARGE_SIZES = (16, 27)
+LU_SIZES = (3, 6, 8, 12)
+DET_SLICES = 4
 MIN_TIME = 0.02
+
+
+def load_linalg(tree: str, package: str):
+    """``hjts.linalg`` of the source tree ``tree``, imported as ``package.linalg``,
+    so two trees can sit in one process.  Only the modules it imports load."""
+    pkg = types.ModuleType(package)
+    pkg.__path__ = [str(Path(tree).resolve() / "src" / "hjts")]
+    sys.modules[package] = pkg
+    return importlib.import_module(f"{package}.linalg")
 
 
 def _hpd(rng: np.random.Generator, n: int) -> np.ndarray:
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return b @ b.conj().T / n + 0.1 * np.eye(n)
+
+
+def _general(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _det_of_stack(linalg, stack: np.ndarray):
+    try:
+        linalg.det(stack)
+    except linalg.ContractError:  # a tree whose det takes 2-D input only
+        return lambda: [linalg.det(a) for a in stack]
+    return lambda: linalg.det(stack)
 
 
 def cases(linalg) -> list[tuple[str, object]]:
@@ -47,7 +80,7 @@ def cases(linalg) -> list[tuple[str, object]]:
         h = _hpd(rng, n)
         out.append((f"eigh n={n}", lambda h=h: linalg.eigh(h)))
     for n in SIZES:
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = _general(rng, n, n)
         out.append((f"svd n={n}", lambda a=a: linalg.svd(a)))
     for n in STACK_SIZES:
         stack = np.array([_hpd(rng, n) for _ in range(STACK_SLICES)])
@@ -56,36 +89,67 @@ def cases(linalg) -> list[tuple[str, object]]:
     for n in LARGE_SIZES:
         h = _hpd(rng, n)
         out.append((f"hermitian_power ({n},{n})", lambda h=h: linalg.hermitian_power(h, -0.5)))
+    for n in LU_SIZES:
+        a = _general(rng, n, n)
+        out.append((f"det n={n}", lambda a=a: linalg.det(a)))
+    for n in LU_SIZES:
+        out.append((f"det ({DET_SLICES},{n},{n})",
+                    _det_of_stack(linalg, _general(rng, DET_SLICES, n, n))))
+    for n in LU_SIZES:
+        a, b = _general(rng, n, n), _general(rng, n)
+        out.append((f"solve n={n}", lambda a=a, b=b: linalg.solve(a, b)))
     return out
 
 
-def best_time(call, repeat: int) -> float:
-    """Best over ``repeat`` timings of the seconds per call."""
+def calls_per_timing(call) -> int:
+    """Calls that make one timing last about MIN_TIME (one call is run)."""
     start = time.perf_counter()
-    call()  # warm-up, and the estimate of the calls per timing
-    number = max(1, int(MIN_TIME / max(time.perf_counter() - start, 1e-9)))
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for _ in range(number):
-            call()
-        best = min(best, (time.perf_counter() - start) / number)
-    return best
+    call()
+    return max(1, int(MIN_TIME / max(time.perf_counter() - start, 1e-9)))
+
+
+def timing(call, number: int) -> float:
+    """Seconds per call over ``number`` calls."""
+    start = time.perf_counter()
+    for _ in range(number):
+        call()
+    return (time.perf_counter() - start) / number
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1]),
-                        help="source tree to time (its src/ is imported); default: this one")
-    parser.add_argument("--repeat", type=int, default=7, help="timings per case (best is shown)")
+                        help="source tree to time (its src/ is loaded); default: this one")
+    parser.add_argument("--against", metavar="DIR",
+                        help="second source tree, timed in this process and interleaved "
+                             "case by case with --src")
+    parser.add_argument("--repeat", type=int, default=7,
+                        help="timings per case, or interleaved rounds with --against")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    sys.path.insert(0, str(Path(args.src).resolve() / "src"))
-    linalg = importlib.import_module("hjts.linalg")
-    print(f"# {linalg.__file__}, best of {args.repeat}, us per call")
-    for label, call in cases(linalg):
-        print(f"{label:<28} {best_time(call, args.repeat) * 1e6:12.1f}")
+    linalg = load_linalg(args.src, "_bench_src")
+    if args.against is None:
+        print(f"# {linalg.__file__}, best of {args.repeat}, us per call")
+        for label, call in cases(linalg):
+            number = calls_per_timing(call)
+            best = min(timing(call, number) for _ in range(args.repeat))
+            print(f"{label:<28} {best * 1e6:12.1f}")
+        return 0
+    other = load_linalg(args.against, "_bench_against")
+    print(f"# src {linalg.__file__}, against {other.__file__}")
+    print(f"# {args.repeat} interleaved rounds: best us per call of src and against, "
+          f"median of src/against")
+    for (label, call), (_, call_other) in zip(cases(linalg), cases(other)):
+        number = calls_per_timing(call)
+        calls_per_timing(call_other)  # warm-up
+        mine, theirs = [], []
+        for round_ in range(args.repeat):
+            pair = ((call, mine), (call_other, theirs))
+            for fn, times in pair if round_ % 2 == 0 else pair[::-1]:
+                times.append(timing(fn, number))
+        ratio = statistics.median(a / b for a, b in zip(mine, theirs))
+        print(f"{label:<28} {min(mine) * 1e6:12.1f} {min(theirs) * 1e6:12.1f} {ratio:8.3f}")
     return 0
 
 
