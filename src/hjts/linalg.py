@@ -15,10 +15,12 @@ factor, so one call rotates both; both eigensolvers stop on :func:`_offdiag_norm
 
 Conventions: matrices are 2-D complex128 arrays, eigen/singular values are
 returned in descending order, and factors satisfy the reconstruction
-identities stated on each routine.  Two routines also take a stack of
-matrices and treat each slice as on its own: :func:`cholesky_logdet`
-(shape (..., n, n)) and :func:`hermitian_power` (shape (K, n, n), one cyclic
-Jacobi iteration over the whole stack).
+identities stated on each routine.  Three routines also take a stack of
+matrices and treat each slice as on its own, so a slice's result does not
+depend on the stack: :func:`cholesky_logdet` (shape (..., n, n)),
+:func:`hermitian_power` (shape (K, n, n), one cyclic Jacobi iteration over
+the whole stack) and :func:`det` (shape (K, n, n), one LU over the whole
+stack, :func:`_lu_partial_pivot`, which also serves :func:`solve`).
 """
 
 from __future__ import annotations
