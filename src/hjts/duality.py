@@ -72,14 +72,15 @@ def _outside_message(kind: JTSKind) -> str:
 
 def psi_rows(kind: JTSKind, coords: np.ndarray, sign: float = -1.0) -> np.ndarray:
     """The BOX_HALF route of psi (sign = -1) or psi_inverse (sign = +1) on every
-    row of a (K, N) coordinate array; returns the (K, N) images.
+    row of a (K, N) coordinate array; returns the (K, N) images.  Any other
+    sign raises ContractError.
 
     For sign = -1 every row must lie in the domain: one ``log_norm_rows``
     call tests the whole stack, and any row on or outside the boundary raises
     DomainError.  Rows are processed by the same steps whatever K is, so a
     row's image does not depend on the batch it is mapped in.
     """
-    coords = _rows(kind, coords)
+    coords = _rows(kind, coords, sign)
     if sign < 0.0:
         try:
             log_norm_rows(kind, coords, -1.0)

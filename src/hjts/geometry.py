@@ -18,6 +18,7 @@ Every driver takes its step h * max(1, |z|), h in [1e-7, 1e-2], from
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 import enum
 from functools import lru_cache
@@ -188,9 +189,9 @@ def _stencil(n: int) -> _Stencil:
 
 
 def _fd_step(norm: float, h: float) -> float:
-    """The step h * max(1, norm) at a point of that norm, for h in [1e-7, 1e-2]
-    (below, roundoff swamps a difference; above, truncation does)."""
-    if not 1e-7 <= h <= 1e-2:  # also rejects nan
+    """The step h * max(1, norm) at a point of that norm, for a real h in
+    [1e-7, 1e-2] (below, roundoff swamps a difference; above, truncation does)."""
+    if not (isinstance(h, numbers.Real) and 1e-7 <= h <= 1e-2):  # also rejects nan
         raise ContractError(f"fd_step {h!r} lies outside [1e-7, 1e-2], the steps "
                             f"the finite-difference drivers accept")
     return h * max(1.0, norm)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,7 +120,7 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_boundary_cap(cap: float) -> None:
-    if not 0.0 < cap < 1.0:  # also rejects nan
+    if not (isinstance(cap, numbers.Real) and 0.0 < cap < 1.0):  # also rejects nan
         raise ContractError(f"boundary_cap must lie strictly between 0 and 1, got {cap!r}")
 
 

@@ -77,27 +77,30 @@ class TakagiResult(NamedTuple):
     sigma: np.ndarray  # (n,) real, descending, nonnegative
 
 
-def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-D complex128 array."""
+def _checked(a, name: str, low: int, high: float, square: bool = True) -> np.ndarray:
+    """``a`` as a complex128 array with ``low`` to ``high`` axes, square in its
+    last two if ``square``; ContractError on any other shape or on a non-finite
+    entry.  This is the one input check of every kernel."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ContractError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if square and m.shape[0] != m.shape[1]:
+    if not low <= m.ndim <= high:
+        raise ContractError(f"{name} needs ndim in [{low}, {high}], got ndim={m.ndim}")
+    if square and m.shape[-1] != m.shape[-2]:
         raise ContractError(f"{name} must be square, got shape {m.shape}")
-    if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ContractError(f"{name} contains non-finite entries")
     return m
 
 
+def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
+    """Validate and return ``a`` as a finite 2-D complex128 array."""
+    return _checked(a, name, 2, 2, square)
+
+
 def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and return ``v`` as a finite 1-D complex128 array."""
-    w = np.asarray(v, dtype=np.complex128)
-    if w.ndim != 1:
-        raise ContractError(f"{name} must be 1-D, got ndim={w.ndim}")
+    w = _checked(v, name, 1, 1, False)
     if dim is not None and w.shape[0] != dim:
         raise ContractError(f"{name} must have length {dim}, got {w.shape[0]}")
-    if w.size and not (np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))):
-        raise ContractError(f"{name} contains non-finite entries")
     return w
 
 
@@ -401,12 +404,7 @@ def hermitian_power(a, t: float) -> np.ndarray:
     the stack around it; any slice that fails a check raises.  A 2-D input
     goes through :func:`eigh`.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 3:
-        m = as_matrix(m, square=True)
-    elif m.shape[1] != m.shape[2] or not np.isfinite(m).all():
-        raise ContractError(f"matrix stack must be finite with square slices, "
-                            f"got shape {m.shape}")
+    m = _checked(a, "matrix", 2, 3)
     herm = 0.5 * (m + m.conj().swapaxes(-1, -2))
     if (_norms(m - herm) > 1e-10 * np.maximum(1.0, _norms(m))).any():
         raise ContractError("hermitian_power requires a Hermitian matrix")
@@ -431,13 +429,7 @@ def cholesky_logdet(a):
     on the stack it sits in.  A 2-D input returns a float, a stacked one an
     array of the batch shape; a nonpositive pivot in any slice raises.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim < 2:
-        raise ContractError(f"matrix must be at least 2-D, got ndim={m.ndim}")
-    if m.shape[-1] != m.shape[-2]:
-        raise ContractError(f"matrix must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ContractError("matrix contains non-finite entries")
+    m = _checked(a, "matrix", 2, math.inf)
     n = m.shape[-1]
     low = m.copy()
     pivots = np.empty(m.shape[:-1])
@@ -458,20 +450,21 @@ def cholesky_logdet(a):
     return float(logdet) if m.ndim == 2 else logdet
 
 
-def _lu_partial_pivot(a: np.ndarray) -> tuple[np.ndarray, list, list]:
+def _lu_partial_pivot(a: np.ndarray) -> tuple[np.ndarray, list]:
     """LU with partial pivoting of every slice of a (K, n, n) stack.
 
-    Returns the packed factors (K, n, n), and per slice the row order of the
-    factored rows and the permutation's sign.  Each slice picks its own
-    pivots; a slice whose pivot column is exactly zero from the diagonal down
-    skips that step and keeps the zero pivot.  Every step is elementwise
-    across the slices, so a slice's factors do not depend on the stack.
+    Returns the packed factors (K, n, n) and, per step k, each slice's pivot
+    row less k (row k + offset was swapped with row k).  Each slice picks its
+    own pivots.  A zero pivot means the slice's column is exactly zero from
+    the diagonal down, so the step divides it by 1 instead: its multipliers
+    stay zero, the rows below keep their values, and the zero pivot stays on
+    the diagonal.  Every step is elementwise across the slices, so a slice's
+    factors do not depend on the stack.
     """
-    k_slices, n = a.shape[0], a.shape[-1]
     lu = a.copy()
-    slices = np.arange(k_slices)
-    offsets = []  # per step k, each slice's pivot row less k
-    for k in range(n - 1):
+    slices = np.arange(len(a))
+    offsets = []
+    for k in range(a.shape[-1] - 1):
         off = np.abs(lu[:, k:, k]).argmax(axis=1)
         offsets.append(off.tolist())
         if any(offsets[-1]):
@@ -480,62 +473,40 @@ def _lu_partial_pivot(a: np.ndarray) -> tuple[np.ndarray, list, list]:
             lu[slices, piv] = lu[:, k]
             lu[:, k] = rows
         pivot = lu[:, k, k]
-        live = [s for s, value in enumerate(pivot.tolist()) if value]
-        if len(live) == k_slices:
-            rest = lu
-        elif live:
-            rest, pivot = lu[live], pivot[live]
-        else:
-            continue  # every slice's subcolumn is exactly zero
-        col = rest[:, k + 1:, k]
+        if 0 in pivot.tolist():
+            pivot = np.where(pivot == 0.0, 1.0, pivot)
+        col = lu[:, k + 1:, k]
         col /= pivot[:, None]
-        rest[:, k + 1:, k + 1:] -= col[:, :, None] * rest[:, k, None, k + 1:]
-        if rest is not lu:
-            lu[live] = rest
-    perms, signs = [], []
-    for s in range(k_slices):
-        perm, sign = list(range(n)), 1
-        for k, step in enumerate(offsets):
-            if step[s]:
-                perm[k], perm[k + step[s]] = perm[k + step[s]], perm[k]
-                sign = -sign
-        perms.append(perm)
-        signs.append(sign)
-    return lu, perms, signs
+        lu[:, k + 1:, k + 1:] -= col[:, :, None] * lu[:, k, None, k + 1:]
+    return lu, offsets
 
 
 def det(a):
-    """Determinant via pivoted elimination, of a matrix or of a stack.
+    """Determinant via LU with partial pivoting, of a matrix or of a stack.
 
-    Triangular matrices short-circuit to the exact product of the diagonal;
-    everything else goes through LU with partial pivoting, where an exactly
-    zero pivot column makes the determinant exactly 0.  The diagonal product
-    is taken in order on Python complex numbers.
+    det A = det A^T, so a matrix with nothing above its diagonal is factored
+    as its transpose.  A triangular matrix thus takes no swap and only zero
+    multipliers, and its determinant is the product of its own diagonal.  A
+    zero pivot (an exactly zero column from the diagonal down) stays on the
+    diagonal and makes the determinant exactly 0.  The signed product of the
+    factored diagonal is taken in order on Python complex numbers.
 
     ``a`` may be a (K, n, n) stack, which returns the (K,) determinants.  The
-    stack runs one elimination over its non-triangular slices, each with its
-    own pivots, so a slice's determinant does not depend on the stack and is
-    bit for bit the one its 2-D call returns.  A 2-D input returns a complex.
+    stack runs one elimination, each slice with its own pivots, so a slice's
+    determinant does not depend on the stack and is bit for bit the one its
+    2-D call returns.  A 2-D input returns a complex.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    m = _checked(a, "matrix", 2, 3)
     stacked = m.ndim == 3
     if not stacked:
-        m = as_matrix(m, square=True)[None]
-    elif m.shape[1] != m.shape[2] or not np.isfinite(m).all():
-        raise ContractError(f"matrix stack must be finite with square slices, "
-                            f"got shape {m.shape}")
-    low = np.tri(m.shape[-1], k=-1, dtype=bool)  # below the diagonal
-    general = np.flatnonzero(m[:, low].any(axis=1) & m[:, low.T].any(axis=1))
-    signs, diag = [1] * len(m), m.diagonal(axis1=1, axis2=2)
-    if general.size:
-        lu, _, lu_signs = _lu_partial_pivot(m if general.size == len(m) else m[general])
-        diag = diag.copy()
-        diag[general] = lu.diagonal(axis1=1, axis2=2)
-        for s, sign in zip(general.tolist(), lu_signs):
-            signs[s] = sign
+        m = m[None]
+    lower = ~m[:, ~np.tri(m.shape[-1], dtype=bool)].any(axis=1)  # nothing above
+    if lower.any():
+        m = np.where(lower[:, None, None], m.swapaxes(1, 2), m)
+    lu, offsets = _lu_partial_pivot(m)
     out = []
-    for sign, entries in zip(signs, diag.tolist()):
-        value = complex(sign)
+    for s, entries in enumerate(lu.diagonal(axis1=1, axis2=2).tolist()):
+        value = complex((-1) ** sum(1 for step in offsets if step[s]))
         for entry in entries:
             value *= entry
         out.append(value)
@@ -546,26 +517,29 @@ def solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by LU with partial pivoting.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the result
-    matches its shape.  An exactly singular ``a`` (or overflow during
-    substitution) raises SingularityError.
+    matches its shape.  Both inputs go through the one input check, so a
+    non-finite entry in either raises ContractError.  A zero pivot means an
+    exactly singular ``a``, which (like overflow during substitution) raises
+    SingularityError.
     """
     m = as_matrix(a, square=True)
     n = m.shape[0]
-    rhs = np.asarray(b, dtype=np.complex128)
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs[:, None]
-    if rhs.ndim != 2 or rhs.shape[0] != n:
-        raise ContractError(f"right-hand side shape {np.shape(b)} does not match {m.shape}")
-    (lu,), (perm,), _ = _lu_partial_pivot(m[None])
+    rhs = _checked(b, "right-hand side", 1, 2, False)
+    if rhs.shape[0] != n:
+        raise ContractError(f"right-hand side shape {rhs.shape} does not match {m.shape}")
+    (lu,), offsets = _lu_partial_pivot(m[None])
     if not np.diagonal(lu).all():
         raise SingularityError("matrix is exactly singular")
-    x = rhs[perm]
+    perm = list(range(n))
+    for k, (step,) in enumerate(offsets):
+        perm[k], perm[k + step] = perm[k + step], perm[k]
+    vector = rhs.ndim == 1
+    x = (rhs[:, None] if vector else rhs)[perm]
     for k in range(n):
         x[k + 1:] -= lu[k + 1:, k][:, None] * x[k][None, :]
     for k in range(n - 1, -1, -1):
         x[k] -= lu[k, k + 1:] @ x[k + 1:]
         x[k] /= lu[k, k]
-    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
+    if not np.isfinite(x).all():
         raise SingularityError("solve overflowed; matrix is singular to working precision")
     return x[:, 0] if vector else x

@@ -28,7 +28,7 @@ import numpy as np
 from . import kinds as _k
 from .errors import ConsistencyError, ContractError, DomainError, SingularityError
 from .jts import Element, _box_apply
-from .linalg import (cholesky_logdet, eigh, frobenius, hermitian_power,
+from .linalg import (_checked, cholesky_logdet, eigh, frobenius, hermitian_power,
                      orthonormal_extension, solve, svd, takagi)
 
 __all__ = [
@@ -102,17 +102,18 @@ def spectral_values(z: Element) -> np.ndarray:
     return values
 
 
-def _rows(kind: _k.JTSKind, coords) -> np.ndarray:
-    """``coords`` as a finite (K, N) complex128 array; ContractError on any
-    other shape or on a non-finite entry."""
-    coords = np.asarray(coords, dtype=np.complex128)
-    if coords.ndim != 2 or coords.shape[1] != _k.ambient_dim(kind):
+def _rows(kind: _k.JTSKind, coords, sign: float) -> np.ndarray:
+    """The input check of the row maps: ``coords`` as a finite (K, N)
+    complex128 array; ContractError on any other shape, on a non-finite entry,
+    or on a ``sign`` other than -1 or +1."""
+    if sign not in (-1.0, 1.0):
+        raise ContractError(f"sign must be -1 or +1, got {sign!r}")
+    coords = _checked(coords, "coordinate array", 2, 2, False)
+    if coords.shape[1] != _k.ambient_dim(kind):
         raise ContractError(
             f"{_k.format_kind(kind)} needs a (K, {_k.ambient_dim(kind)}) coordinate "
             f"array, got shape {coords.shape}"
         )
-    if not np.isfinite(coords).all():
-        raise ContractError("coordinate array contains non-finite entries")
     return coords
 
 
@@ -157,11 +158,11 @@ def log_norm_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.ndarr
     """log prod_j (1 + sign * lambda_j^2) for every row of a (K, N) coordinate array.
 
     ``sign = -1`` gives log N, and raises DomainError when any row lies on or
-    outside the domain; ``sign = +1`` gives log N*, defined everywhere.  Rows
-    are processed by the same elementwise steps whatever K is, so a row's
+    outside the domain; ``sign = +1`` gives log N*, defined everywhere; any
+    other sign raises ContractError.  Rows are processed by the same elementwise steps whatever K is, so a row's
     value does not depend on the batch it is evaluated in.
     """
-    coords = _rows(kind, coords)
+    coords = _rows(kind, coords, sign)
     parts = [_log_norm_simple(f, c, sign)
              for f, c in zip(_k.simple_factors(kind), _k.split_coords(kind, coords))]
     return sum(parts[1:], parts[0])

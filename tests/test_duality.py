@@ -1,5 +1,7 @@
 """The bounded <-> unbounded point map: routes, round trips, naturality."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,15 @@ def test_box_half_is_row_zero_of_the_row_map(kind):
         images = psi_rows(kind, rows, sign)
         for row, image in zip(rows, images):
             assert single(Element(kind, row)).coords.tobytes() == image.tobytes()
+
+
+@pytest.mark.parametrize("sign", [0.0, 2.0, -0.5, math.nan])
+def test_psi_rows_rejects_a_sign_other_than_minus_or_plus_one(sign):
+    # sign 0 would return the rows unchanged, sign 2 a wrong image
+    kind = K.TypeI(2, 2)
+    rows = interior(kind, seed=44).coords[None, :]
+    with pytest.raises(ContractError, match="sign"):
+        psi_rows(kind, rows, sign)
 
 
 @pytest.mark.parametrize("kind", GRAM_KINDS, ids=K.format_kind)

@@ -182,14 +182,15 @@ def step_point():
     return z, unit(K.TypeI(2, 2), seed=71)
 
 
-@pytest.mark.parametrize("h", [0.0, math.nan, -1e-5, 0.5])
+@pytest.mark.parametrize("h", [0.0, math.nan, -1e-5, 0.5, "1e-5", None, 1e-5 + 0j])
 @pytest.mark.parametrize("call", _STEP_DRIVERS.values(), ids=_STEP_DRIVERS.keys())
 def test_step_outside_the_range_is_a_contract_error(step_point, call, h):
+    # a step that is not a real number is outside the range too
     with pytest.raises(ContractError, match=r"fd_step .* outside \[1e-7, 1e-2\]"):
         call(*step_point, h)
 
 
-@pytest.mark.parametrize("h", [1e-7, 1e-2])
+@pytest.mark.parametrize("h", [1e-7, 1e-2, np.float64(1e-5), np.float32(1e-3)])
 @pytest.mark.parametrize("call", _STEP_DRIVERS.values(), ids=_STEP_DRIVERS.keys())
 def test_steps_at_the_range_ends_are_accepted(step_point, call, h):
     call(*step_point, h)

@@ -48,6 +48,13 @@ def test_sample_domain_caps_and_membership(kind):
         assert in_domain(z)
 
 
+@pytest.mark.parametrize("cap", [0.0, 1.0, math.nan, "0.5", None, 0.5 + 0j])
+def test_sample_domain_rejects_a_cap_outside_the_open_interval(cap):
+    with pytest.raises(ContractError, match="boundary_cap"):
+        sample_domain(K.TypeI(2, 2), np.random.default_rng(0), cap)
+    sample_domain(K.TypeI(2, 2), np.random.default_rng(0), np.float64(0.5))
+
+
 def test_sample_domain_deterministic():
     a = sample_domain(K.TypeII(4), np.random.default_rng(42), 0.9)
     b = sample_domain(K.TypeII(4), np.random.default_rng(42), 0.9)
@@ -77,7 +84,8 @@ def test_config_defaults():
     dict(seed=-1), dict(seed=2**64), dict(seed=1.5), dict(seed=True),
     dict(points=0), dict(points=2.0), dict(tangent_pairs=-2),
     dict(tol_exact=0.0), dict(tol_fd=-1e-5), dict(fd_step=0.0),
-    dict(boundary_cap=0.0), dict(boundary_cap=1.0),
+    dict(boundary_cap=0.0), dict(boundary_cap=1.0), dict(boundary_cap="0.5"),
+    dict(boundary_cap=None), dict(boundary_cap=0.5 + 0j),
     dict(suites=("jordan", "nope")),
     # an infinite tolerance passes every cell and writes the non-JSON token
     # Infinity; the step is checked with no finite-difference suite selected

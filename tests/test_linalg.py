@@ -5,6 +5,7 @@ Jacobi iterations), so the comparisons here are genuinely independent.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -389,16 +390,34 @@ def test_det_singular_is_zero():
     assert abs(det(a)) < 1e-12
 
 
+def _diagonal_product(a) -> complex:
+    """The product of a's diagonal, in order, on Python complex numbers."""
+    value = 1 + 0j
+    for entry in np.diagonal(a).tolist():
+        value *= entry
+    return value
+
+
+def _fold_zero(x: complex) -> bytes:
+    """The complex128 bytes of x with -0.0 read as +0.0."""
+    return np.array([complex(x.real or 0.0, x.imag or 0.0)]).tobytes()
+
+
 def test_stacked_det_equals_each_2d_det_bit_for_bit():
-    # random slices, a triangular one, one with an exactly zero pivot column
-    # and an exactly singular rank-one one: det 0, from the zero-pivot rule
+    # random slices, upper- and lower-triangular, diagonal and triangular with
+    # a zero on the diagonal ones, one with an exactly zero pivot column and an
+    # exactly singular rank-one one: det 0, from the zero-pivot rule
     rng = np.random.default_rng(22)
     for n in (1, 2, 4, 7):
         zero_column = random_complex(rng, n, n)
         zero_column[:, n // 2] = 0.0
         rank_one = np.outer(np.arange(1, n + 1), np.arange(2, n + 2)).astype(complex)
-        slices = [random_complex(rng, n, n), np.triu(random_complex(rng, n, n)),
-                  random_complex(rng, n, n).real.astype(complex), zero_column, rank_one]
+        zero_diagonal = np.tril(random_complex(rng, n, n))
+        zero_diagonal[n // 2, n // 2] = 0.0
+        triangular = [np.triu(random_complex(rng, n, n)), np.tril(random_complex(rng, n, n)),
+                      np.diag(random_complex(rng, n)), zero_diagonal, zero_diagonal.T.copy()]
+        slices = [random_complex(rng, n, n), random_complex(rng, n, n).real.astype(complex),
+                  zero_column, rank_one] + triangular
         for stack in (np.array(slices), np.array(slices[::-1])):
             dets = det(stack)
             assert dets.shape == (len(slices),) and dets.dtype == np.complex128
@@ -407,7 +426,9 @@ def test_stacked_det_equals_each_2d_det_bit_for_bit():
                 assert type(single) is complex
                 assert np.array([single]).tobytes() == np.array([d]).tobytes()
             assert np.allclose(dets, np.linalg.det(stack), rtol=1e-10, atol=1e-12)
-        assert det(zero_column) == 0.0
+        for a in triangular:
+            assert _fold_zero(det(a)) == _fold_zero(_diagonal_product(a))
+        assert det(zero_column) == 0.0 and det(zero_diagonal) == 0.0
         assert n == 1 or det(rank_one) == 0.0
 
 
@@ -421,6 +442,14 @@ def test_det_stack_edge_shapes_and_contract():
             det(bad)
 
 
+def test_two_or_three_axes_for_det_and_hermitian_power_any_for_cholesky_logdet():
+    four_d = np.broadcast_to(np.eye(2, dtype=complex), (1, 3, 2, 2))
+    for kernel in (det, lambda a: hermitian_power(a, 0.5)):
+        with pytest.raises(ContractError):
+            kernel(four_d)
+    assert np.array_equal(cholesky_logdet(four_d), np.zeros((1, 3)))
+
+
 def test_solve_roundtrip():
     rng = np.random.default_rng(21)
     a = random_complex(rng, 5, 5) + 5 * np.eye(5)
@@ -429,6 +458,17 @@ def test_solve_roundtrip():
     assert np.allclose(a @ x, b, atol=1e-11)
     bm = random_complex(rng, 5, 2)
     assert np.allclose(a @ solve(a, bm), bm, atol=1e-11)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_solve_rejects_a_non_finite_right_hand_side(bad):
+    a = np.eye(3, dtype=complex)
+    for b in (np.ones(3, dtype=complex), np.ones((3, 2), dtype=complex)):
+        b[-1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="non-finite"):
+                solve(a, b)
 
 
 def test_solve_singular_raises():

@@ -297,6 +297,14 @@ def test_row_maps_reject_non_finite_rows(kind, sign, bad):
                 row_map(kind, rows, sign)
 
 
+@pytest.mark.parametrize("sign", [0.0, 2.0, -0.5, math.nan])
+def test_log_norm_rows_rejects_a_sign_other_than_minus_or_plus_one(sign):
+    kind = K.TypeI(2, 2)
+    rows = sample_domain(kind, np.random.default_rng(610)).coords[None, :]
+    with pytest.raises(ContractError, match="sign"):
+        log_norm_rows(kind, rows, sign)
+
+
 # the Gram-side row map (id + sign z box z)^t z ------------------------------
 
 POWERS = (-0.5, -1, -2)

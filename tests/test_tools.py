@@ -1,5 +1,7 @@
-"""Smoke test: the kernel micro-benchmark under tools/ runs on this tree."""
+"""Smoke tests: the kernel micro-benchmark and the kernel digest under tools/ run
+on this tree."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ LABELS = (
     + [f"hermitian_power (16,{n},{n})" for n in (2, 3, 4)]
     + ["hermitian_power (16,16)", "hermitian_power (27,27)"]
     + [f"det n={n}" for n in (3, 6, 8, 12)] + [f"det (4,{n},{n})" for n in (3, 6, 8, 12)]
-    + [f"solve n={n}" for n in (3, 6, 8, 12)])
+    + [f"solve n={n}" for n in (3, 6, 8, 12)] + ["det upper n=8", "det lower n=8"])
 
 
 def _bench(*args: str) -> list[str]:
@@ -39,3 +41,16 @@ def test_bench_jacobi_times_every_case():
 def test_bench_jacobi_interleaves_two_trees():
     # this tree against itself: each row has both times and their ratio
     _check_rows(_bench("--against", str(ROOT)), 3)
+
+
+def test_kernel_digest_prints_one_stable_sha256():
+    outputs = []
+    for _ in range(2):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "kernel_digest.py"), "--src", str(ROOT),
+             "--trials", "20"],
+            cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert re.fullmatch(r"[0-9a-f]{64}\n", outputs[0])
+    assert outputs[0] == outputs[1]

@@ -9,7 +9,8 @@ Prints the best-of-N time per call, in microseconds, of
 * ``det`` and ``solve`` (general complex input, one right-hand side) at n in
   {3, 6, 8, 12}, and ``det`` on a (4, n, n) stack at the same n.  On a tree
   whose ``det`` takes no stack, that case times four 2-D calls, the work the
-  stack replaces.
+  stack replaces;
+* ``det`` of an upper- and of a lower-triangular matrix at n = 8.
 
 The inputs are seeded, so two source trees time the same matrices.  Each
 timing repeats the call until it lasts at least MIN_TIME seconds.  ``--src``
@@ -43,6 +44,7 @@ STACK_SLICES = 16
 LARGE_SIZES = (16, 27)
 LU_SIZES = (3, 6, 8, 12)
 DET_SLICES = 4
+TRI_SIZE = 8
 MIN_TIME = 0.02
 
 
@@ -98,6 +100,9 @@ def cases(linalg) -> list[tuple[str, object]]:
     for n in LU_SIZES:
         a, b = _general(rng, n, n), _general(rng, n)
         out.append((f"solve n={n}", lambda a=a, b=b: linalg.solve(a, b)))
+    a = _general(rng, TRI_SIZE, TRI_SIZE)
+    for side, tri in (("upper", np.triu(a)), ("lower", np.tril(a))):
+        out.append((f"det {side} n={TRI_SIZE}", lambda t=tri: linalg.det(t)))
     return out
 
 
