@@ -20,7 +20,9 @@ matrices and treat each slice as on its own, so a slice's result does not
 depend on the stack: :func:`cholesky_logdet` (shape (..., n, n)),
 :func:`hermitian_power` (shape (K, n, n), one cyclic Jacobi iteration over
 the whole stack) and :func:`det` (shape (K, n, n), one LU over the whole
-stack, :func:`_lu_partial_pivot`, which also serves :func:`solve`).
+stack, :func:`_lu_partial_pivot`, which also serves :func:`solve`; every
+slice takes every step, a zero pivot included).  Every kernel checks its
+input through one helper, :func:`_checked`.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class TakagiResult(NamedTuple):
     sigma: np.ndarray  # (n,) real, descending, nonnegative
 
 
-def _checked(a, name: str, low: int, high: float, square: bool = True) -> np.ndarray:
+def _checked(a, name: str, low: int, high: float, *, square: bool = True) -> np.ndarray:
     """``a`` as a complex128 array with ``low`` to ``high`` axes, square in its
     last two if ``square``; ContractError on any other shape or on a non-finite
     entry.  This is the one input check of every kernel."""
@@ -93,12 +95,12 @@ def _checked(a, name: str, low: int, high: float, square: bool = True) -> np.nda
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a finite 2-D complex128 array."""
-    return _checked(a, name, 2, 2, square)
+    return _checked(a, name, 2, 2, square=square)
 
 
 def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and return ``v`` as a finite 1-D complex128 array."""
-    w = _checked(v, name, 1, 1, False)
+    w = _checked(v, name, 1, 1, square=False)
     if dim is not None and w.shape[0] != dim:
         raise ContractError(f"{name} must have length {dim}, got {w.shape[0]}")
     return w
@@ -457,8 +459,8 @@ def _lu_partial_pivot(a: np.ndarray) -> tuple[np.ndarray, list]:
     row less k (row k + offset was swapped with row k).  Each slice picks its
     own pivots.  A zero pivot means the slice's column is exactly zero from
     the diagonal down, so the step divides it by 1 instead: its multipliers
-    stay zero, the rows below keep their values, and the zero pivot stays on
-    the diagonal.  Every step is elementwise across the slices, so a slice's
+    stay zero, the rows below keep their values (a -0.0 may turn +0.0), and
+    the zero pivot stays on the diagonal.  Every step is elementwise across the slices, so a slice's
     factors do not depend on the stack.
     """
     lu = a.copy()
@@ -524,7 +526,7 @@ def solve(a, b) -> np.ndarray:
     """
     m = as_matrix(a, square=True)
     n = m.shape[0]
-    rhs = _checked(b, "right-hand side", 1, 2, False)
+    rhs = _checked(b, "right-hand side", 1, 2, square=False)
     if rhs.shape[0] != n:
         raise ContractError(f"right-hand side shape {rhs.shape} does not match {m.shape}")
     (lu,), offsets = _lu_partial_pivot(m[None])

@@ -108,7 +108,7 @@ def _rows(kind: _k.JTSKind, coords, sign: float) -> np.ndarray:
     or on a ``sign`` other than -1 or +1."""
     if sign not in (-1.0, 1.0):
         raise ContractError(f"sign must be -1 or +1, got {sign!r}")
-    coords = _checked(coords, "coordinate array", 2, 2, False)
+    coords = _checked(coords, "coordinate array", 2, 2, square=False)
     if coords.shape[1] != _k.ambient_dim(kind):
         raise ContractError(
             f"{_k.format_kind(kind)} needs a (K, {_k.ambient_dim(kind)}) coordinate "

@@ -159,7 +159,6 @@ def test_box_half_is_row_zero_of_the_row_map(kind):
 
 @pytest.mark.parametrize("sign", [0.0, 2.0, -0.5, math.nan])
 def test_psi_rows_rejects_a_sign_other_than_minus_or_plus_one(sign):
-    # sign 0 would return the rows unchanged, sign 2 a wrong image
     kind = K.TypeI(2, 2)
     rows = interior(kind, seed=44).coords[None, :]
     with pytest.raises(ContractError, match="sign"):
