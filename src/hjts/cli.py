@@ -22,14 +22,13 @@ import traceback
 import numpy as np
 
 from . import kinds as _k
-from .errors import ConsistencyError, ContractError, DomainError, HjtsError
+from .errors import ConsistencyError, ContractError, DomainError, HjtsError, as_int, as_real
 from .harness import (
     DEFAULT_KINDS,
     RNG_NAME,
     SUITE_NAMES,
     SuiteConfig,
     VerificationReport,
-    _check_seed,
     run_suite,
     sample_domain,
 )
@@ -110,18 +109,11 @@ def _parse_point(kind: _k.JTSKind, text: str) -> Element:
         raise ContractError(f"--point is not valid JSON: {err}") from None
     if not isinstance(raw, list):
         raise ContractError("--point must be a JSON array of coordinates")
+    words = "--point entry {!r} is not a finite real number; entries are numbers or [re, im] pairs"
     coords = []
     for entry in raw:
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            coords.append(complex(entry))
-        elif (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in entry)):
-            coords.append(complex(entry[0], entry[1]))
-        else:
-            raise ContractError(
-                f"coordinate {entry!r} is neither a number nor an [re, im] pair"
-            )
+        pair = entry if isinstance(entry, list) and len(entry) == 2 else (entry, 0.0)
+        coords.append(complex(*(as_real(x, words, exclusive=True) for x in pair)))
     expected = _k.ambient_dim(kind)
     if len(coords) != expected:
         raise ContractError(
@@ -192,9 +184,8 @@ def _cmd_psi(args) -> int:
 
 def _cmd_sample(args) -> int:
     kind = _k.parse_kind(args.kind)
-    if args.count < 1:
-        raise ContractError(f"--count must be positive, got {args.count}")
-    _check_seed(args.seed)
+    as_int(args.count, "--count must be positive, got {!r}", 1)
+    as_int(args.seed, "--seed must be a 64-bit unsigned integer, got {!r}", 0, 2 ** 64 - 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     points = [sample_domain(kind, rng, args.boundary_cap) for _ in range(args.count)]
     doc = {

@@ -21,14 +21,8 @@ import enum
 import numpy as np
 
 from .errors import ConsistencyError, ContractError, DomainError
-from .jts import (
-    Element,
-    bergman_operator,
-    embed,
-    in_domain,
-    isotropy_action,
-    restrict,
-)
+from .jts import (Element, _same_kind, bergman_operator, embed, in_domain, isotropy_action,
+                  restrict)
 from .kinds import JTSKind, format_kind
 from .linalg import frobenius, hermitian_power
 from .spectral import _box_power_rows, _rows, log_norm_rows, spectral_decompose
@@ -175,10 +169,7 @@ def check_hereditary(sub: JTSKind, super_: JTSKind, z: Element) -> float:
     big image that sticks out of the embedded subspace.  Returns the larger of
     the two, relative to max(1, |z|).
     """
-    if z.kind != sub:
-        raise ContractError(
-            f"element lives in {format_kind(z.kind)}, expected {format_kind(sub)}"
-        )
+    _same_kind(sub, z.kind)
     lifted = embed(sub, super_, z)
     image = psi(lifted)
     expected = embed(sub, super_, psi(z))

@@ -18,7 +18,6 @@ Every driver takes its step h * max(1, |z|), h in [1e-7, 1e-2], from
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 import enum
 from functools import lru_cache
@@ -26,9 +25,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DomainError
-from .jts import Element, _triple_coords, in_domain
-from .kinds import JTSKind, format_kind
+from .errors import ContractError, DomainError, as_int, as_real
+from .jts import Element, _same_kind, _triple_coords, in_domain
+from .kinds import JTSKind
 from .linalg import det
 from .spectral import (_box_power_rows, generic_norms, log_generic_norm_minus,
                        log_generic_norm_plus, log_norm_rows, spectral_values)
@@ -190,11 +189,10 @@ def _stencil(n: int) -> _Stencil:
 
 def _fd_step(norm: float, h: float) -> float:
     """The step h * max(1, norm) at a point of that norm, for a real h in
-    [1e-7, 1e-2] (below, roundoff swamps a difference; above, truncation does)."""
-    if not (isinstance(h, numbers.Real) and 1e-7 <= h <= 1e-2):  # also rejects nan
-        raise ContractError(f"fd_step {h!r} lies outside [1e-7, 1e-2], the steps "
-                            f"the finite-difference drivers accept")
-    return h * max(1.0, norm)
+    [1e-7, 1e-2] (below, roundoff swamps a difference; above, truncation does),
+    as a builtin float: a float32 h is used as a float64."""
+    return as_real(h, "fd_step {!r} lies outside [1e-7, 1e-2], the steps the "
+                   "finite-difference drivers accept", 1e-7, 1e-2) * max(1.0, norm)
 
 
 def _central(fn: Callable[[np.ndarray], np.ndarray], z: Element, dirs: np.ndarray,
@@ -330,8 +328,7 @@ def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
     at z (u then v per pair), each as max |x_u^T (P - S) x_v| on a pair
     (P, S) of ``_pullback_pairs``, x being a vector's real coordinates.
     """
-    if not isinstance(tangent_pairs, int) or isinstance(tangent_pairs, bool) or tangent_pairs < 0:
-        raise ContractError(f"tangent_pairs must be a nonnegative integer, got {tangent_pairs!r}")
+    tangent_pairs = as_int(tangent_pairs, "tangent_pairs must be a nonnegative integer, got {!r}")
     if rng is None:
         rng = np.random.default_rng(7)
     n = z.coords.size
@@ -360,14 +357,6 @@ def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
     return worst
 
 
-def _same_kind_direction(z: Element, direction: Element) -> None:
-    if direction.kind != z.kind:
-        raise ContractError(
-            f"direction lives in {format_kind(direction.kind)}, "
-            f"expected {format_kind(z.kind)}"
-        )
-
-
 def _beta(kind: JTSKind, coords: np.ndarray, dbox_w_z: np.ndarray, sign: float) -> complex:
     """beta(w) = m1((id + sign z box z)^(-2) z, (d(z box z))(w) z): the
     hyperbolic beta for sign = -1, its dual mirror for sign = +1."""
@@ -384,7 +373,7 @@ def check_lemma_a1(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -
     antiholomorphic derivative is the Wirtinger split
     dbar f (w) = (d/dt f(z + t w) + i d/dt f(z + i t w)) / 2 over real t.
     """
-    _same_kind_direction(z, direction)
+    _same_kind(z.kind, direction.kind)
     if not in_domain(z):
         raise DomainError("logarithmic derivative of N needs an interior point")
     w = direction.coords
@@ -435,7 +424,7 @@ def check_beta_exactness(z: Element, direction: Element,
     values at z +- step w are computed once for both signs.  Both imaginary
     parts must vanish.  Returns the worst residual relative to max(1, |derivative|).
     """
-    _same_kind_direction(z, direction)
+    _same_kind(z.kind, direction.kind)
     lam1 = spectral_values(z)[0]
     if lam1 >= _BETA_LAMBDA_MAX:
         raise DomainError(f"beta exactness check needs largest spectral value "
@@ -467,7 +456,7 @@ def check_lemma_a2(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -
     max(1, |right-hand side|); at k = 0 both sides are exactly 0.  Each power of
     z box z is applied once as v -> {z z v}/2, on z +- step w in one central difference.
     """
-    _same_kind_direction(z, direction)
+    _same_kind(z.kind, direction.kind)
     w = direction.coords
     kind, c = z.kind, z.coords
 
@@ -500,7 +489,7 @@ def check_flat_dbar_pullback(z: Element, direction: Element,
     m1(quasi-inverse of z, w) + beta(w)/2.  A second-order-on-first-order
     composite, so callers should allow a looser tolerance (~1e-4).
     """
-    _same_kind_direction(z, direction)
+    _same_kind(z.kind, direction.kind)
     if not in_domain(z):
         raise DomainError("flat pullback check needs an interior point")
     w = direction.coords

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import kinds as _k
-from .errors import ConsistencyError, ContractError, DomainError, HjtsError
+from .errors import ConsistencyError, ContractError, DomainError, HjtsError, as_int, as_real
 from .jts import Element, d_operator, genus, jordan_residual, triple_product
 from .jts import bergman_operator, embedding_target
 from .linalg import det, eigh, frobenius
@@ -114,14 +113,7 @@ DEFAULT_KINDS = (
 )
 
 
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
-        raise ContractError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-
-
-def _check_boundary_cap(cap: float) -> None:
-    if not (isinstance(cap, numbers.Real) and 0.0 < cap < 1.0):  # also rejects nan
-        raise ContractError(f"boundary_cap must lie strictly between 0 and 1, got {cap!r}")
+_CAP_WORDS = "boundary_cap must lie strictly between 0 and 1, got {!r}"  # config and sampler
 
 
 @dataclass(frozen=True)
@@ -141,20 +133,19 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "suites", tuple(self.suites))
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", as_int(
+            self.seed, "seed must be a 64-bit unsigned integer, got {!r}", 0, 2 ** 64 - 1))
         for kind in self.kinds:
             if not isinstance(kind, _k.JTSKind):
                 raise ContractError(f"kinds must hold kind objects (kinds.parse_kind), got {kind!r}")
         for name in ("points", "tangent_pairs"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ContractError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, as_int(
+                getattr(self, name), name + " must be a positive integer, got {!r}", 1))
         for name in ("tol_exact", "tol_fd", "fd_step"):
-            value = getattr(self, name)
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (real and 0.0 < value < math.inf):  # also rejects nan
-                raise ContractError(f"{name} must be positive and finite, got {value!r}")
-        _check_boundary_cap(self.boundary_cap)
+            object.__setattr__(self, name, as_real(getattr(self, name), name + " must be "
+                               "positive and finite, got {!r}", 0.0, math.inf, exclusive=True))
+        object.__setattr__(self, "boundary_cap",
+                           as_real(self.boundary_cap, _CAP_WORDS, 0.0, 1.0, exclusive=True))
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ContractError(
@@ -268,7 +259,7 @@ def sample_domain(kind: _k.JTSKind, rng: np.random.Generator,
     uniform in (0, boundary_cap); an (essentially impossible) zero draw is
     redrawn.  Raises ContractError unless 0 < boundary_cap < 1.
     """
-    _check_boundary_cap(boundary_cap)
+    boundary_cap = as_real(boundary_cap, _CAP_WORDS, 0.0, 1.0, exclusive=True)
     n = _k.ambient_dim(kind)
     while True:
         coords = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)

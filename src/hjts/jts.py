@@ -205,8 +205,6 @@ def _primitive_tripotent(kind: _k.JTSKind) -> Element:
         coords[0] = 1.0 / math.sqrt(2.0)
         coords[1] = 1.0j / math.sqrt(2.0)
         return Element(kind, coords)
-    if isinstance(kind, _k.Product):
-        raise ContractError("primitive tripotents are per simple factor")
     return basis_elements(kind)[0]
 
 

@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, as_int
 
 __all__ = [
     "TypeI",
@@ -59,44 +59,39 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_count(value, name: str, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ContractError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TypeI:
     """Rectangular matrices: p x q complex, rank min(p, q)."""
 
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        _check_count(self.p, "p", 1)
-        _check_count(self.q, "q", 1)
+    def __init__(self, p: int, q: int) -> None:
+        object.__setattr__(self, "p", as_int(p, "p must be an integer >= 1, got {!r}", 1))
+        object.__setattr__(self, "q", as_int(q, "q must be an integer >= 1, got {!r}", 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TypeII:
     """Antisymmetric n x n complex matrices, rank floor(n/2)."""
 
     n: int
 
-    def __post_init__(self) -> None:
-        _check_count(self.n, "n", 2)
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", as_int(n, "n must be an integer >= 2, got {!r}", 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TypeIII:
     """Symmetric n x n complex matrices, rank n."""
 
     n: int
 
-    def __post_init__(self) -> None:
-        _check_count(self.n, "n", 1)
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", as_int(n, "n must be an integer >= 1, got {!r}", 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TypeIV:
     """Spin factor on C^n (the Lie-ball triple), rank 2.
 
@@ -106,8 +101,8 @@ class TypeIV:
 
     n: int
 
-    def __post_init__(self) -> None:
-        _check_count(self.n, "n", 3)
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", as_int(n, "n must be an integer >= 3, got {!r}", 3))
 
 
 @dataclass(frozen=True)
@@ -248,15 +243,8 @@ def format_kind(kind: JTSKind) -> str:
 # Coordinates <-> natural representations
 
 @lru_cache(maxsize=None)
-def _triu_strict(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(n, 1)
-    return rows, cols
-
-
-@lru_cache(maxsize=None)
-def _triu_full(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(n)
-    return rows, cols
+def _triu(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, k)
 
 
 def coords_to_matrix(kind: JTSKind, coords: np.ndarray) -> np.ndarray:
@@ -269,14 +257,14 @@ def coords_to_matrix(kind: JTSKind, coords: np.ndarray) -> np.ndarray:
         return coords.reshape(coords.shape[:-1] + (kind.p, kind.q))
     if isinstance(kind, TypeII):
         n = kind.n
-        rows, cols = _triu_strict(n)
+        rows, cols = _triu(n, 1)
         m = np.zeros(coords.shape[:-1] + (n, n), dtype=np.complex128)
         m[..., rows, cols] = coords
         m[..., cols, rows] = -coords
         return m
     if isinstance(kind, TypeIII):
         n = kind.n
-        rows, cols = _triu_full(n)
+        rows, cols = _triu(n, 0)
         scaled = np.where(rows == cols, coords, coords / _SQRT2)
         m = np.zeros(coords.shape[:-1] + (n, n), dtype=np.complex128)
         m[..., rows, cols] = scaled
@@ -301,9 +289,9 @@ def matrix_to_coords(kind: JTSKind, matrix: np.ndarray) -> np.ndarray:
     if isinstance(kind, TypeI):
         return np.asarray(matrix, dtype=np.complex128).reshape(matrix.shape[:-2] + (-1,)).copy()
     if isinstance(kind, TypeII):
-        rows, cols = _triu_strict(kind.n)
+        rows, cols = _triu(kind.n, 1)
         return 0.5 * (matrix[..., rows, cols] - matrix[..., cols, rows])
-    rows, cols = _triu_full(kind.n)
+    rows, cols = _triu(kind.n, 0)
     sym = 0.5 * (matrix[..., rows, cols] + matrix[..., cols, rows])
     return np.where(rows == cols, sym, sym * _SQRT2)
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinds as _k
-from .errors import ConsistencyError, ContractError, DomainError, SingularityError
+from .errors import (ConsistencyError, ContractError, DomainError, SingularityError,
+                     as_int)
 from .jts import Element, _box_apply
 from .linalg import (_checked, cholesky_logdet, eigh, frobenius, hermitian_power,
                      orthonormal_extension, solve, svd, takagi)
@@ -410,6 +411,5 @@ def quasi_inverse(z: Element) -> Element:
 
 def odd_power(z: Element, j: int) -> Element:
     """z^(2j+1) = (z box z)^j z, by j applications of v -> {z z v}/2 (z^(1) = z)."""
-    if not isinstance(j, int) or isinstance(j, bool) or j < 0:
-        raise ContractError(f"power index must be an integer >= 0, got {j!r}")
+    j = as_int(j, "power index must be an integer >= 0, got {!r}")
     return Element(z.kind, _box_apply(z.kind, z.coords, j, z.coords))

@@ -21,6 +21,7 @@ from hjts.geometry import (
     _BETA_LAMBDA_MAX,
     _central,
     _dbox_z,
+    _fd_step,
     _g,
     _pullback_pairs,
     _to_real,
@@ -194,6 +195,13 @@ def test_step_outside_the_range_is_a_contract_error(step_point, call, h):
 @pytest.mark.parametrize("call", _STEP_DRIVERS.values(), ids=_STEP_DRIVERS.keys())
 def test_steps_at_the_range_ends_are_accepted(step_point, call, h):
     call(*step_point, h)
+
+
+def test_a_float32_step_is_used_as_a_float64():
+    # the step is a builtin float, so the Hessian's 4 step^2 is formed in float64
+    for norm in (0.7, 2.5):
+        step = _fd_step(norm, np.float32(1e-3))
+        assert type(step) is float and step == float(np.float32(1e-3)) * max(1.0, norm)
 
 
 def test_hyperbolic_hessian_boundary_margin():

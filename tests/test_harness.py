@@ -100,6 +100,36 @@ def test_config_validation(bad):
         SuiteConfig(**{"kinds": FAST_KINDS, **bad})
 
 
+@pytest.mark.parametrize("good", [
+    dict(fd_step=np.float32(1e-3)), dict(boundary_cap=np.float32(0.5)),
+    dict(points=np.int64(3)), dict(seed=np.uint64(2 ** 64 - 1)), dict(tangent_pairs=np.int8(2)),
+    dict(tol_exact=np.float32(1e-9)), dict(tol_fd=np.float64(1e-5)), dict(tol_exact=1),
+], ids=lambda good: "-".join(f"{k}={type(v).__name__}" for k, v in good.items()))
+def test_config_validation_accepts_numpy_scalars_as_python_numbers(good):
+    cfg = SuiteConfig(**{"kinds": FAST_KINDS, **good})
+    for name, value in good.items():
+        stored = getattr(cfg, name)
+        assert type(stored) is (int if name in ("seed", "points", "tangent_pairs") else float)
+        assert stored == float(value) if type(stored) is float else stored == int(value)
+
+
+def test_numpy_scalar_config_round_trips_through_json():
+    numpy = SuiteConfig(kinds=(K.TypeI(np.int64(1), np.uint64(2)), K.TypeIV(np.int32(3))),
+                        seed=np.uint64(9), points=np.int64(2), tangent_pairs=np.int64(2),
+                        tol_exact=np.float32(1e-9), tol_fd=np.float64(1e-5),
+                        fd_step=np.float32(1e-3), boundary_cap=np.float32(0.5),
+                        suites=("spectral", "symplectic", "lemma_a1"))
+    text = run_suite(numpy).to_json()
+    config = json.loads(text)["config"]
+    assert config["fd_step"] == float(np.float32(1e-3)) and config["seed"] == 9
+    # the same run from builtin numbers writes the same report
+    builtin = SuiteConfig(kinds=(K.TypeI(1, 2), K.TypeIV(3)), seed=9, points=2, tangent_pairs=2,
+                          tol_exact=float(np.float32(1e-9)), tol_fd=1e-5,
+                          fd_step=float(np.float32(1e-3)), boundary_cap=float(np.float32(0.5)),
+                          suites=("spectral", "symplectic", "lemma_a1"))
+    assert strip_wall(run_suite(builtin).to_json()) == strip_wall(text)
+
+
 @pytest.mark.parametrize("step", [1e-8, 0.05])
 def test_config_rejects_fd_step_outside_the_hessian_range(step):
     with pytest.raises(ContractError, match=r"fd_step .* outside \[1e-7, 1e-2\]"):

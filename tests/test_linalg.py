@@ -648,3 +648,49 @@ def test_operator_build_scanner_finds_every_form():
 def test_library_builds_no_box_or_quadratic_operator_outside_jts(path):
     calls = _operator_builds(ast.parse(path.read_text(encoding="utf-8")))
     assert calls == [], f"{path.name} builds an N x N box or quadratic operator: {calls}"
+
+
+# ---------------------------------------------------------------------------
+# one rule per scalar kind: only errors.py (as_int, as_real) tests a value
+# against int, float, bool or a numbers class
+
+SCALAR_CLASSES = {"int", "float", "bool"}
+
+
+def _scalar_type_tests(tree: ast.AST) -> list[str]:
+    """isinstance calls whose class argument names int, float, bool or a
+    ``numbers`` class: as ``numbers.Real``, under an import alias, or imported
+    by name from ``numbers``."""
+    modules, classes = {"numbers"}, set(SCALAR_CLASSES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "numbers"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            classes |= {a.asname or a.name for a in node.names}
+    tests = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = [n for n in ast.walk(node.args[1])
+                     if isinstance(n, ast.Name) and n.id in classes
+                     or isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                     and n.value.id in modules]
+            if names:
+                tests.append(f"line {node.lineno}: {ast.unparse(node.args[1])}")
+    return tests
+
+
+def test_scalar_type_test_scanner_finds_every_form():
+    source = ("import numbers\nimport numbers as nb\nfrom numbers import Integral as I\n"
+              "isinstance(x, int)\nisinstance(x, (list, float))\nisinstance(x, bool)\n"
+              "isinstance(x, numbers.Real)\nisinstance(x, nb.Integral)\nisinstance(x, I)\n"
+              "isinstance(x, (tuple, list))\nisinstance(x, np.ndarray)\ntype(x) is int\n")
+    assert [t.split(":")[0] for t in _scalar_type_tests(ast.parse(source))] == [
+        f"line {n}" for n in (4, 5, 6, 7, 8, 9)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "errors.py"],
+                         ids=[p.name for p in SOURCES if p.name != "errors.py"])
+def test_library_checks_scalars_only_through_the_errors_rules(path):
+    tests = _scalar_type_tests(ast.parse(path.read_text(encoding="utf-8")))
+    assert tests == [], f"{path.name} tests a scalar type itself, not via as_int/as_real: {tests}"
