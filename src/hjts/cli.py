@@ -14,6 +14,7 @@ human summary to stderr, so piping the report stays clean.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -29,10 +30,13 @@ from .harness import (
     SUITE_NAMES,
     SuiteConfig,
     VerificationReport,
+    _encode,
+    _philox,
     run_suite,
     sample_domain,
 )
 from .jts import Element
+from .linalg import frobenius
 from .duality import psi, psi_inverse
 
 __all__ = ["main", "build_parser"]
@@ -43,9 +47,10 @@ EXIT_CONSISTENCY = 2
 EXIT_CONFIG = 3
 
 #: The ``SuiteConfig`` fields that ``verify`` exposes as ``--name-with-dashes``
-#: options; each option takes its type and default from the field.
-_RUN_FIELDS = ("points", "tangent_pairs", "seed", "tol_exact", "tol_fd",
-               "fd_step", "boundary_cap")
+#: options, each taking its type and default from the field; every field but
+#: ``kinds`` and ``suites``, which ``--all``/``--kind`` and ``--suites`` set.
+_RUN_FIELDS = tuple(field.name for field in dataclasses.fields(SuiteConfig)
+                    if field.name not in ("kinds", "suites"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,10 +101,6 @@ def _shared_parser() -> argparse.ArgumentParser:
     """The parser of :func:`main`, built on first use and kept for the process;
     ``build_parser`` still returns a fresh one to any other caller."""
     return build_parser()
-
-
-def _encode(coords: np.ndarray) -> list:
-    return [[float(c.real), float(c.imag)] for c in coords]
 
 
 def _parse_point(kind: _k.JTSKind, text: str) -> Element:
@@ -169,7 +170,7 @@ def _cmd_psi(args) -> int:
     z = _parse_point(kind, args.point)
     image = psi(z)
     back = psi_inverse(image)
-    gap = float(np.sqrt(np.sum(np.abs(back.coords - z.coords) ** 2)))
+    gap = frobenius(back.coords - z.coords)
     doc = {
         "kind": _k.format_kind(kind),
         "point": _encode(z.coords),
@@ -186,7 +187,7 @@ def _cmd_sample(args) -> int:
     kind = _k.parse_kind(args.kind)
     as_int(args.count, "--count must be positive, got {!r}", 1)
     as_int(args.seed, "--seed must be a 64-bit unsigned integer, got {!r}", 0, 2 ** 64 - 1)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+    rng = _philox(args.seed)
     points = [sample_domain(kind, rng, args.boundary_cap) for _ in range(args.count)]
     doc = {
         "kind": _k.format_kind(kind),

@@ -31,10 +31,11 @@ when the sample tagged one, the offending point serialized under
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -175,17 +176,9 @@ class SuiteConfig:
                                 f"needs largest spectral value < {_BETA_LAMBDA_MAX}")
 
     def to_dict(self) -> dict:
-        return {
-            "kinds": [_k.format_kind(kind) for kind in self.kinds],
-            "seed": self.seed,
-            "points": self.points,
-            "tangent_pairs": self.tangent_pairs,
-            "tol_exact": self.tol_exact,
-            "tol_fd": self.tol_fd,
-            "fd_step": self.fd_step,
-            "boundary_cap": self.boundary_cap,
-            "suites": list(self.suites),
-        }
+        doc = {field.name: getattr(self, field.name) for field in fields(self)}
+        doc.update(kinds=[_k.format_kind(kind) for kind in self.kinds], suites=list(self.suites))
+        return doc
 
 
 @dataclass(frozen=True)
@@ -245,10 +238,22 @@ class VerificationReport:
 # --------------------------------------------------------------------------
 # Sampling
 
-def _cell_rng(seed: int, kind_index: int, suite_index: int,
-              sample_index: int) -> np.random.Generator:
-    key = (kind_index, suite_index, sample_index)
+def _philox(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream of ``SeedSequence(seed, spawn_key=key)``; the empty
+    key is ``SeedSequence(seed)``'s own stream."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _encode(coords: np.ndarray) -> list:
+    """A point's coordinates as JSON-ready [re, im] pairs."""
+    return [[float(c.real), float(c.imag)] for c in coords]
+
+
+def _gaussian_element(kind: _k.JTSKind, rng: np.random.Generator,
+                      scale: float = 1.0) -> Element:
+    n = _k.ambient_dim(kind)
+    coords = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    return Element(kind, scale * coords)
 
 
 def sample_domain(kind: _k.JTSKind, rng: np.random.Generator,
@@ -260,21 +265,13 @@ def sample_domain(kind: _k.JTSKind, rng: np.random.Generator,
     redrawn.  Raises ContractError unless 0 < boundary_cap < 1.
     """
     boundary_cap = as_real(boundary_cap, _CAP_WORDS, 0.0, 1.0, exclusive=True)
-    n = _k.ambient_dim(kind)
     while True:
-        coords = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        lam1 = spectral_values(Element(kind, coords))[0]
+        draw = _gaussian_element(kind, rng)
+        lam1 = spectral_values(draw)[0]
         if lam1 > 1e-12:
             break
     radius = rng.uniform(0.0, boundary_cap)
-    return Element(kind, coords * (radius / lam1))
-
-
-def _gaussian_element(kind: _k.JTSKind, rng: np.random.Generator,
-                      scale: float = 1.0) -> Element:
-    n = _k.ambient_dim(kind)
-    coords = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    return Element(kind, scale * coords)
+    return Element(kind, draw.coords * (radius / lam1))
 
 
 def _unit_direction(kind: _k.JTSKind, rng: np.random.Generator) -> Element:
@@ -302,16 +299,15 @@ def random_isotropy(kind: _k.JTSKind, rng: np.random.Generator):
 
 
 def _hereditary_target(kind: _k.JTSKind) -> _k.TypeI | None:
-    """Canonical strictly-larger type I envelope; None when unsupported."""
-    if isinstance(kind, _k.TypeI):
-        return _k.TypeI(kind.p + 1, kind.q + 1)
-    if isinstance(kind, (_k.TypeII, _k.TypeIII)):
-        return _k.TypeI(kind.n, kind.n)
-    if isinstance(kind, _k.Product):
-        if any(isinstance(f, _k.TypeIV) for f in kind.factors):
-            return None
-        return embedding_target(kind)
-    return None  # spin factors embed in no matrix kind here
+    """The type I kind the hereditary suite embeds `kind` into: its
+    ``embedding_target``, one size larger when that is `kind` itself; None
+    where ``jts`` has no matrix embedding (a spin factor, or a product that
+    holds one)."""
+    try:
+        target = embedding_target(kind)
+    except ContractError:
+        return None
+    return _k.TypeI(target.p + 1, target.q + 1) if target == kind else target
 
 
 # --------------------------------------------------------------------------
@@ -458,58 +454,38 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     "internal-error".
     """
     started = time.perf_counter()
-
-    cells: list[tuple] = []
-    for kind_index, kind in enumerate(config.kinds):
-        for suite in config.suites:
-            if suite == "hereditary" and _hereditary_target(kind) is None:
-                cells.append((kind_index, kind, suite, 0))  # no matrix envelope
-            else:
-                cells.append((kind_index, kind, suite, config.points))
-
     results = []
     failure: dict | None = None
-    try:
-        for kind_index, kind, suite, samples in cells:
-            errors = []
+    for (kind_index, kind), suite in itertools.product(enumerate(config.kinds), config.suites):
+        status, samples = "ok", config.points
+        if suite == "hereditary" and _hereditary_target(kind) is None:
+            status, samples = "skipped", 0  # no matrix envelope
+        errors = []
+        try:
             for sample_index in range(samples):
-                rng = _cell_rng(config.seed, kind_index,
-                                SUITE_NAMES.index(suite), sample_index)
+                rng = _philox(config.seed, kind_index, SUITE_NAMES.index(suite), sample_index)
                 errors.append(_SUITE_EVALS[suite](kind, config, rng, sample_index))
-            max_error = max(errors, default=0.0)
-            tolerance = _suite_tolerance(suite, config)
-            results.append(SuiteResult(
-                kind=_k.format_kind(kind),
-                suite=suite,
-                samples=samples,
-                max_error=float(max_error),
-                tolerance=tolerance,
-                passed=bool(max_error <= tolerance),
-                status="ok" if samples else "skipped",
-            ))
-    except (ContractError, DomainError):
-        raise
-    except HjtsError as cause:
-        offending = getattr(cause, "offending", None)
-        consistency = isinstance(cause, ConsistencyError)
-        failure = {
-            "kind": _k.format_kind(kind),
-            "suite": suite,
-            "sample_index": sample_index,
-            "message": str(cause) if consistency
-                       else f"{type(cause).__name__}: {cause}",
-            "point": None if offending is None else
-                     [[float(c.real), float(c.imag)] for c in offending.coords],
-        }
-        results.append(SuiteResult(
-            kind=_k.format_kind(kind),
-            suite=suite,
-            samples=sample_index + 1,
-            max_error=float("inf"),
-            tolerance=_suite_tolerance(suite, config),
-            passed=False,
-            status="consistency-error" if consistency else "internal-error",
-        ))
+            max_error = float(max(errors, default=0.0))
+        except (ContractError, DomainError):
+            raise
+        except HjtsError as cause:
+            offending = getattr(cause, "offending", None)
+            consistency = isinstance(cause, ConsistencyError)
+            status = "consistency-error" if consistency else "internal-error"
+            samples, max_error = sample_index + 1, math.inf
+            failure = {
+                "kind": _k.format_kind(kind),
+                "suite": suite,
+                "sample_index": sample_index,
+                "message": str(cause) if consistency
+                           else f"{type(cause).__name__}: {cause}",
+                "point": None if offending is None else _encode(offending.coords),
+            }
+        tolerance = _suite_tolerance(suite, config)
+        results.append(SuiteResult(_k.format_kind(kind), suite, samples, max_error, tolerance,
+                                   max_error <= tolerance, status))
+        if failure is not None:
+            break
 
     results.sort(key=lambda r: (r.kind, r.suite))
     return VerificationReport(

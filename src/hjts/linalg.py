@@ -395,10 +395,11 @@ def hermitian_power(a, t: float) -> np.ndarray:
     """Real power ``a**t`` of a Hermitian positive definite matrix, or of a stack.
 
     The matrix is symmetrized, eigendecomposed, and rebuilt with powered
-    eigenvalues; the result is re-Hermitized.  A relative deviation from
-    Hermiticity above 1e-10 raises ContractError, and any eigenvalue <= 0
-    raises DomainError (fractional and negative powers need a positive
-    spectrum, and this routine refuses to guess at the boundary).
+    eigenvalues; the result is re-Hermitized.  eigh's Hermiticity rule,
+    ||a - a*||_F <= 1e-10 * max(1, ||a||_F), binds each slice (ContractError
+    otherwise), and any eigenvalue <= 0 raises DomainError (fractional and
+    negative powers need a positive spectrum, and this routine refuses to
+    guess at the boundary).
 
     ``a`` may be a (K, n, n) stack, which returns the (K, n, n) powers.  The
     stack runs one cyclic Jacobi iteration over all slices, with eigh's rules
@@ -407,9 +408,10 @@ def hermitian_power(a, t: float) -> np.ndarray:
     goes through :func:`eigh`.
     """
     m = _checked(a, "matrix", 2, 3)
-    herm = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    if (_norms(m - herm) > 1e-10 * np.maximum(1.0, _norms(m))).any():
+    adjoint = m.conj().swapaxes(-1, -2)
+    if (_norms(m - adjoint) > 1e-10 * np.maximum(1.0, _norms(m))).any():
         raise ContractError("hermitian_power requires a Hermitian matrix")
+    herm = 0.5 * (m + adjoint)
     w, v = eigh(herm) if m.ndim == 2 else _eigh_stack(herm)
     if w.size and w.min() <= 0.0:
         raise DomainError(f"matrix power {t} needs a positive spectrum; "

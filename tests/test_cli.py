@@ -83,6 +83,15 @@ def test_verify_all_uses_default_kinds(capsys):
                      "prod(I:1,1;IV:3)"}
 
 
+def test_verify_reports_a_skipped_hereditary_cell(capsys):
+    code, out, err = run_cli(capsys, "verify", "--kind", "IV:4", "--suites", "hereditary",
+                             "--points", "1")
+    assert code == 0
+    [row] = json.loads(out)["results"]
+    assert (row["samples"], row["status"], row["pass"]) == (0, "skipped", True)
+    assert "IV:4  hereditary    skipped (no embedding target)" in err
+
+
 def test_verify_tolerance_failure_is_exit_1(capsys):
     code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "duality",
                              "--points", "2", "--tol-exact", "1e-30")
@@ -256,6 +265,16 @@ def test_sample_reproducible(capsys):
     assert len(doc["points"]) == 5 and len(doc["points"][0]) == 4
     code, out2, _ = run_cli(capsys, "sample", "--kind", "IV:4", "--count", "5", "--seed", "7")
     assert out2 == out1
+
+
+def test_sample_draws_from_the_seeds_own_philox_stream(capsys):
+    from hjts.kinds import parse_kind
+    code, out, _ = run_cli(capsys, "sample", "--kind", "III:2", "--count", "3", "--seed", "7")
+    assert code == 0
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+    kind = parse_kind("III:2")
+    expected = [sample_domain(kind, rng).coords for _ in range(3)]
+    assert json.loads(out)["points"] == [[[c.real, c.imag] for c in p] for p in expected]
 
 
 def test_sample_points_are_interior(capsys):

@@ -1,5 +1,6 @@
 """Verification harness: sampling, suite orchestration, report determinism."""
 
+import dataclasses
 import json
 import math
 import re
@@ -78,6 +79,13 @@ def test_config_defaults():
     assert cfg.points == 100 and cfg.tangent_pairs == 8
     assert cfg.tol_exact == 1e-9 and cfg.tol_fd == 1e-5
     assert cfg.boundary_cap == 0.95
+
+
+def test_config_to_dict_has_one_key_per_field():
+    doc = SuiteConfig().to_dict()
+    assert sorted(doc) == sorted(field.name for field in dataclasses.fields(SuiteConfig))
+    assert doc["kinds"] == [K.format_kind(kind) for kind in DEFAULT_KINDS]
+    assert doc["suites"] == list(SUITE_NAMES)
 
 
 @pytest.mark.parametrize("bad", [
@@ -190,6 +198,18 @@ def test_hereditary_skipped_for_spin(small_report):
     assert by[("prod(I:1,1;IV:3)", "hereditary")].status == "skipped"
     assert by[("I:1,1", "hereditary")].samples == 3
     assert by[("I:1,1", "hereditary")].status == "ok"
+
+
+@pytest.mark.parametrize("kind, target", [
+    *zip(map(K.format_kind, DEFAULT_KINDS),
+         ["I:2,2", "I:3,3", "I:2,4", "I:4,4", "I:3,3", None, None]),
+    ("prod(I:1,2;III:2)", "I:3,4"),
+    ("prod(I:1,1)", "I:1,1"),  # a one-factor product is not type I itself
+    ("IV:8", None),
+])
+def test_hereditary_target_of_each_kind(kind, target):
+    got = hjts.harness._hereditary_target(K.parse_kind(kind))
+    assert (None if got is None else K.format_kind(got)) == target
 
 
 def test_report_is_deterministic(small_report):

@@ -37,7 +37,8 @@ def test_grammar_round_trips():
 
 def test_parse_rejects_junk():
     for bad in ["", "V:3", "I:2", "I:2,2,2", "II:x", "I:-1,2", "prod()",
-                "prod(I:1,1", "iv:4", "I : 2,2", "II:2.5", 42]:
+                "prod(I:1,1", "prod(I:1,1;(II:4)", "prod(I:1,1;IV:3))", "iv:4", "I : 2,2",
+                "II:2.5", 42]:
         with pytest.raises(ContractError):
             parse_kind(bad)
 
@@ -63,6 +64,9 @@ def test_product_flattens_nested():
     assert outer.factors == (TypeI(1, 1), TypeIII(2), TypeIV(3))
     assert simple_factors(outer) == outer.factors
     assert simple_factors(TypeII(4)) == (TypeII(4),)
+    nested = parse_kind("prod(I:1,1;prod(II:4;IV:3))")  # a ';' inside parentheses
+    assert nested.factors == (TypeI(1, 1), TypeII(4), TypeIV(3))
+    assert format_kind(nested) == "prod(I:1,1;II:4;IV:3)"
 
 
 def test_dims_and_ranks():

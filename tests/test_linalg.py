@@ -214,6 +214,27 @@ def test_hermitian_power_rejects_nonhermitian():
         hermitian_power(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), 0.5)
 
 
+_HERMITIAN_RULE_CALLS = {
+    "eigh": eigh,
+    "hermitian_power 2-D": lambda a: hermitian_power(a, 0.5),
+    "hermitian_power stack": lambda a: hermitian_power(a[None], 0.5),
+}
+
+
+@pytest.mark.parametrize("call", _HERMITIAN_RULE_CALLS.values(), ids=_HERMITIAN_RULE_CALLS)
+def test_one_hermitian_rule_binds_eigh_and_both_hermitian_power_forms(call):
+    # ||a - a*||_F against 1e-10 * max(1, ||a||_F) = 1e-10 here: 0.85e-10 passes,
+    # 1.7e-10 fails, on every call alike
+    for off, refused in ((0.6e-10, False), (1.2e-10, True)):
+        a = 0.5 * np.eye(2, dtype=complex)
+        a[0, 1] = off
+        if refused:
+            with pytest.raises(ContractError, match="requires a Hermitian matrix"):
+                call(a)
+        else:
+            call(a)
+
+
 def test_hermitian_power_rejects_indefinite():
     with pytest.raises(DomainError):
         hermitian_power(np.diag([1.0, -0.5]).astype(complex), 0.5)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 LABELS = (
@@ -54,3 +56,16 @@ def test_kernel_digest_prints_one_stable_sha256():
         outputs.append(done.stdout)
     assert re.fullmatch(r"[0-9a-f]{64}\n", outputs[0])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("tool", ["bench_jacobi.py", "kernel_digest.py"])
+def test_tools_refuse_a_tree_without_linalg_in_one_line(tool):
+    # the src directory instead of the tree root
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / tool), "--src", str(ROOT / "src")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"error: {ROOT / 'src' / 'src' / 'hjts' / 'linalg.py'} does not exist "
+        "(give a source tree's root)"]

@@ -50,9 +50,15 @@ MIN_TIME = 0.02
 
 def load_linalg(tree: str, package: str):
     """``hjts.linalg`` of the source tree ``tree``, imported as ``package.linalg``,
-    so two trees can sit in one process.  Only the modules it imports load."""
+    so two trees can sit in one process.  Only the modules it imports load.
+    A tree without ``src/hjts/linalg.py`` exits with code 2 and one line."""
+    source = Path(tree).resolve() / "src" / "hjts"
+    if not (source / "linalg.py").is_file():
+        print(f"error: {source / 'linalg.py'} does not exist (give a source tree's root)",
+              file=sys.stderr)
+        raise SystemExit(2)
     pkg = types.ModuleType(package)
-    pkg.__path__ = [str(Path(tree).resolve() / "src" / "hjts")]
+    pkg.__path__ = [str(source)]
     sys.modules[package] = pkg
     return importlib.import_module(f"{package}.linalg")
 
