@@ -9,11 +9,13 @@ traceback goes to stderr; 3 the command line or configuration failed to
 parse.
 
 ``verify`` writes the JSON report to ``--out`` (UTF-8) or stdout and a short
-human summary to stderr, so piping the report stays clean.
+human summary to stderr, so piping the report stays clean.  ``--out`` is
+opened before any sample runs, so a path that cannot be written exits 3.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -152,13 +154,14 @@ def _cmd_verify(args) -> int:
     )
     config = SuiteConfig(kinds=kinds, suites=suites,
                          **{name: getattr(args, name) for name in _RUN_FIELDS})
-    report = run_suite(config)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    try:  # a path that cannot be written is refused before any sample runs
+        out = (open(args.out, "w", encoding="utf-8") if args.out
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as err:
+        raise ContractError(f"cannot write --out {args.out}: {err.strerror}") from None
+    with out as stream:
+        report = run_suite(config)
+        stream.write(report.to_json())
     _summarize(report, sys.stderr)
     if report.consistency_failure is not None:
         return EXIT_CONSISTENCY

@@ -9,18 +9,8 @@ sample seeded through ``SeedSequence(seed, spawn_key=(kind_index,
 suite_index, sample_index))``, so reports are byte-identical across runs and
 platforms apart from the wall-time field.
 
-Suites, and what each sample costs:
-
-* ``jordan``        one Jordan-identity residual per random quintuple
-* ``spectral``      decomposition residuals, det B = N^g, genus table
-* ``duality``       route spreads and both round trips (domain + ambient)
-* ``equivariance``  psi vs a random isotropy
-* ``hereditary``    psi vs the canonical embedding (skipped for spin factors)
-* ``symplectic``    both pullback identities over random tangent pairs
-* ``volume``        skew-determinant comparison of the pulled-back forms
-* ``lemma_a1``      logarithmic derivatives of N and N*
-* ``lemma_a2``      trace-derivative identity, worst over (p, k) in {0,1,2}^2
-* ``beta_exact``    beta = d(gamma), both mirrors
+Each suite's facts -- its sample evaluation, its tolerance and its step rules
+-- are one row of ``_SUITES``.
 
 Internal failures abort the run: internal-consistency failures (route
 disagreements beyond 1e-7, non-integer genus) and kernel failures (any
@@ -37,7 +27,8 @@ import math
 import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,159 +72,8 @@ __all__ = [
 REPORT_SCHEMA = "hjts-report/1"
 RNG_NAME = "philox4x64"
 
-SUITE_NAMES = (
-    "jordan",
-    "spectral",
-    "duality",
-    "equivariance",
-    "hereditary",
-    "symplectic",
-    "volume",
-    "lemma_a1",
-    "lemma_a2",
-    "beta_exact",
-)
-
-#: Suites that take finite differences with step ``fd_step``.
-_FD_SUITES = ("symplectic", "volume", "lemma_a1", "lemma_a2", "beta_exact")
-
-#: Suites that difference the Kähler potentials (kahler_matrix's boundary
-#: margin of ``_FD_MARGIN`` steps applies to them).
-_HESSIAN_SUITES = ("symplectic", "volume")
-
-#: Kinds exercised by ``verify --all``: every classical family, a non-square
-#: type I, and one reducible product.
-DEFAULT_KINDS = (
-    _k.TypeI(1, 1),
-    _k.TypeI(2, 2),
-    _k.TypeI(1, 3),
-    _k.TypeII(4),
-    _k.TypeIII(3),
-    _k.TypeIV(4),
-    _k.Product((_k.TypeI(1, 1), _k.TypeIV(3))),
-)
-
-
+_DEFAULT_CAP = 0.95  # SuiteConfig.boundary_cap and sample_domain's default
 _CAP_WORDS = "boundary_cap must lie strictly between 0 and 1, got {!r}"  # config and sampler
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Everything a verification run depends on (echoed into the report)."""
-
-    kinds: tuple = DEFAULT_KINDS
-    seed: int = 0
-    points: int = 100
-    tangent_pairs: int = 8
-    tol_exact: float = 1e-9
-    tol_fd: float = 1e-5
-    fd_step: float = DEFAULT_FD_STEP
-    boundary_cap: float = 0.95
-    suites: tuple = SUITE_NAMES
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        object.__setattr__(self, "suites", tuple(self.suites))
-        object.__setattr__(self, "seed", as_int(
-            self.seed, "seed must be a 64-bit unsigned integer, got {!r}", 0, 2 ** 64 - 1))
-        for kind in self.kinds:
-            if not isinstance(kind, _k.JTSKind):
-                raise ContractError(f"kinds must hold kind objects (kinds.parse_kind), got {kind!r}")
-        for name in ("points", "tangent_pairs"):
-            object.__setattr__(self, name, as_int(
-                getattr(self, name), name + " must be a positive integer, got {!r}", 1))
-        for name in ("tol_exact", "tol_fd", "fd_step"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name + " must be "
-                               "positive and finite, got {!r}", 0.0, math.inf, exclusive=True))
-        object.__setattr__(self, "boundary_cap",
-                           as_real(self.boundary_cap, _CAP_WORDS, 0.0, 1.0, exclusive=True))
-        unknown = [s for s in self.suites if s not in SUITE_NAMES]
-        if unknown:
-            raise ContractError(
-                f"unknown suites {unknown}; valid names: {', '.join(SUITE_NAMES)}"
-            )
-        if any(s in _FD_SUITES for s in self.suites):
-            self._check_fd_step()
-
-    def _check_fd_step(self) -> None:
-        """Reject a config a finite-difference suite would refuse mid-run.
-
-        ``geometry._fd_step`` checks the step range.  A sample z has lambda_1 <=
-        cap and |z| <= sqrt(rank) * lambda_1, so its step is at most the one
-        below.  The hyperbolic Hessian (symplectic, volume) needs lambda_1 below
-        1 - _FD_MARGIN * step, and beta_exact needs lambda_1 < _BETA_LAMBDA_MAX.
-        """
-        h, cap = self.fd_step, self.boundary_cap
-        rank_max = max((_k.rank(kind) for kind in self.kinds), default=1)
-        reach = cap + _FD_MARGIN * _fd_step(math.sqrt(rank_max) * cap, h)
-        if any(s in _HESSIAN_SUITES for s in self.suites) and not reach < 1.0:
-            raise ContractError(
-                f"fd_step {h!r} is too large for boundary_cap {cap!r}: points drawn up to the "
-                f"cap come within {_FD_MARGIN:g} steps of the boundary (cap + {_FD_MARGIN:g} "
-                f"* fd_step * max(1, sqrt({rank_max}) * cap) = {reach:.6g} >= 1)")
-        if "beta_exact" in self.suites and not cap < _BETA_LAMBDA_MAX:
-            raise ContractError(f"boundary_cap {cap!r} is too large for beta_exact, which "
-                                f"needs largest spectral value < {_BETA_LAMBDA_MAX}")
-
-    def to_dict(self) -> dict:
-        doc = {field.name: getattr(self, field.name) for field in fields(self)}
-        doc.update(kinds=[_k.format_kind(kind) for kind in self.kinds], suites=list(self.suites))
-        return doc
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    """Aggregated outcome of one (kind, suite) cell."""
-
-    kind: str
-    suite: str
-    samples: int
-    max_error: float
-    tolerance: float
-    passed: bool
-    status: str = "ok"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "suite": self.suite,
-            "samples": self.samples,
-            # a consistency abort records +inf, which JSON cannot carry
-            "max_error": self.max_error if math.isfinite(self.max_error) else None,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "status": self.status,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Deterministic run record; serialize with :meth:`to_json`."""
-
-    config: SuiteConfig
-    results: tuple
-    wall_time_s: float
-    consistency_failure: dict | None = None
-
-    @property
-    def all_pass(self) -> bool:
-        return self.consistency_failure is None and all(r.passed for r in self.results)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "rng": RNG_NAME,
-            "seed": self.config.seed,
-            "config": self.config.to_dict(),
-            "results": [r.to_dict() for r in self.results],
-            "all_pass": self.all_pass,
-            "consistency_failure": self.consistency_failure,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
 
 # --------------------------------------------------------------------------
 # Sampling
@@ -257,7 +97,7 @@ def _gaussian_element(kind: _k.JTSKind, rng: np.random.Generator,
 
 
 def sample_domain(kind: _k.JTSKind, rng: np.random.Generator,
-                  boundary_cap: float = SuiteConfig.boundary_cap) -> Element:
+                  boundary_cap: float = _DEFAULT_CAP) -> Element:
     """Draw an interior point with largest spectral value <= boundary_cap.
 
     Entries are independent complex Gaussians, rescaled so that lambda_1 is
@@ -401,45 +241,182 @@ def _eval_volume(kind, config, rng, sample_index) -> float:
     return check_volume_duality(z, h=config.fd_step)
 
 
-def _eval_lemma_a1(kind, config, rng, sample_index) -> float:
-    z = sample_domain(kind, rng, config.boundary_cap)
-    return check_lemma_a1(z, _unit_direction(kind, rng), h=config.fd_step)
+def _directional(check: Callable) -> Callable:
+    """The sample of a derivative lemma: z, then a unit direction, then ``check``."""
+    def evaluate(kind, config, rng, sample_index) -> float:
+        z = sample_domain(kind, rng, config.boundary_cap)
+        return check(z, _unit_direction(kind, rng), h=config.fd_step)
+    return evaluate
 
 
-def _eval_lemma_a2(kind, config, rng, sample_index) -> float:
-    z = sample_domain(kind, rng, config.boundary_cap)
-    return check_lemma_a2(z, _unit_direction(kind, rng), h=config.fd_step)
+class _Suite(NamedTuple):
+    """One suite's facts: its sample evaluation, its tolerance, its step rules."""
+
+    evaluate: Callable          # (kind, config, rng, sample_index) -> scalar error
+    tolerance: Callable         # SuiteConfig -> the cell's tolerance
+    fd: bool = False            # differences with fd_step, whose range binds
+    hessian: bool = False       # differences the Kähler potentials (``_FD_MARGIN`` binds)
 
 
-def _eval_beta_exact(kind, config, rng, sample_index) -> float:
-    z = sample_domain(kind, rng, config.boundary_cap)
-    return check_beta_exactness(z, _unit_direction(kind, rng), h=config.fd_step)
+_EXACT, _FD = attrgetter("tol_exact"), attrgetter("tol_fd")
 
-
-_SUITE_EVALS: dict[str, Callable] = {
-    "jordan": _eval_jordan,
-    "spectral": _eval_spectral,
-    "duality": _eval_duality,
-    "equivariance": _eval_equivariance,
-    "hereditary": _eval_hereditary,
-    "symplectic": _eval_symplectic,
-    "volume": _eval_volume,
-    "lemma_a1": _eval_lemma_a1,
-    "lemma_a2": _eval_lemma_a2,
-    "beta_exact": _eval_beta_exact,
+#: Every suite, one row each, in spawn-key order (a suite's index is its suite_index).
+_SUITES = {
+    "jordan": _Suite(_eval_jordan, lambda config: 1e-10),  # Jordan identity, random quintuples
+    "spectral": _Suite(_eval_spectral, lambda config: 1e-8),  # frame residuals, det B = N^g, genus
+    "duality": _Suite(_eval_duality, _EXACT),  # route spreads, both round trips
+    "equivariance": _Suite(_eval_equivariance, _EXACT),  # psi vs a random isotropy
+    "hereditary": _Suite(_eval_hereditary, _EXACT),  # psi vs the canonical embedding
+    "symplectic": _Suite(_eval_symplectic, _FD, fd=True, hessian=True),  # both pullbacks
+    # pulled-back skew determinants; determinants square up the fd noise, hence 10x
+    "volume": _Suite(_eval_volume, lambda config: 10.0 * config.tol_fd, fd=True, hessian=True),
+    "lemma_a1": _Suite(_directional(check_lemma_a1), _FD, fd=True),  # log-derivatives of N, N*
+    "lemma_a2": _Suite(_directional(check_lemma_a2), _FD, fd=True),  # trace derivatives, p, k <= 2
+    "beta_exact": _Suite(_directional(check_beta_exactness), _FD, fd=True),  # beta = d(gamma)
 }
 
+SUITE_NAMES = tuple(_SUITES)
 
-def _suite_tolerance(suite: str, config: SuiteConfig) -> float:
-    if suite == "jordan":
-        return 1e-10
-    if suite == "spectral":
-        return 1e-8
-    if suite in ("duality", "equivariance", "hereditary"):
-        return config.tol_exact
-    if suite == "volume":
-        return 10.0 * config.tol_fd  # determinants square up the fd noise
-    return config.tol_fd  # symplectic, lemma_a1, lemma_a2, beta_exact
+#: The per-sample seam: ``run_suite`` looks each sample's evaluation up here.
+_SUITE_EVALS: dict[str, Callable] = {name: row.evaluate for name, row in _SUITES.items()}
+
+
+#: Kinds exercised by ``verify --all``: every classical family, a non-square
+#: type I, and one reducible product.
+DEFAULT_KINDS = (
+    _k.TypeI(1, 1),
+    _k.TypeI(2, 2),
+    _k.TypeI(1, 3),
+    _k.TypeII(4),
+    _k.TypeIII(3),
+    _k.TypeIV(4),
+    _k.Product((_k.TypeI(1, 1), _k.TypeIV(3))),
+)
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    """Everything a verification run depends on (echoed into the report)."""
+
+    kinds: tuple = DEFAULT_KINDS
+    seed: int = 0
+    points: int = 100
+    tangent_pairs: int = 8
+    tol_exact: float = 1e-9
+    tol_fd: float = 1e-5
+    fd_step: float = DEFAULT_FD_STEP
+    boundary_cap: float = _DEFAULT_CAP
+    suites: tuple = SUITE_NAMES
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kinds", tuple(self.kinds))
+        object.__setattr__(self, "suites", tuple(self.suites))
+        object.__setattr__(self, "seed", as_int(
+            self.seed, "seed must be a 64-bit unsigned integer, got {!r}", 0, 2 ** 64 - 1))
+        for kind in self.kinds:
+            if not isinstance(kind, _k.JTSKind):
+                raise ContractError(f"kinds must hold kind objects (kinds.parse_kind), got {kind!r}")
+        for name in ("points", "tangent_pairs"):
+            object.__setattr__(self, name, as_int(
+                getattr(self, name), name + " must be a positive integer, got {!r}", 1))
+        for name in ("tol_exact", "tol_fd", "fd_step"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name + " must be "
+                               "positive and finite, got {!r}", 0.0, math.inf, exclusive=True))
+        object.__setattr__(self, "boundary_cap",
+                           as_real(self.boundary_cap, _CAP_WORDS, 0.0, 1.0, exclusive=True))
+        unknown = [s for s in self.suites if s not in SUITE_NAMES]
+        if unknown:
+            raise ContractError(
+                f"unknown suites {unknown}; valid names: {', '.join(SUITE_NAMES)}"
+            )
+        # a repeat would run its cells twice under one (kind, suite) label
+        for name, labels in (("kinds", [_k.format_kind(k) for k in self.kinds]),
+                             ("suites", self.suites)):
+            repeated = sorted({label for label in labels if labels.count(label) > 1})
+            if repeated:
+                raise ContractError(f"{name} repeat {', '.join(repeated)}; give each once")
+        rows = [_SUITES[s] for s in self.suites]
+        if any(row.fd for row in rows):
+            self._check_fd_step(any(row.hessian for row in rows))
+
+    def _check_fd_step(self, hessian: bool) -> None:
+        """Reject a config a finite-difference suite would refuse mid-run.
+
+        ``geometry._fd_step`` checks the step range.  A sample z has lambda_1 <=
+        cap and |z| <= sqrt(rank) * lambda_1, so its step is at most the one
+        below.  A ``hessian`` suite needs lambda_1 below 1 - _FD_MARGIN * step,
+        and beta_exact needs lambda_1 < _BETA_LAMBDA_MAX.
+        """
+        h, cap = self.fd_step, self.boundary_cap
+        rank_max = max((_k.rank(kind) for kind in self.kinds), default=1)
+        reach = cap + _FD_MARGIN * _fd_step(math.sqrt(rank_max) * cap, h)
+        if hessian and not reach < 1.0:
+            raise ContractError(
+                f"fd_step {h!r} is too large for boundary_cap {cap!r}: points drawn up to the "
+                f"cap come within {_FD_MARGIN:g} steps of the boundary (cap + {_FD_MARGIN:g} "
+                f"* fd_step * max(1, sqrt({rank_max}) * cap) = {reach:.6g} >= 1)")
+        if "beta_exact" in self.suites and not cap < _BETA_LAMBDA_MAX:
+            raise ContractError(f"boundary_cap {cap!r} is too large for beta_exact, which "
+                                f"needs largest spectral value < {_BETA_LAMBDA_MAX}")
+
+    def to_dict(self) -> dict:
+        doc = {field.name: getattr(self, field.name) for field in fields(self)}
+        doc.update(kinds=[_k.format_kind(kind) for kind in self.kinds], suites=list(self.suites))
+        return doc
+
+
+@dataclass(frozen=True)
+class SuiteResult:
+    """Aggregated outcome of one (kind, suite) cell."""
+
+    kind: str
+    suite: str
+    samples: int
+    max_error: float
+    tolerance: float
+    passed: bool
+    status: str = "ok"
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "suite": self.suite,
+            "samples": self.samples,
+            # a consistency abort records +inf, which JSON cannot carry
+            "max_error": self.max_error if math.isfinite(self.max_error) else None,
+            "tolerance": self.tolerance,
+            "pass": self.passed,
+            "status": self.status,
+        }
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Deterministic run record; serialize with :meth:`to_json`."""
+
+    config: SuiteConfig
+    results: tuple
+    wall_time_s: float
+    consistency_failure: dict | None = None
+
+    @property
+    def all_pass(self) -> bool:
+        return self.consistency_failure is None and all(r.passed for r in self.results)
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": REPORT_SCHEMA,
+            "rng": RNG_NAME,
+            "seed": self.config.seed,
+            "config": self.config.to_dict(),
+            "results": [r.to_dict() for r in self.results],
+            "all_pass": self.all_pass,
+            "consistency_failure": self.consistency_failure,
+            "wall_time_s": self.wall_time_s,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -481,7 +458,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                            else f"{type(cause).__name__}: {cause}",
                 "point": None if offending is None else _encode(offending.coords),
             }
-        tolerance = _suite_tolerance(suite, config)
+        tolerance = _SUITES[suite].tolerance(config)
         results.append(SuiteResult(_k.format_kind(kind), suite, samples, max_error, tolerance,
                                    max_error <= tolerance, status))
         if failure is not None:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError, DomainError, SingularityError
+from .errors import ContractError, ConvergenceError, DomainError, SingularityError, as_real
 
 __all__ = [
     "EighResult",
@@ -392,7 +392,7 @@ def takagi(a) -> TakagiResult:
 
 
 def hermitian_power(a, t: float) -> np.ndarray:
-    """Real power ``a**t`` of a Hermitian positive definite matrix, or of a stack.
+    """Power ``a**t``, t finite and real, of a Hermitian positive definite matrix or stack.
 
     The matrix is symmetrized, eigendecomposed, and rebuilt with powered
     eigenvalues; the result is re-Hermitized.  eigh's Hermiticity rule,
@@ -407,6 +407,8 @@ def hermitian_power(a, t: float) -> np.ndarray:
     the stack around it; any slice that fails a check raises.  A 2-D input
     goes through :func:`eigh`.
     """
+    t = as_real(t, "hermitian_power exponent t must be a finite real number, got {!r}",
+                exclusive=True)
     m = _checked(a, "matrix", 2, 3)
     adjoint = m.conj().swapaxes(-1, -2)
     if (_norms(m - adjoint) > 1e-10 * np.maximum(1.0, _norms(m))).any():

@@ -118,12 +118,27 @@ def test_verify_consistency_failure_is_exit_2(capsys, monkeypatch):
     ("verify", "--kind", "I:1,1", "--suites", "duality", "--tol-exact", "inf"),
     ("verify", "--kind", "I:1,1", "--suites", "duality", "--tol-fd", "inf"),
     ("verify", "--kind", "I:1,1", "--suites", "jordan,duality", "--fd-step", "inf"),
+    ("verify", "--kind", "I:1,1", "--suites", "jordan,jordan"),
+    ("verify", "--kind", "I:1,1", "--kind", "I:1,1", "--suites", "jordan"),
 ])
 def test_verify_config_errors_are_exit_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""  # rejected before any sample runs
     assert err != ""
+
+
+@pytest.mark.parametrize("leaf", ["missing/report.json", ""], ids=["no-parent", "a-directory"])
+def test_verify_unwritable_out_is_exit_3_before_any_sample(tmp_path, capsys, monkeypatch, leaf):
+    def no_sample(kind, config, rng, sample_index):
+        raise AssertionError("a sample ran")
+    monkeypatch.setitem(hjts.harness._SUITE_EVALS, "jordan", no_sample)
+    target = str(tmp_path / leaf)
+    code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "jordan",
+                             "--points", "2", "--out", target)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and target in err and "Traceback" not in err
 
 
 def test_verify_fd_step_too_large_for_cap_is_exit_3(capsys):

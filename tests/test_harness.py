@@ -102,6 +102,9 @@ def test_config_to_dict_has_one_key_per_field():
     # values that would fail only mid-run
     dict(tol_exact="1e-9"), dict(kinds=("I:1,1",), suites=("jordan",)),
     dict(kinds=(K.TypeI(1, 1), None), suites=("jordan",)),
+    # a repeat would report two cells under one (kind, suite) label
+    dict(kinds=(K.TypeI(1, 1), K.TypeIV(3), K.TypeI(1, 1)), suites=("jordan",)),
+    dict(suites=("jordan", "duality", "jordan")),
 ])
 def test_config_validation(bad):
     with pytest.raises(ContractError):
@@ -173,6 +176,38 @@ def test_config_rejects_a_cap_beta_exact_would_refuse():
             SuiteConfig(kinds=FAST_KINDS, boundary_cap=cap, suites=FAST_SUITES + ("beta_exact",))
     SuiteConfig(kinds=FAST_KINDS, boundary_cap=0.989, suites=("beta_exact",))
     SuiteConfig(kinds=FAST_KINDS, boundary_cap=0.999, suites=("lemma_a1", "lemma_a2"))
+
+
+FD_SUITES = {"symplectic", "volume", "lemma_a1", "lemma_a2", "beta_exact"}
+HESSIAN_SUITES = {"symplectic", "volume"}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_step_rules_bind_exactly_their_suites(suite):
+    # 0.5 is outside the step range; 1e-2 is inside it but leaves no Hessian margin at 0.95
+    for step, binds in ((0.5, suite in FD_SUITES), (1e-2, suite in HESSIAN_SUITES)):
+        if binds:
+            with pytest.raises(ContractError, match="fd_step"):
+                SuiteConfig(kinds=FAST_KINDS, fd_step=step, suites=(suite,))
+        else:
+            SuiteConfig(kinds=FAST_KINDS, fd_step=step, suites=(suite,))
+
+
+def test_each_suite_has_its_tolerance():
+    report = run_suite(SuiteConfig(kinds=(K.TypeI(1, 1),), points=1,
+                                   tol_exact=2e-9, tol_fd=3e-5))
+    expected = {"jordan": 1e-10, "spectral": 1e-8, "duality": 2e-9, "equivariance": 2e-9,
+                "hereditary": 2e-9, "volume": 10.0 * 3e-5}  # the report holds this float
+    assert {r.suite: r.tolerance for r in report.results} == \
+        {suite: expected.get(suite, 3e-5) for suite in SUITE_NAMES}
+    assert report.all_pass
+
+
+def test_suite_names_and_the_sample_seam_share_one_order():
+    # a suite's place in SUITE_NAMES is its spawn-key index, so the order is part of every report
+    assert tuple(hjts.harness._SUITE_EVALS) == SUITE_NAMES == (
+        "jordan", "spectral", "duality", "equivariance", "hereditary",
+        "symplectic", "volume", "lemma_a1", "lemma_a2", "beta_exact")
 
 
 def test_config_accepts_lists():
