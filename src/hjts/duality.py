@@ -17,6 +17,7 @@ form for the spin factor) and builds no N x N operator.
 from __future__ import annotations
 
 import enum
+import itertools
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import ConsistencyError, ContractError, DomainError
 from .jts import (Element, _same_kind, bergman_operator, embed, in_domain, isotropy_action,
                   restrict)
 from .kinds import JTSKind, format_kind
-from .linalg import frobenius, hermitian_power
+from .linalg import frobenius, hermitian_power, worst_of
 from .spectral import _box_power_rows, _rows, log_norm_rows, spectral_decompose
 
 __all__ = [
@@ -126,10 +127,7 @@ def _route_spread(el: Element, point_map, label: str) -> float:
     relative to max(1, |el|); raises ConsistencyError above 1e-7."""
     images = [point_map(el, route).coords for route in DualityRoute]
     scale = max(1.0, el.norm())
-    worst = 0.0
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            worst = max(worst, frobenius(images[i] - images[j]) / scale)
+    worst = worst_of(frobenius(a - b) / scale for a, b in itertools.combinations(images, 2))
     if worst > ROUTE_AGREEMENT_LIMIT:
         raise ConsistencyError(
             f"{label} routes disagree by {worst:.3e} "
@@ -178,4 +176,4 @@ def check_hereditary(sub: JTSKind, super_: JTSKind, z: Element) -> float:
     # image failed to stay inside it.
     projected = embed(sub, super_, restrict(sub, super_, image))
     leakage = frobenius(projected.coords - image.coords)
-    return max(mismatch, leakage) / max(1.0, z.norm())
+    return worst_of((mismatch, leakage)) / max(1.0, z.norm())

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ContractError, DomainError, as_int, as_real
 from .jts import Element, _same_kind, _triple_coords, in_domain
 from .kinds import JTSKind
-from .linalg import det
+from .linalg import det, worst_of
 from .spectral import (_box_power_rows, generic_norms, log_generic_norm_minus,
                        log_generic_norm_plus, log_norm_rows, spectral_values)
 from .duality import psi_rows
@@ -351,10 +351,8 @@ def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
     four determinants are one ``det`` call on the (4, 2N, 2N) stack.
     """
     dets = det(np.stack([m for pair in _pullback_pairs(z, h) for m in pair])).real.tolist()
-    worst = 0.0
-    for d_pulled, d_native in zip(dets[0::2], dets[1::2]):
-        worst = max(worst, abs(d_pulled - d_native) / max(abs(d_native), np.finfo(np.float64).tiny))
-    return worst
+    return worst_of(abs(d_pulled - d_native) / max(abs(d_native), np.finfo(np.float64).tiny)
+                    for d_pulled, d_native in zip(dets[0::2], dets[1::2]))
 
 
 def _beta(kind: JTSKind, coords: np.ndarray, dbox_w_z: np.ndarray, sign: float) -> complex:
@@ -383,13 +381,13 @@ def check_lemma_a1(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -
         lambda rows: np.array([generic_norms(Element(kind, p)) for p in rows]),
         z, np.stack([w, 1.0j * w]), h).tolist()
     centre = generic_norms(z)
-    worst = 0.0
+    residuals = []
     # sign * m1((id + sign z box z)^(-1) z, w), with N for sign -1, N* for +1
     for which, sign in enumerate((-1.0, 1.0)):
         lhs = 0.5 * (along[which] + 1.0j * across[which]) / centre[which]
         rhs = sign * complex(np.vdot(w, _box_power_rows(kind, c[None, :], sign, -1)[0]))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst_of(residuals)
 
 
 def _g(t: float, sign: float) -> float:
@@ -444,7 +442,7 @@ def check_beta_exactness(z: Element, direction: Element,
         residuals.append(abs(beta.real - fd))
         residuals.append(abs(beta.imag))
         scale = max(scale, abs(fd))
-    return max(residuals) / scale
+    return worst_of(residuals) / scale
 
 
 def check_lemma_a2(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -> float:
@@ -471,13 +469,13 @@ def check_lemma_a2(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -
     dbox_w_z = _dbox_z(kind, c, w)
     inners = (dbox_w_z, box(c, dbox_w_z))  # (z box z)^(k-1) (d(z box z))(w) z
     slot1 = box(c, c)
-    worst = 0.0
+    residuals = []
     for slot in (c, slot1, box(c, slot1)):  # (z box z)^p z for p = 0, 1, 2
         for k, d_power_z, inner in zip((1, 2), d_powers, inners):
             lhs = complex(np.sum(slot * d_power_z.conj()))
             rhs = k * complex(np.sum(slot * inner.conj()))
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+            residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst_of(residuals)
 
 
 def check_flat_dbar_pullback(z: Element, direction: Element,

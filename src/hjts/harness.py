@@ -36,7 +36,7 @@ from . import kinds as _k
 from .errors import ConsistencyError, ContractError, DomainError, HjtsError, as_int, as_real
 from .jts import Element, d_operator, genus, jordan_residual, triple_product
 from .jts import bergman_operator, embedding_target
-from .linalg import det, eigh, frobenius
+from .linalg import det, eigh, frobenius, worst_of
 from .spectral import generic_norms, spectral_decompose, spectral_values
 from .duality import (
     check_equivariance,
@@ -186,35 +186,30 @@ def _checked_genus(factor: _k.JTSKind) -> tuple[int, bool]:
 def _eval_spectral(kind, config, rng, sample_index) -> float:
     z = sample_domain(kind, rng, config.boundary_cap)
     dec = spectral_decompose(z)
-    scale = max(1.0, z.norm())
-    worst = frobenius(dec.reconstruct().coords - z.coords) / scale
-    for c in dec.frame:
-        worst = max(worst, frobenius(triple_product(c, c, c).coords - 2.0 * c.coords))
-    for i in range(len(dec.frame)):
-        for j in range(i + 1, len(dec.frame)):
-            worst = max(worst, frobenius(d_operator(dec.frame[i], dec.frame[j]).matrix))
+    residuals = [frobenius(dec.reconstruct().coords - z.coords) / max(1.0, z.norm())]
+    residuals += [frobenius(triple_product(c, c, c).coords - 2.0 * c.coords) for c in dec.frame]
+    residuals += [frobenius(d_operator(ci, cj).matrix)
+                  for i, ci in enumerate(dec.frame) for cj in dec.frame[i + 1:]]
     for factor, coords in zip(_k.simple_factors(kind), _k.split_coords(kind, z.coords)):
         zf = Element(factor, coords)
         g, matches = _flag(z, lambda f=factor: _checked_genus(f))  # off-integer raises
-        if not matches:
-            worst = max(worst, 1.0)
+        residuals.append(0.0 if matches else 1.0)  # a genus off the table fails the cell
         # det B(z, -sign z) = N^g for sign = -1 and N*^g for sign = +1
         for sign, norm in zip((-1.0, 1.0), generic_norms(zf)):
             det_b = det(bergman_operator(zf, Element(factor, -sign * zf.coords)).matrix).real
             ref = norm ** g
-            worst = max(worst, abs(det_b - ref) / max(1.0, abs(ref)))
-    return worst
+            residuals.append(abs(det_b - ref) / max(1.0, abs(ref)))
+    return worst_of(residuals)
 
 
 def _eval_duality(kind, config, rng, sample_index) -> float:
     z = sample_domain(kind, rng, config.boundary_cap)
-    worst = _flag(z, lambda: psi_route_spread(z))
-    back = psi_inverse(psi(z))
-    worst = max(worst, frobenius(back.coords - z.coords) / max(1.0, z.norm()))
+    residuals = [_flag(z, lambda: psi_route_spread(z)),
+                 frobenius(psi_inverse(psi(z)).coords - z.coords) / max(1.0, z.norm())]
     u = _gaussian_element(kind, rng, scale=2.0)
-    worst = max(worst, _flag(u, lambda: psi_inverse_route_spread(u)))
-    forth = psi(psi_inverse(u))
-    return max(worst, frobenius(forth.coords - u.coords) / max(1.0, u.norm()))
+    residuals += [_flag(u, lambda: psi_inverse_route_spread(u)),
+                  frobenius(psi(psi_inverse(u)).coords - u.coords) / max(1.0, u.norm())]
+    return worst_of(residuals)
 
 
 def _eval_equivariance(kind, config, rng, sample_index) -> float:
@@ -230,10 +225,8 @@ def _eval_hereditary(kind, config, rng, sample_index) -> float:
 
 def _eval_symplectic(kind, config, rng, sample_index) -> float:
     z = sample_domain(kind, rng, config.boundary_cap)
-    err1, err2 = check_symplectic_duality(
-        z, tangent_pairs=config.tangent_pairs, h=config.fd_step, rng=rng
-    )
-    return max(err1, err2)
+    return worst_of(check_symplectic_duality(
+        z, tangent_pairs=config.tangent_pairs, h=config.fd_step, rng=rng))
 
 
 def _eval_volume(kind, config, rng, sample_index) -> float:
@@ -382,7 +375,8 @@ class SuiteResult:
             "kind": self.kind,
             "suite": self.suite,
             "samples": self.samples,
-            # a consistency abort records +inf, which JSON cannot carry
+            # +inf (a consistency abort) and NaN (a NaN residual) fail the cell;
+            # JSON cannot carry either, so both are written as null
             "max_error": self.max_error if math.isfinite(self.max_error) else None,
             "tolerance": self.tolerance,
             "pass": self.passed,
@@ -442,7 +436,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             for sample_index in range(samples):
                 rng = _philox(config.seed, kind_index, SUITE_NAMES.index(suite), sample_index)
                 errors.append(_SUITE_EVALS[suite](kind, config, rng, sample_index))
-            max_error = float(max(errors, default=0.0))
+            max_error = worst_of(errors)
         except (ContractError, DomainError):
             raise
         except HjtsError as cause:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kinds as _k
-from .errors import ConsistencyError, ContractError, DomainError
+from .errors import ConsistencyError, ContractError, DomainError, as_real
 from .linalg import as_matrix, as_vector, frobenius
 
 __all__ = [
@@ -253,6 +253,13 @@ def _check_unitary(u: np.ndarray, n: int, what: str) -> np.ndarray:
     return m
 
 
+def _entries(params, count: int, message: str):
+    """``params`` if it is a tuple or list of ``count`` entries; else ContractError(message)."""
+    if not isinstance(params, (tuple, list)) or len(params) != count:
+        raise ContractError(message)
+    return params
+
+
 def isotropy_action(params, z: Element) -> Element:
     """Apply a linear isotropy of the kind's domain at 0.
 
@@ -263,8 +270,7 @@ def isotropy_action(params, z: Element) -> Element:
     """
     kind = z.kind
     if isinstance(kind, _k.Product):
-        if not isinstance(params, (tuple, list)) or len(params) != len(kind.factors):
-            raise ContractError("product action needs one params entry per factor")
+        _entries(params, len(kind.factors), "product action needs one params entry per factor")
         pieces = _k.split_coords(kind, z.coords)
         moved = [
             isotropy_action(p, Element(f, c)).coords
@@ -272,7 +278,7 @@ def isotropy_action(params, z: Element) -> Element:
         ]
         return Element(kind, _k.join_coords(kind, moved))
     if isinstance(kind, _k.TypeI):
-        u, v = params
+        u, v = _entries(params, 2, "type I action needs params (U, V)")
         u = _check_unitary(u, kind.p, "U")
         v = _check_unitary(v, kind.q, "V")
         mat = u @ _k.coords_to_matrix(kind, z.coords) @ v.conj().T
@@ -282,11 +288,13 @@ def isotropy_action(params, z: Element) -> Element:
         mat = u @ _k.coords_to_matrix(kind, z.coords) @ u.T
         return Element(kind, _k.matrix_to_coords(kind, mat))
     if isinstance(kind, _k.TypeIV):
-        theta, orth = params
+        theta, orth = _entries(params, 2, "type IV action needs params (theta, O)")
+        theta = as_real(theta, "type IV angle theta must be a finite real number, got {!r}",
+                        exclusive=True)
         o = _check_unitary(orth, kind.n, "O")
         if frobenius(o.imag) > 1e-12 * kind.n:
             raise ContractError("type IV rotation must be real orthogonal")
-        return Element(kind, complex(np.exp(1j * float(theta))) * (o.real @ z.coords))
+        return Element(kind, complex(np.exp(1j * theta)) * (o.real @ z.coords))
     raise ContractError(f"not a kind: {kind!r}")
 
 

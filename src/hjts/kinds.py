@@ -287,7 +287,7 @@ def matrix_to_coords(kind: JTSKind, matrix: np.ndarray) -> np.ndarray:
     if matrix.shape[-2:] != shape:
         raise ContractError(f"expected shape {shape}, got {matrix.shape}")
     if isinstance(kind, TypeI):
-        return np.asarray(matrix, dtype=np.complex128).reshape(matrix.shape[:-2] + (-1,)).copy()
+        return matrix.reshape(matrix.shape[:-2] + (kind.p * kind.q,)).astype(np.complex128)
     if isinstance(kind, TypeII):
         rows, cols = _triu(kind.n, 1)
         return 0.5 * (matrix[..., rows, cols] - matrix[..., cols, rows])

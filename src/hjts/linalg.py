@@ -41,6 +41,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "frobenius",
+    "worst_of",
     "eigh",
     "svd",
     "takagi",
@@ -111,6 +112,14 @@ def frobenius(a) -> float:
     return math.sqrt(float(np.sum(np.abs(np.asarray(a)) ** 2)))
 
 
+def worst_of(values) -> float:
+    """The largest of ``values`` as a float, 0.0 if there are none, NaN if one is
+    NaN (``max`` keeps the first of two values it cannot compare, so it can drop a
+    NaN).  Every worst residual is taken here, with no numpy call (it runs per sample)."""
+    values = [float(v) for v in values]
+    return math.nan if any(math.isnan(v) for v in values) else max(values, default=0.0)
+
+
 def _norms(x: np.ndarray) -> np.ndarray:
     """Frobenius norm over the last two axes, one per slice."""
     return np.sqrt((np.abs(x) ** 2).sum(axis=(-2, -1)))
@@ -118,7 +127,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 def _offdiag_norm(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of the off-diagonal part over the last two axes."""
-    off = x.reshape(x.shape[:-2] + (-1,)).copy()
+    off = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)).copy()
     off[..., :: x.shape[-1] + 1] = 0.0  # the diagonal of each slice
     return _norms(off.reshape(x.shape))
 
@@ -368,27 +377,12 @@ def takagi(a) -> TakagiResult:
 
     ztol = 1e-12 * max(1.0, scale)
     npos = int(np.sum(w > ztol))
-    # By the J-pairing the spectrum is symmetric, so everything between the
-    # npos leading and npos trailing columns is the (near-)null space.
-    u = np.empty((n, n), dtype=np.complex128)
-    sigma = np.zeros(n)
-    for j in range(npos):
-        col = vecs[:, j]
-        u[:, j] = col[:n] + 1j * col[n:]
-        sigma[j] = w[j]
-    # The null space is J-invariant, J(x; y) = (-y; x): each picked s and its
-    # partner J s span one complex direction, so s alone gives a column of u.
-    null_cols = [vecs[:, j].real.copy() for j in range(npos, 2 * n - npos)]
-    basis: list[np.ndarray] = []  # picked vectors and their J-partners
-    for j in range(npos, n):
-        (s,) = orthonormal_extension(basis, null_cols, 1)
-        partner = np.concatenate([-s[n:], s[:n]])
-        for b in basis + [s]:
-            partner -= np.dot(b, partner) * b
-        partner /= frobenius(partner)
-        basis.extend([s, partner])
-        u[:, j] = s[:n] + 1j * s[n:]
-    return TakagiResult(u, sigma)
+    # a = u diag(sigma) u^T, so a conj(v) = 0 for every v orthogonal to the
+    # npos live columns: any orthonormal completion is a Takagi column.
+    live = vecs[:n, :npos] + 1j * vecs[n:, :npos]
+    null = orthonormal_extension(live.T, np.eye(n, dtype=np.complex128), n - npos)
+    return TakagiResult(np.column_stack([live, *null]),
+                        np.concatenate([w[:npos], np.zeros(n - npos)]))
 
 
 def hermitian_power(a, t: float) -> np.ndarray:

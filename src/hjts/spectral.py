@@ -292,10 +292,7 @@ def _decompose_type_iv(kind: _k.TypeIV, coords: np.ndarray):
     nx = float(np.sqrt(np.sum(x * x)))
     ny = float(np.sqrt(np.sum(y * y)))
     if nx == 0.0 and ny == 0.0:
-        u = np.zeros(kind.n)
-        u[0] = 1.0
-        v = np.zeros(kind.n)
-        v[1] = 1.0
+        u, v = orthonormal_extension([], np.eye(kind.n), 2)  # exactly e_1, e_2
         lam_hi = lam_lo = 0.0
     else:
         if ny > nx:  # roundoff can flip the inequality when q ~ 0
@@ -395,7 +392,7 @@ def _box_power_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float,
     if t == -0.5:
         power = hermitian_power(shifted, -0.5)
     else:
-        power = np.stack([solve(s, eye) for s in shifted])
+        power = np.array([solve(s, eye) for s in shifted]).reshape(shifted.shape)
         if t == -2:
             power = power @ power
     return _k.matrix_to_coords(kind, power @ mat if wide else mat @ power)

@@ -8,6 +8,7 @@ installed ``hjts`` console script is smoke-tested in CI after the install step.
 import dataclasses
 import inspect
 import json
+import math
 import subprocess
 import sys
 
@@ -98,6 +99,20 @@ def test_verify_tolerance_failure_is_exit_1(capsys):
     assert code == 1
     assert json.loads(out)["all_pass"] is False
     assert "FAIL" in err
+
+
+@pytest.mark.parametrize("residuals", [(1e-16, math.nan), (math.nan, 1e-16)],
+                         ids=["nan-second", "nan-first"])
+def test_verify_nan_residual_fails_its_cell_with_exit_1(capsys, monkeypatch, residuals):
+    monkeypatch.setitem(hjts.harness._SUITE_EVALS, "jordan",
+                        lambda kind, config, rng, sample_index: residuals[sample_index])
+    code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "jordan",
+                             "--points", "2")
+    assert code == 1
+    doc = json.loads(out)
+    [cell] = doc["results"]
+    assert (cell["pass"], cell["max_error"], cell["status"]) == (False, None, "ok")
+    assert doc["consistency_failure"] is None and "FAIL" in err
 
 
 def test_verify_consistency_failure_is_exit_2(capsys, monkeypatch):

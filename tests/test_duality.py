@@ -95,6 +95,17 @@ def test_spread_raises_on_forced_disagreement(monkeypatch):
         psi_route_spread(z)
 
 
+def test_spread_keeps_a_nan_disagreement(monkeypatch):
+    # the first of the three route pairs reads finite, the other two NaN
+    calls = []
+
+    def nan_after_the_first(a):
+        calls.append(a)
+        return frobenius(a) if len(calls) == 1 else math.nan
+    monkeypatch.setattr(hjts.duality, "frobenius", nan_after_the_first)
+    assert math.isnan(psi_route_spread(interior(K.TypeI(2, 2), seed=1)))
+
+
 def test_inverse_spread_maps_through_the_module_psi_inverse_once_per_route(monkeypatch):
     # the spread must look psi_inverse up by its module name, so that a
     # wrapper installed there (a tracer, a probe) sees every route

@@ -20,6 +20,7 @@ from hjts.duality import psi_rows
 from hjts.errors import ContractError, as_int, as_real
 from hjts.geometry import PotentialId, check_symplectic_duality, potential
 from hjts.harness import SuiteConfig, sample_domain
+from hjts.jts import isotropy_action, zero
 from hjts.linalg import hermitian_power
 from hjts.spectral import odd_power
 
@@ -105,6 +106,8 @@ REAL_ENTRIES = {
     "sample_domain.boundary_cap":
         (lambda v: sample_domain(_KIND, np.random.default_rng(0), v), "boundary_cap"),
     "hermitian_power.t": (lambda v: hermitian_power(np.diag([4.0, 0.5]), v), "exponent"),
+    "isotropy_action.theta":
+        (lambda v: isotropy_action((v, np.eye(3)), zero(K.TypeIV(3))), "angle"),
     **{f"{name}.h": (_step_driver(getattr(hjts.geometry, name)), "fd_step")
        for name in hjts.geometry.__all__
        if inspect.isfunction(getattr(hjts.geometry, name))

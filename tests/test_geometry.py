@@ -361,6 +361,18 @@ def test_volume_check_equals_the_public_determinant_comparison(kind):
     assert check_volume_duality(z) == worst
 
 
+@pytest.mark.parametrize("pair", [0, 1], ids=["dual-pullback", "flat-pullback"])
+def test_volume_check_keeps_a_nan_determinant(pair, monkeypatch):
+    real_det = hjts.geometry.det
+
+    def nan_in_pair(stack):
+        dets = real_det(stack)
+        dets[2 * pair] = complex(math.nan, 0.0)
+        return dets
+    monkeypatch.setattr(hjts.geometry, "det", nan_in_pair)
+    assert math.isnan(check_volume_duality(interior(K.TypeI(2, 2), seed=43, cap=0.7)))
+
+
 def _count_calls(monkeypatch, name, *modules):
     """Count calls of ``name`` through each module's binding of it."""
     calls = []

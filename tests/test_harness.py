@@ -298,6 +298,13 @@ def test_consistency_error_aborts_with_point(monkeypatch):
     assert "equivariance" not in rows        # never reached
 
 
+def test_spectral_evaluation_keeps_a_nan_residual(monkeypatch):
+    # det B = N^g is the last residual the spectral sample takes
+    monkeypatch.setattr(hjts.harness, "det", lambda m: complex(math.nan, 0.0))
+    evaluate = hjts.harness._SUITE_EVALS["spectral"]
+    assert math.isnan(evaluate(K.TypeI(2, 2), SuiteConfig(), np.random.default_rng(0), 0))
+
+
 @pytest.fixture
 def fresh_genus_cache():
     hjts.harness._checked_genus.cache_clear()

@@ -281,6 +281,21 @@ def test_isotropy_rejects_nonunitary():
         isotropy_action((0.0, np.diag([1j, 1.0, 1.0])), ziv)
 
 
+@pytest.mark.parametrize("kind, params", [
+    (K.TypeI(2, 2), (np.eye(2),)),
+    (K.TypeI(2, 2), None),
+    (K.TypeI(2, 2), np.eye(2)),  # one matrix, not a (U, V) pair
+    (K.TypeIV(3), (0.5,)),
+    (K.TypeIV(3), None),
+    (K.TypeIV(3), (0.5, np.eye(3), 1.0)),
+    (K.Product((K.TypeI(1, 1), K.TypeIV(3))), [np.eye(1)]),
+], ids=["I-one-entry", "I-none", "I-matrix", "IV-one-entry", "IV-none", "IV-three-entries",
+        "product-one-entry"])
+def test_isotropy_rejects_params_of_the_wrong_shape(kind, params):
+    with pytest.raises(ContractError, match="params"):
+        isotropy_action(params, zero(kind))
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 

@@ -26,6 +26,7 @@ from hjts.linalg import (
     solve,
     svd,
     takagi,
+    worst_of,
 )
 
 
@@ -144,8 +145,8 @@ class TestTakagi:
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_rank_deficient_complex(self, rank):
-        # a nonzero null space of a genuinely complex matrix: the J-paired
-        # completion must still give a unitary u
+        # a nonzero null space of a genuinely complex matrix: the orthonormal
+        # completion of the null columns must still give a unitary u
         rng = np.random.default_rng(5 + rank)
         cols = random_complex(rng, 4, rank)
         self.check(cols @ np.diag([1.5, 0.5][:rank]) @ cols.T)
@@ -183,6 +184,28 @@ class TestOrthonormalExtension:
         basis = [(e[0] + e[1]) / np.sqrt(2.0)]
         # e2 is orthogonal to the basis, so it is kept whole
         assert np.array_equal(orthonormal_extension(basis, e, 1)[0], e[2])
+
+    def test_an_empty_basis_takes_the_first_candidates_exactly(self):
+        # the spin factor's frame at the origin is e1, e2 bit for bit
+        e = np.eye(4)
+        first, second = orthonormal_extension([], e, 2)
+        assert first.tobytes() == e[0].tobytes() and second.tobytes() == e[1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# worst_of
+
+@pytest.mark.parametrize("values, expected", [
+    ([], 0.0),
+    ([0.5, np.float64(2.0), 1], 2.0),
+    ([1e-16, np.nan], np.nan),
+    ([np.nan, 1e-16], np.nan),
+    ((x for x in (3e-9, np.float64(np.nan), 1.0)), np.nan),
+], ids=["empty", "largest", "nan-last", "nan-first", "generator"])
+def test_worst_of_keeps_every_nan(values, expected):
+    got = worst_of(values)
+    assert type(got) is float
+    assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +261,11 @@ def test_one_hermitian_rule_binds_eigh_and_both_hermitian_power_forms(call):
 def test_hermitian_power_rejects_indefinite():
     with pytest.raises(DomainError):
         hermitian_power(np.diag([1.0, -0.5]).astype(complex), 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermitian_power_of_an_empty_stack_is_empty(n):
+    assert hermitian_power(np.zeros((0, n, n)), -0.5).shape == (0, n, n)
 
 
 def _power_oracle(h, t):

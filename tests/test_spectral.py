@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hjts.kinds as K
-from hjts.duality import DualityRoute, psi, psi_route_spread, psi_rows
+from hjts.duality import DualityRoute, psi, psi_inverse_route_spread, psi_route_spread, psi_rows
 from hjts.errors import ContractError, DomainError, SingularityError
 from hjts.harness import DEFAULT_KINDS, sample_domain
 from hjts.jts import (
@@ -22,7 +22,7 @@ from hjts.jts import (
     triple_product,
     zero,
 )
-from hjts.linalg import det, frobenius
+from hjts.linalg import det, frobenius, takagi
 from hjts.spectral import (
     _box_power_rows,
     generic_norms,
@@ -207,6 +207,81 @@ def test_tiny_singular_value_recovered():
     assert decomposition_residuals(z) < 1e-9
 
 
+# degenerate spectra: repeated values, one zero value, the origin --------------
+
+DEGENERATE_KINDS = (K.TypeI(2, 2), K.TypeI(2, 3), K.TypeII(4), K.TypeII(5), K.TypeIII(3),
+                    K.TypeIV(4), K.Product((K.TypeI(1, 1), K.TypeIV(3))))
+DEGENERATE_SPECTRA = {  # rank -> the spectral values, descending
+    "repeated": lambda r: [0.6] * r,
+    "one-zero": lambda r: list(np.linspace(0.7, 0.0, r)),
+    "origin": lambda r: [0.0] * r,
+}
+
+
+def random_unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def with_values(kind, values, rng):
+    """A point of ``kind`` with the given spectral values, factor by factor:
+    U diag V (I), U (+ lambda J) U^T (II), U diag U^T (III), and for IV
+    lambda_1 c_+ + lambda_2 c_- on a random real orthonormal pair and phase
+    (one zero value there is an isotropic vector)."""
+    pieces, at = [], 0
+    for f in K.simple_factors(kind):
+        vals, at = values[at:at + K.rank(f)], at + K.rank(f)
+        if isinstance(f, K.TypeIV):
+            u, v = np.linalg.qr(rng.standard_normal((f.n, 2)))[0].T
+            phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            amb = phase * (vals[0] * (u + 1j * v) + vals[1] * (u - 1j * v)) / 2.0
+            pieces.append(K.ambient_to_coords(f, amb))
+            continue
+        if isinstance(f, K.TypeI):
+            d = np.zeros((f.p, f.q), dtype=complex)
+            d[range(len(vals)), range(len(vals))] = vals
+            mat = random_unitary(rng, f.p) @ d @ random_unitary(rng, f.q)
+        else:
+            d = np.zeros((f.n, f.n), dtype=complex)
+            if isinstance(f, K.TypeII):
+                for j, lam in enumerate(vals):
+                    d[2 * j, 2 * j + 1], d[2 * j + 1, 2 * j] = lam, -lam
+            else:
+                d[range(f.n), range(f.n)] = vals
+            q = random_unitary(rng, f.n)
+            mat = q @ d @ q.T
+        pieces.append(K.matrix_to_coords(f, mat))
+    return Element(kind, K.join_coords(kind, pieces))
+
+
+@pytest.mark.parametrize("case", DEGENERATE_SPECTRA)
+@pytest.mark.parametrize("kind", DEGENERATE_KINDS, ids=K.format_kind)
+def test_degenerate_spectra_keep_frames_and_route_spreads_at_roundoff(kind, case):
+    rng = np.random.default_rng(K.ambient_dim(kind) + 700)
+    z = with_values(kind, DEGENERATE_SPECTRA[case](K.rank(kind)), rng)
+    dec = spectral_decompose(z)
+    assert len(dec.frame) == K.rank(kind)
+    assert frobenius(dec.reconstruct().coords - z.coords) <= 1e-13
+    for c in dec.frame:
+        assert frobenius(triple_product(c, c, c).coords - 2.0 * c.coords) <= 1e-13
+    for i, ci in enumerate(dec.frame):
+        for cj in dec.frame[i + 1:]:
+            assert frobenius(d_operator(ci, cj).matrix) <= 1e-13
+    assert psi_route_spread(z) <= 1e-13
+    assert psi_inverse_route_spread(z) <= 1e-13
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_takagi_null_columns_annihilate_a_rank_deficient_input(rank):
+    # U diag U^T of rank 1 or 2: u stays unitary and a conj(u_j) = 0 on
+    # every column past the rank
+    q = random_unitary(np.random.default_rng(40 + rank), 4)[:, :rank]
+    a = q @ np.diag([0.8, 0.5][:rank]) @ q.T
+    u = takagi(a).u
+    assert frobenius(u.conj().T @ u - np.eye(4)) <= 1e-14
+    for j in range(rank, 4):
+        assert frobenius(a @ u[:, j].conj()) <= 1e-14
+
+
 # generic norms ---------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -351,6 +426,16 @@ def test_box_power_rows_are_their_own_k1_calls(kind):
             images = _box_power_rows(kind, rows, sign, t)
             for i, image in enumerate(images):
                 assert _box_power_rows(kind, rows[i:i + 1], sign, t)[0].tobytes() == image.tobytes()
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_row_maps_take_an_empty_stack(kind):
+    rows = np.zeros((0, K.ambient_dim(kind)), dtype=complex)
+    for sign in (-1.0, 1.0):
+        assert log_norm_rows(kind, rows, sign).shape == (0,)
+        assert psi_rows(kind, rows, sign).shape == rows.shape
+        for t in POWERS:
+            assert _box_power_rows(kind, rows, sign, t).shape == rows.shape
 
 
 # products are their factors, byte for byte ----------------------------------

@@ -15,7 +15,9 @@ LABELS = (
     + [f"hermitian_power (16,{n},{n})" for n in (2, 3, 4)]
     + ["hermitian_power (16,16)", "hermitian_power (27,27)"]
     + [f"det n={n}" for n in (3, 6, 8, 12)] + [f"det (4,{n},{n})" for n in (3, 6, 8, 12)]
-    + [f"solve n={n}" for n in (3, 6, 8, 12)] + ["det upper n=8", "det lower n=8"])
+    + [f"solve n={n}" for n in (3, 6, 8, 12)] + ["det upper n=8", "det lower n=8"]
+    + [f"takagi n={n}" for n in (2, 3, 4, 6)] + ["takagi rank-1 n=4"]
+    + [f"cholesky_logdet (16,{n},{n})" for n in (2, 3, 4)])
 
 
 def _bench(*args: str) -> list[str]:

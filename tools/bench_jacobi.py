@@ -10,7 +10,10 @@ Prints the best-of-N time per call, in microseconds, of
   {3, 6, 8, 12}, and ``det`` on a (4, n, n) stack at the same n.  On a tree
   whose ``det`` takes no stack, that case times four 2-D calls, the work the
   stack replaces;
-* ``det`` of an upper- and of a lower-triangular matrix at n = 8.
+* ``det`` of an upper- and of a lower-triangular matrix at n = 8;
+* ``takagi`` (full-rank complex symmetric input) at n in {2, 3, 4, 6}, and on
+  rank-one input at n = 4, where the null columns come from completion;
+* ``cholesky_logdet`` on a (16, n, n) stack at n in {2, 3, 4}.
 
 The inputs are seeded, so two source trees time the same matrices.  Each
 timing repeats the call until it lasts at least MIN_TIME seconds.  ``--src``
@@ -45,6 +48,8 @@ LARGE_SIZES = (16, 27)
 LU_SIZES = (3, 6, 8, 12)
 DET_SLICES = 4
 TRI_SIZE = 8
+TAKAGI_SIZES = (2, 3, 4, 6)
+TAKAGI_RANK_ONE_SIZE = 4
 MIN_TIME = 0.02
 
 
@@ -109,6 +114,16 @@ def cases(linalg) -> list[tuple[str, object]]:
     a = _general(rng, TRI_SIZE, TRI_SIZE)
     for side, tri in (("upper", np.triu(a)), ("lower", np.tril(a))):
         out.append((f"det {side} n={TRI_SIZE}", lambda t=tri: linalg.det(t)))
+    for n in TAKAGI_SIZES:
+        a = _general(rng, n, n)
+        out.append((f"takagi n={n}", lambda s=a + a.T: linalg.takagi(s)))
+    v = _general(rng, TAKAGI_RANK_ONE_SIZE)
+    out.append((f"takagi rank-1 n={TAKAGI_RANK_ONE_SIZE}",
+                lambda s=np.outer(v, v): linalg.takagi(s)))
+    for n in STACK_SIZES:
+        stack = np.array([_hpd(rng, n) for _ in range(STACK_SLICES)])
+        out.append((f"cholesky_logdet ({STACK_SLICES},{n},{n})",
+                    lambda s=stack: linalg.cholesky_logdet(s)))
     return out
 
 
