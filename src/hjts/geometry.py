@@ -2,8 +2,11 @@
 
 Three potentials drive everything here: the hyperbolic one -log N(z) on the
 bounded domain, its dual log N*(z) on the ambient space, and the flat one
-m1(z,z).  Each yields a (1,1)-form through the mixed complex Hessian, sampled
-numerically by central differences and evaluated with the fixed convention
+m1(z,z).  Each yields a (1,1)-form through its mixed complex Hessian, which
+``kahler_matrix`` takes in closed form (the Bergman metric of each potential,
+the identity for the flat one) and ``complex_hessian`` measures by central
+differences of any potential, the oracle of the closed forms.  A form is
+evaluated with the fixed convention
 
     omega(u, v) = -(1/pi) * Im( sum_jk H_jk u_j conj(v_k) ),
 
@@ -27,10 +30,11 @@ import numpy as np
 
 from .errors import ContractError, DomainError, as_int, as_real
 from .jts import Element, _same_kind, _triple_coords, in_domain
-from .kinds import JTSKind
-from .linalg import det, worst_of
-from .spectral import (_box_power_rows, generic_norms, log_generic_norm_minus,
-                       log_generic_norm_plus, log_norm_rows, spectral_values)
+from .kinds import (JTSKind, TypeI, TypeIV, ambient_dim, coords_to_ambient, coords_to_matrix,
+                    matrix_to_coords, simple_factors, split_coords)
+from .linalg import det, solve, worst_of
+from .spectral import (_box_power_rows, _gram, generic_norms, log_generic_norm_minus,
+                       log_generic_norm_plus, spectral_values)
 from .duality import psi_rows
 
 __all__ = [
@@ -55,8 +59,6 @@ __all__ = [
 #: precision.
 DEFAULT_FD_STEP = 1e-5
 
-#: Interior margin, in steps, that the hyperbolic Hessian keeps to the boundary.
-_FD_MARGIN = 10.0
 #: The beta check needs the largest spectral value below this.
 _BETA_LAMBDA_MAX = 0.99
 #: The 1/pi of the form convention omega = -(1/pi) Im(u^T H conj(v)).
@@ -205,13 +207,6 @@ def _central(fn: Callable[[np.ndarray], np.ndarray], z: Element, dirs: np.ndarra
     return (values[:len(dirs)] - values[len(dirs):]) / (2.0 * step)
 
 
-def _stencil_points(z: Element, h: float) -> tuple[np.ndarray, float, _Stencil]:
-    """The (K, N) coordinate rows of the stencil at z, with step ``_fd_step``."""
-    step = _fd_step(z.norm(), h)
-    stencil = _stencil(z.coords.size)
-    return z.coords + step * stencil.offsets, step, stencil
-
-
 def _assemble_hessian(values: np.ndarray, step: float, stencil: _Stencil) -> np.ndarray:
     """Mixed complex Hessian from f at the stencil rows.
 
@@ -236,32 +231,86 @@ def complex_hessian(fn: Callable[[Element], float], z: Element,
     Evaluates fn once per stencil row (step h scaled by max(1, |z|)); see
     ``_assemble_hessian`` for how the second differences combine.
     """
-    points, step, stencil = _stencil_points(z, h)
-    values = np.array([fn(Element(z.kind, p)) for p in points], dtype=np.float64)
+    step = _fd_step(z.norm(), h)
+    stencil = _stencil(z.coords.size)
+    values = np.array([fn(Element(z.kind, p)) for p in z.coords + step * stencil.offsets],
+                      dtype=np.float64)
     return _assemble_hessian(values, step, stencil)
 
 
-def kahler_matrix(pid: PotentialId, z: Element, h: float = DEFAULT_FD_STEP) -> TwoFormSample:
-    """Sample the (1,1)-form of a potential at a point.
+@lru_cache(maxsize=None)
+def _basis_matrices(kind: JTSKind) -> np.ndarray:
+    """The (N, p, q) matrices E_j of a type I-III kind's coordinate basis."""
+    basis = coords_to_matrix(kind, np.eye(ambient_dim(kind), dtype=np.complex128))
+    basis.setflags(write=False)
+    return basis
 
-    The flat form is returned exactly (identity Hessian in the orthonormal
-    coordinates); the other two are measured by finite differences, which for
-    the hyperbolic potential requires an interior margin of ten steps to the
-    boundary.  The whole stencil is evaluated in one batched log-norm call;
-    it yields the same bytes as ``complex_hessian`` over ``potential``.
+
+def _form_hessians(kind: JTSKind, coords: np.ndarray, signs) -> np.ndarray:
+    """Exact mixed Hessians of sign * log prod(1 + sign * lambda_j^2) at the rows
+    of a (R, N) coordinate array, one sign per row: the hyperbolic form
+    (B(z, z)^-1)^T for sign -1, the dual one (B(w, -w)^-1)^T for sign +1, as
+    (R, N, N), block-diagonal over the simple factors.
+
+    Types I-III: row j of a block holds the coordinates of A^-1 E_j C^-1, with
+    A = I + sign Z Z*, C = I + sign Z* Z and E_j the basis matrices.  One
+    stacked ``solve`` per factor inverts the smaller of A and C (``_gram``);
+    types II and III take C^-1 = conj(A^-1), and type I the larger inverse by
+    push-through, C^-1 = I - sign Z* A^-1 Z or A^-1 = I - sign Z C^-1 Z*.
+    The spin factor's block is the rank-two update
+    ((2 I + 4 sign x x^H) / N_s - sign u v^T / N_s^2) / 2 of its ambient x,
+    with q = x.x, N_s = 1 + 2 sign |x|^2 + |q|^2, u = 2 sign conj(x) + 2 conj(q) x
+    and v = 2 sign x + 2 q conj(x).  A row's Hessian does not depend on the
+    rows around it.  Domain checks are the callers'.
+    """
+    sign = np.array(signs, dtype=np.float64)[:, None, None]
+    n = coords.shape[1]
+    hess = np.zeros((len(coords), n, n), dtype=np.complex128)
+    at = 0
+    for f, c in zip(simple_factors(kind), split_coords(kind, coords)):
+        if isinstance(f, TypeIV):
+            x = coords_to_ambient(f, c)[:, :, None]  # columns (R, n, 1)
+            q = (x * x).sum(axis=1, keepdims=True)
+            norm = 1.0 + 2.0 * sign * (np.abs(x) ** 2).sum(axis=1, keepdims=True) + np.abs(q) ** 2
+            u = 2.0 * sign * np.conj(x) + 2.0 * np.conj(q) * x
+            v = 2.0 * sign * x + 2.0 * q * np.conj(x)
+            block = 0.5 * ((2.0 * np.eye(f.n) + 4.0 * sign * x * np.conj(x).swapaxes(1, 2)) / norm
+                           - sign * u * v.swapaxes(1, 2) / norm ** 2)
+        else:
+            z = coords_to_matrix(f, c)
+            gram, wide = _gram(z)
+            eye = np.eye(gram.shape[-1], dtype=np.complex128)
+            small = solve(eye + sign * gram, eye)
+            if isinstance(f, TypeI):
+                adj = np.conj(z).swapaxes(1, 2)
+                if wide:
+                    left, right = small, np.eye(f.q) - sign * (adj @ small @ z)
+                else:
+                    left, right = np.eye(f.p) - sign * (z @ small @ adj), small
+            else:
+                left, right = small, np.conj(small)
+            block = matrix_to_coords(f, left[:, None] @ _basis_matrices(f) @ right[:, None])
+        hess[:, at:at + c.shape[1], at:at + c.shape[1]] = block
+        at += c.shape[1]
+    return 0.5 * (hess + np.conj(hess).swapaxes(1, 2))
+
+
+def kahler_matrix(pid: PotentialId, z: Element) -> TwoFormSample:
+    """The (1,1)-form of a potential at a point, exactly.
+
+    The flat form is the identity Hessian in the orthonormal coordinates; the
+    hyperbolic and dual ones are their Bergman metrics (``_form_hessians``).
+    The hyperbolic form needs a point inside the domain (DomainError on or
+    outside the boundary).  ``complex_hessian`` over ``potential`` measures
+    the same forms by finite differences.
     """
     if pid is PotentialId.FLAT:
-        _fd_step(z.norm(), h)  # the step range binds every potential
         return TwoFormSample(np.eye(z.coords.size, dtype=np.complex128))
-    points, step, stencil = _stencil_points(z, h)
     sign = -1.0 if pid is PotentialId.HYPERBOLIC else 1.0  # -log N, or log N*
-    if sign < 0.0:
-        lam1 = spectral_values(z)[0]
-        if lam1 >= 1.0 - _FD_MARGIN * step:
-            raise DomainError(f"point too close to the boundary for differencing "
-                              f"(largest spectral value {lam1:.6f}, step {step:g})")
-    values = sign * log_norm_rows(z.kind, points, sign)
-    return TwoFormSample(_assemble_hessian(values, step, stencil))
+    if sign < 0.0 and not in_domain(z):
+        raise DomainError("the hyperbolic form needs a point inside the domain "
+                          "(largest spectral value < 1)")
+    return TwoFormSample(_form_hessians(z.kind, z.coords[None, :], (sign,))[0])
 
 
 def real_jacobian(map_rows: Callable[[JTSKind, np.ndarray], np.ndarray], z: Element,
@@ -301,10 +350,12 @@ def _pullback_pairs(z: Element, h: float) -> list[tuple[np.ndarray, np.ndarray]]
     (J^T S_flat J, S_hyp(z)).  S_flat is the same at z and at psi(z).
 
     psi(z) comes from the Jacobian's one ``psi_rows`` call, which maps z's row
-    after the 4N stencil rows; a row's image does not depend on its batch.
+    after the 4N stencil rows (and refuses a z outside the domain); a row's
+    image does not depend on its batch.  The hyperbolic form at z and the dual
+    one at psi(z) are one ``_form_hessians`` call, bit for bit the forms
+    ``kahler_matrix`` returns.
     """
-    hyp = kahler_matrix(PotentialId.HYPERBOLIC, z, h).real_matrix()
-    flat = kahler_matrix(PotentialId.FLAT, z, h).real_matrix()
+    flat = kahler_matrix(PotentialId.FLAT, z).real_matrix()
     image = []
 
     def stencil_then_z(kind: JTSKind, rows: np.ndarray) -> np.ndarray:
@@ -313,7 +364,8 @@ def _pullback_pairs(z: Element, h: float) -> list[tuple[np.ndarray, np.ndarray]]
         return mapped[:-1]
 
     jac = real_jacobian(stencil_then_z, z, h).matrix
-    dual = kahler_matrix(PotentialId.DUAL_FS, Element(z.kind, image[0]), h).real_matrix()
+    hyp, dual = (TwoFormSample(m).real_matrix()
+                 for m in _form_hessians(z.kind, np.stack([z.coords, image[0]]), (-1.0, 1.0)))
     return [(jac.T @ dual @ jac, flat), (jac.T @ flat @ jac, hyp)]
 
 

@@ -49,7 +49,6 @@ from .duality import (
 from .geometry import (
     DEFAULT_FD_STEP,
     _BETA_LAMBDA_MAX,
-    _FD_MARGIN,
     _fd_step,
     check_beta_exactness,
     check_lemma_a1,
@@ -74,6 +73,9 @@ RNG_NAME = "philox4x64"
 
 _DEFAULT_CAP = 0.95  # SuiteConfig.boundary_cap and sample_domain's default
 _CAP_WORDS = "boundary_cap must lie strictly between 0 and 1, got {!r}"  # config and sampler
+#: Interior margin, in steps, that a pullback suite's samples keep to the
+#: boundary, which the Jacobian stencil of psi around them must not cross.
+_FD_MARGIN = 10.0
 
 # --------------------------------------------------------------------------
 # Sampling
@@ -248,7 +250,7 @@ class _Suite(NamedTuple):
     evaluate: Callable          # (kind, config, rng, sample_index) -> scalar error
     tolerance: Callable         # SuiteConfig -> the cell's tolerance
     fd: bool = False            # differences with fd_step, whose range binds
-    hessian: bool = False       # differences the Kähler potentials (``_FD_MARGIN`` binds)
+    pullback: bool = False      # differences psi for a pullback (``_FD_MARGIN`` binds)
 
 
 _EXACT, _FD = attrgetter("tol_exact"), attrgetter("tol_fd")
@@ -260,9 +262,9 @@ _SUITES = {
     "duality": _Suite(_eval_duality, _EXACT),  # route spreads, both round trips
     "equivariance": _Suite(_eval_equivariance, _EXACT),  # psi vs a random isotropy
     "hereditary": _Suite(_eval_hereditary, _EXACT),  # psi vs the canonical embedding
-    "symplectic": _Suite(_eval_symplectic, _FD, fd=True, hessian=True),  # both pullbacks
+    "symplectic": _Suite(_eval_symplectic, _FD, fd=True, pullback=True),  # both pullbacks
     # pulled-back skew determinants; determinants square up the fd noise, hence 10x
-    "volume": _Suite(_eval_volume, lambda config: 10.0 * config.tol_fd, fd=True, hessian=True),
+    "volume": _Suite(_eval_volume, lambda config: 10.0 * config.tol_fd, fd=True, pullback=True),
     "lemma_a1": _Suite(_directional(check_lemma_a1), _FD, fd=True),  # log-derivatives of N, N*
     "lemma_a2": _Suite(_directional(check_lemma_a2), _FD, fd=True),  # trace derivatives, p, k <= 2
     "beta_exact": _Suite(_directional(check_beta_exactness), _FD, fd=True),  # beta = d(gamma)
@@ -330,20 +332,20 @@ class SuiteConfig:
                 raise ContractError(f"{name} repeat {', '.join(repeated)}; give each once")
         rows = [_SUITES[s] for s in self.suites]
         if any(row.fd for row in rows):
-            self._check_fd_step(any(row.hessian for row in rows))
+            self._check_fd_step(any(row.pullback for row in rows))
 
-    def _check_fd_step(self, hessian: bool) -> None:
+    def _check_fd_step(self, pullback: bool) -> None:
         """Reject a config a finite-difference suite would refuse mid-run.
 
         ``geometry._fd_step`` checks the step range.  A sample z has lambda_1 <=
         cap and |z| <= sqrt(rank) * lambda_1, so its step is at most the one
-        below.  A ``hessian`` suite needs lambda_1 below 1 - _FD_MARGIN * step,
+        below.  A ``pullback`` suite needs lambda_1 below 1 - _FD_MARGIN * step,
         and beta_exact needs lambda_1 < _BETA_LAMBDA_MAX.
         """
         h, cap = self.fd_step, self.boundary_cap
         rank_max = max((_k.rank(kind) for kind in self.kinds), default=1)
         reach = cap + _FD_MARGIN * _fd_step(math.sqrt(rank_max) * cap, h)
-        if hessian and not reach < 1.0:
+        if pullback and not reach < 1.0:
             raise ContractError(
                 f"fd_step {h!r} is too large for boundary_cap {cap!r}: points drawn up to the "
                 f"cap come within {_FD_MARGIN:g} steps of the boundary (cap + {_FD_MARGIN:g} "

@@ -15,14 +15,14 @@ factor, so one call rotates both; both eigensolvers stop on :func:`_offdiag_norm
 
 Conventions: matrices are 2-D complex128 arrays, eigen/singular values are
 returned in descending order, and factors satisfy the reconstruction
-identities stated on each routine.  Three routines also take a stack of
+identities stated on each routine.  Four routines also take a stack of
 matrices and treat each slice as on its own, so a slice's result does not
 depend on the stack: :func:`cholesky_logdet` (shape (..., n, n)),
 :func:`hermitian_power` (shape (K, n, n), one cyclic Jacobi iteration over
-the whole stack) and :func:`det` (shape (K, n, n), one LU over the whole
-stack, :func:`_lu_partial_pivot`, which also serves :func:`solve`; every
-slice takes every step, a zero pivot included).  Every kernel checks its
-input through one helper, :func:`_checked`.
+the whole stack), and :func:`det` and :func:`solve` (shape (K, n, n), one LU
+over the whole stack, :func:`_lu_partial_pivot`; every slice takes every
+step, a zero pivot included).  Every kernel checks its input through one
+helper, :func:`_checked`.
 """
 
 from __future__ import annotations
@@ -83,8 +83,12 @@ class TakagiResult(NamedTuple):
 def _checked(a, name: str, low: int, high: float, *, square: bool = True) -> np.ndarray:
     """``a`` as a complex128 array with ``low`` to ``high`` axes, square in its
     last two if ``square``; ContractError on any other shape or on a non-finite
-    entry.  This is the one input check of every kernel."""
-    m = np.asarray(a, dtype=np.complex128)
+    entry, or on an entry that is not a number (a string, say).  This is the
+    one input check of every kernel."""
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{name} must hold numbers ({exc})") from None
     if not low <= m.ndim <= high:
         raise ContractError(f"{name} needs ndim in [{low}, {high}], got ndim={m.ndim}")
     if square and m.shape[-1] != m.shape[-2]:
@@ -514,32 +518,46 @@ def det(a):
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by LU with partial pivoting.
+    """Solve ``a @ x = b`` by LU with partial pivoting, for a matrix or a stack.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the result
     matches its shape.  Both inputs go through the one input check, so a
     non-finite entry in either raises ContractError.  A zero pivot means an
     exactly singular ``a``, which (like overflow during substitution) raises
     SingularityError.
+
+    ``a`` may be a (K, n, n) stack, and every slice solves against the same
+    ``b``: the result is (K, n) or (K, n, m).  The stack runs one elimination
+    and one substitution, each slice with its own pivots, and a 2-D input is
+    the K = 1 case, so a slice's solution is bit for bit the one its 2-D call
+    returns.  A singular slice makes the whole call raise.
     """
-    m = as_matrix(a, square=True)
-    n = m.shape[0]
+    m = _checked(a, "matrix", 2, 3)
+    stacked = m.ndim == 3
+    if not stacked:
+        m = m[None]
+    count, n = m.shape[0], m.shape[-1]
     rhs = _checked(b, "right-hand side", 1, 2, square=False)
     if rhs.shape[0] != n:
-        raise ContractError(f"right-hand side shape {rhs.shape} does not match {m.shape}")
-    (lu,), offsets = _lu_partial_pivot(m[None])
-    if not np.diagonal(lu).all():
+        raise ContractError(f"right-hand side shape {rhs.shape} does not match {m.shape[1:]}")
+    lu, offsets = _lu_partial_pivot(m)
+    if not lu.diagonal(axis1=1, axis2=2).all():
         raise SingularityError("matrix is exactly singular")
-    perm = list(range(n))
-    for k, (step,) in enumerate(offsets):
-        perm[k], perm[k + step] = perm[k + step], perm[k]
+    slices = np.arange(count)
+    perm = np.tile(np.arange(n), (count, 1))
+    for k, step in enumerate(offsets):
+        if any(step):
+            piv = k + np.array(step, dtype=np.intp)
+            perm[slices, k], perm[slices, piv] = perm[slices, piv], perm[slices, k]
     vector = rhs.ndim == 1
-    x = (rhs[:, None] if vector else rhs)[perm]
-    for k in range(n):
-        x[k + 1:] -= lu[k + 1:, k][:, None] * x[k][None, :]
+    x = (rhs[:, None] if vector else rhs)[perm]  # (K, n, m), each slice permuted
+    for k in range(n - 1):
+        x[:, k + 1:] -= lu[:, k + 1:, k, None] * x[:, k, None, :]
     for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
+        x[:, k] -= (lu[:, k, None, k + 1:] @ x[:, k + 1:])[:, 0]
+        x[:, k] /= lu[:, k, k, None]
     if not np.isfinite(x).all():
         raise SingularityError("solve overflowed; matrix is singular to working precision")
-    return x[:, 0] if vector else x
+    if vector:
+        x = x[..., 0]
+    return x if stacked else x[0]

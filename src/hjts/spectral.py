@@ -354,8 +354,8 @@ def _box_power_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float,
     t in {-1/2, -1, -2}, through f(z box z) z = f(Z Z*) Z: no N x N operator.
 
     Types I-III power I + sign * Gram on the smaller Gram side (``_gram``):
-    t = -1/2 by one stacked ``hermitian_power``, t = -1 and -2 by inverting
-    each slice by elimination (squared for -2).  The spin factor maps
+    t = -1/2 by one stacked ``hermitian_power``, t = -1 and -2 by one stacked
+    ``solve`` against the identity (squared for -2).  The spin factor maps
     x = coords / sqrt(2) to (c_x x + c_q q conj(x)) / den, with a = |x|^2,
     q = x.x and N_s = 1 + 2 sign a + |q|^2; (c_x, c_q, den) is
     (1 + sqrt N_s, sign, sqrt N_s sqrt(2 + 2 sign a + 2 sqrt N_s)) at -1/2,
@@ -392,7 +392,7 @@ def _box_power_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float,
     if t == -0.5:
         power = hermitian_power(shifted, -0.5)
     else:
-        power = np.array([solve(s, eye) for s in shifted]).reshape(shifted.shape)
+        power = solve(shifted, eye)
         if t == -2:
             power = power @ power
     return _k.matrix_to_coords(kind, power @ mat if wide else mat @ power)

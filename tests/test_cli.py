@@ -84,6 +84,17 @@ def test_verify_all_uses_default_kinds(capsys):
                      "prod(I:1,1;IV:3)"}
 
 
+def test_verify_seed_with_a_sample_near_the_cap_passes_the_pullback_suites(capsys):
+    # prod(I:1,1;IV:3) draws spectral values (0.946, 0.936, 0.168) here; the
+    # finite-difference dual form read 1.116e-05 against the 1e-05 tolerance
+    code, out, _ = run_cli(capsys, "verify", "--all", "--suites", "symplectic,volume",
+                           "--points", "1", "--seed", "1799378116914113778")
+    assert code == 0
+    cell = next(r for r in json.loads(out)["results"]
+                if (r["kind"], r["suite"]) == ("prod(I:1,1;IV:3)", "symplectic"))
+    assert cell["max_error"] < 1e-06
+
+
 def test_verify_reports_a_skipped_hereditary_cell(capsys):
     code, out, err = run_cli(capsys, "verify", "--kind", "IV:4", "--suites", "hereditary",
                              "--points", "1")

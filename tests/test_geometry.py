@@ -7,6 +7,7 @@ differential of the point map is (1-0.36)^(-3/2) = 1.953125.
 
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hjts.geometry import (
     _central,
     _dbox_z,
     _fd_step,
+    _form_hessians,
     _g,
     _pullback_pairs,
     _to_real,
@@ -40,7 +42,7 @@ from hjts.geometry import (
 from hjts.harness import DEFAULT_KINDS, sample_domain
 from hjts.jts import (Element, _box_apply, bergman_operator, box_operator, d_operator,
                       genus, zero)
-from hjts.linalg import det, frobenius
+from hjts.linalg import det, frobenius, solve
 from hjts.spectral import log_generic_norm_minus, log_generic_norm_plus, spectral_values
 
 SIMPLE_KINDS = [K.TypeI(1, 1), K.TypeI(2, 2), K.TypeII(4), K.TypeIII(3), K.TypeIV(3)]
@@ -90,8 +92,7 @@ def test_disc_hyperbolic_hessian_golden():
     kind = K.TypeI(1, 1)
     z = Element(kind, np.array([0.6], dtype=complex))
     omega = kahler_matrix(PotentialId.HYPERBOLIC, z)
-    assert omega.hessian[0, 0].real == pytest.approx(2.44140625, rel=1e-6)
-    assert abs(omega.hessian[0, 0].imag) < 1e-8
+    assert omega.hessian[0, 0] == 2.44140625  # the closed form, to the last bit
     # two-form value on the (1, i) pair: H / pi
     assert omega.evaluate(np.array([1.0 + 0j]), np.array([1j])) == \
         pytest.approx(2.44140625 / math.pi, rel=1e-6)
@@ -122,15 +123,29 @@ def test_two_form_real_matrix_structure():
     assert np.allclose(s, -s.T, atol=1e-12)   # antisymmetry = it is a 2-form
 
 
-def test_batched_stencil_hessian_equals_per_element_hessian():
-    # kahler_matrix evaluates the whole stencil in one log-norm call;
-    # complex_hessian evaluates it one Element at a time through the same core
-    for index, kind in enumerate(DEFAULT_KINDS):
-        z = interior(kind, seed=50 + index, cap=0.95)
-        for pid in (PotentialId.HYPERBOLIC, PotentialId.DUAL_FS):
-            batched = kahler_matrix(pid, z, 1e-5).hessian
-            per_element = complex_hessian(lambda e: potential(pid, e), z, 1e-5)
-            assert batched.tobytes() == per_element.tobytes(), (kind, pid)
+@pytest.mark.parametrize("cap", [0.5, 0.95])
+@pytest.mark.parametrize("pid", [PotentialId.HYPERBOLIC, PotentialId.DUAL_FS])
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_exact_forms_match_the_finite_difference_hessian(kind, pid, cap):
+    # oracle: the second-difference stencil of the potential itself
+    z = interior(kind, seed=50 + DEFAULT_KINDS.index(kind), cap=cap)
+    exact = kahler_matrix(pid, z).hessian
+    measured = complex_hessian(partial(potential, pid), z, 1e-5)
+    assert np.abs(exact - measured).max() <= 5e-6 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("pid", [PotentialId.HYPERBOLIC, PotentialId.DUAL_FS])
+@pytest.mark.parametrize("kind", DEFAULT_KINDS + (K.TypeI(3, 2), K.TypeII(5)),
+                         ids=K.format_kind)
+def test_exact_forms_are_the_transposed_inverse_bergman_operator(kind, pid):
+    # -log N at z has Hessian (B(z, z)^-1)^T, log N* has (B(z, -z)^-1)^T; a tall
+    # type I takes its larger inverse from the other side
+    sign = -1.0 if pid is PotentialId.HYPERBOLIC else 1.0
+    z = interior(kind, seed=55, cap=0.95)
+    bergman = bergman_operator(z, Element(kind, -sign * z.coords)).matrix
+    expected = solve(bergman, np.eye(K.ambient_dim(kind))).T
+    exact = kahler_matrix(pid, z).hessian
+    assert np.abs(exact - expected).max() <= 1e-12 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("pid", list(PotentialId))
@@ -146,8 +161,6 @@ def test_real_matrix_equals_the_evaluate_loop(pid):
 def test_hessian_step_guard():
     z = interior(K.TypeI(1, 1), seed=7)
     with pytest.raises(ContractError):
-        kahler_matrix(PotentialId.HYPERBOLIC, z, h=1e-8)
-    with pytest.raises(ContractError):
         complex_hessian(lambda e: 0.0, z, 0.5)
 
 
@@ -157,8 +170,6 @@ def test_hessian_step_guard():
 _STEP_DRIVERS = {
     "complex_hessian":
         lambda z, w, h: complex_hessian(lambda e: potential(PotentialId.DUAL_FS, e), z, h),
-    **{f"kahler_matrix-{pid.value}": lambda z, w, h, pid=pid: kahler_matrix(pid, z, h)
-       for pid in PotentialId},
     "real_jacobian": lambda z, w, h: real_jacobian(psi_rows, z, h),
     "check_symplectic_duality": lambda z, w, h: check_symplectic_duality(z, tangent_pairs=1, h=h),
     "check_volume_duality": lambda z, w, h: check_volume_duality(z, h),
@@ -173,7 +184,7 @@ def test_step_drivers_cover_every_function_with_a_step():
     with_step = {name for name in hjts.geometry.__all__
                  if inspect.isfunction(fn := getattr(hjts.geometry, name))
                  and "h" in inspect.signature(fn).parameters}
-    assert with_step == {key.split("-")[0] for key in _STEP_DRIVERS}
+    assert with_step == set(_STEP_DRIVERS)
 
 
 @pytest.fixture(scope="module")
@@ -204,11 +215,25 @@ def test_a_float32_step_is_used_as_a_float64():
         assert type(step) is float and step == float(np.float32(1e-3)) * max(1.0, norm)
 
 
-def test_hyperbolic_hessian_boundary_margin():
+def test_hyperbolic_form_needs_an_interior_point():
+    # no margin: 1e-6 inside the boundary is still inside; on or past it is not
     kind = K.TypeI(1, 1)
-    close = Element(kind, np.array([1.0 - 1e-6], dtype=complex))
-    with pytest.raises(DomainError):
-        kahler_matrix(PotentialId.HYPERBOLIC, close)
+    t = 1.0 - 1e-6
+    close = kahler_matrix(PotentialId.HYPERBOLIC, Element(kind, np.array([t], dtype=complex)))
+    assert close.hessian[0, 0] == pytest.approx(1.0 / (1.0 - t * t) ** 2, rel=1e-9)
+    for radius in (1.0, 1.5):
+        for phase in (1.0, 1j, np.exp(0.3j)):
+            outside = Element(kind, np.array([radius * phase], dtype=complex))
+            with pytest.raises(DomainError):
+                kahler_matrix(PotentialId.HYPERBOLIC, outside)
+            # the dual form is defined everywhere
+            dual = kahler_matrix(PotentialId.DUAL_FS, outside).hessian[0, 0]
+            assert dual.real == pytest.approx(1.0 / (1.0 + radius ** 2) ** 2, rel=1e-12)
+    for other in (K.TypeI(2, 2), K.TypeII(4), K.TypeIII(3), K.TypeIV(4)):
+        z = interior(other, seed=56)
+        past = Element(other, 1.01 * z.coords / spectral_values(z)[0])  # largest value 1.01
+        with pytest.raises(DomainError):
+            kahler_matrix(PotentialId.HYPERBOLIC, past)
 
 
 def test_bergman_log_det_is_genus_times_metric():
@@ -396,6 +421,20 @@ def test_pullback_checks_map_rows_once_and_take_one_determinant(kind, monkeypatc
     assert (len(rows), len(dets)) == (1, 0)
     check_volume_duality(z)
     assert (len(rows), len(dets)) == (2, 1)
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_pullback_forms_share_one_solve_per_factor_and_equal_the_public_forms(kind, monkeypatch):
+    # the hyperbolic form at z and the dual one at psi(z) share one stacked
+    # solve per matrix factor, and each reads bit for bit what kahler_matrix returns
+    z = interior(kind, seed=44, cap=0.95)
+    image = psi(z)
+    solves = _count_calls(monkeypatch, "solve", hjts.geometry)
+    _pullback_pairs(z, DEFAULT_FD_STEP)
+    assert len(solves) == sum(not isinstance(f, K.TypeIV) for f in K.simple_factors(kind))
+    hyp, dual = _form_hessians(kind, np.stack([z.coords, image.coords]), (-1.0, 1.0))
+    assert hyp.tobytes() == kahler_matrix(PotentialId.HYPERBOLIC, z).hessian.tobytes()
+    assert dual.tobytes() == kahler_matrix(PotentialId.DUAL_FS, image).hessian.tobytes()
 
 
 @pytest.mark.parametrize("kind", [K.TypeI(1, 1), K.TypeIV(3), K.TypeI(4, 4)],

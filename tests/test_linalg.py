@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hjts.linalg
-from hjts.errors import ContractError, ConvergenceError, DomainError
+import hjts.kinds as K
+from hjts.errors import ContractError, ConvergenceError, DomainError, SingularityError
+from hjts.jts import isotropy_action, zero
 from hjts.linalg import (
     as_matrix,
     as_vector,
@@ -515,9 +517,47 @@ def test_solve_rejects_a_non_finite_right_hand_side(bad):
 
 
 def test_solve_singular_raises():
-    from hjts.errors import SingularityError
     with pytest.raises(SingularityError):
         solve(np.zeros((2, 2), dtype=complex), np.ones(2, dtype=complex))
+
+
+def test_stacked_solve_equals_each_2d_solve_bit_for_bit():
+    # random, real, permuted, triangular and diagonal slices, with a vector and
+    # with a matrix right-hand side shared by every slice
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 5):
+        general = random_complex(rng, n, n)
+        slices = [general, random_complex(rng, n, n).real.astype(complex),
+                  np.eye(n)[::-1] + 0.1 * general, np.triu(general) + 3 * np.eye(n),
+                  np.tril(general) + 3 * np.eye(n), np.diag(random_complex(rng, n)),
+                  np.eye(n) + general @ general.conj().T]
+        stack = np.array(slices)
+        for b in (random_complex(rng, n), random_complex(rng, n, 3), np.eye(n)):
+            solved = solve(stack, b)
+            assert solved.shape == (len(slices),) + b.shape
+            for a, x in zip(stack, solved):
+                assert solve(a, b).tobytes() == x.tobytes()
+            assert np.allclose(stack @ (solved if b.ndim == 2 else solved[..., None]),
+                               b if b.ndim == 2 else b[:, None], atol=1e-9)
+    assert solve(np.zeros((0, 3, 3)), np.ones(3)).shape == (0, 3)
+
+
+def test_stacked_solve_refuses_a_singular_or_non_finite_slice():
+    stack = np.array([np.eye(3), 2 * np.eye(3), np.eye(3)], dtype=complex)
+    singular = stack.copy()
+    singular[1, :, 1] = 0.0
+    with pytest.raises(SingularityError):
+        solve(singular, np.ones(3))
+    for bad in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[2, 0, 1] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            solve(broken, np.eye(3))
+    for shape in ((2, 2, 3), (1, 2, 2, 2)):
+        with pytest.raises(ContractError):
+            solve(np.ones(shape), np.ones(2))
+    with pytest.raises(ContractError, match="does not match"):
+        solve(stack, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +574,22 @@ def test_as_matrix_and_vector_contracts():
         as_vector(np.zeros(3), dim=4)
     v = as_vector([1.0, 2.0])
     assert v.dtype == np.complex128
+
+
+@pytest.mark.parametrize("call", [
+    lambda: as_matrix("a"),
+    lambda: as_matrix([[1, "x"]]),
+    lambda: as_vector(["1", object()]),
+    lambda: det("ab"),
+    lambda: solve(np.eye(2), ["x", 1]),
+    lambda: isotropy_action("a", zero(K.TypeII(4))),
+], ids=["as_matrix-string", "as_matrix-string-entry", "as_vector-object", "det-string",
+        "solve-rhs-string", "isotropy_action-string"])
+def test_an_entry_that_is_not_a_number_is_a_contract_error(call):
+    # one refusal for bad input: the conversion's TypeError or ValueError
+    # comes out as ContractError
+    with pytest.raises(ContractError, match="must hold numbers"):
+        call()
 
 
 # ---------------------------------------------------------------------------
