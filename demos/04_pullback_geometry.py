@@ -1,8 +1,8 @@
 """Two Kaehler forms, one map: the pullback identities, measured.
 
-The forms are exact (the Bergman metric of each potential); the differential
-of the map is taken by central differences of psi itself, and the forms'
-own finite-difference Hessians serve as their oracle.
+The forms are exact (the Bergman metric of each potential), and so is the
+differential of the map (the Daleckii-Krein formula for (I - Z Z*)^(-1/2) Z);
+central differences of the potentials and of psi itself serve as their oracles.
 
 Run:  python demos/04_pullback_geometry.py
 """
@@ -26,7 +26,7 @@ from hjts import (
     psi,
     sample_domain,
 )
-from hjts.duality import psi_rows
+from hjts.duality import _psi_differential_rows, psi_rows
 from hjts.geometry import complex_hessian, pullback_eval, real_jacobian
 
 rng = np.random.default_rng(3)
@@ -43,8 +43,10 @@ omega_hyp = kahler_matrix(PotentialId.HYPERBOLIC, z)  # closed form, no step
 print(f"  Hessian at 0.6:      {omega_hyp.hessian[0,0].real:.8f}   (exact 2.44140625)")
 measured = complex_hessian(partial(potential, PotentialId.HYPERBOLIC), z)
 print(f"  by differences:      {measured[0,0].real:.8f}   (the oracle, step 1e-5)")
+_, derivs = _psi_differential_rows(kind, z.coords[None, :], np.array([[1.0 + 0j]]))
+print(f"  d psi radial:        {derivs[0, 0, 0].real:.12f}   (exact 1.953125)")
 jac = real_jacobian(psi_rows, z)  # psi on every stencil row at once
-print(f"  d psi radial:        {jac.matrix[0,0]:.8f}   (exact 1.953125)")
+print(f"  by differences:      {jac.matrix[0,0]:.12f}   (the oracle, step 1e-5)")
 omega_flat = kahler_matrix(PotentialId.FLAT, psi(z))
 u, v = np.array([1.0 + 0j]), np.array([1j])
 print(f"  (psi* omega_0)(u,v): {pullback_eval(omega_flat, jac, u, v):.8f}")

@@ -15,8 +15,11 @@ top of that sit the verification routines: the symplectic pullback identities
 for psi, their volume-form consequence, the logarithmic-derivative identities
 for N and N*, the exactness of the one-form beta, and the trace-derivative
 identity for powers of the box operator, worst over (p, k) in {0, 1, 2}^2.
-Every driver takes its step h * max(1, |z|), h in [1e-7, 1e-2], from
-``_fd_step``, and every first-order central difference from ``_central``.
+The pullback checks differentiate psi exactly (``duality._psi_differential_rows``)
+and take no step; ``real_jacobian`` measures the same differential by central
+differences, its oracle.  Every driver with a step takes it, h * max(1, |z|)
+with h in [1e-7, 1e-2], from ``_fd_step``, and every first-order central
+difference from ``_central``.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .kinds import (JTSKind, TypeI, TypeIV, ambient_dim, coords_to_ambient, coor
 from .linalg import det, solve, worst_of
 from .spectral import (_box_power_rows, _gram, generic_norms, log_generic_norm_minus,
                        log_generic_norm_plus, spectral_values)
-from .duality import psi_rows
+from .duality import _psi_differential_rows
 
 __all__ = [
     "PotentialId",
@@ -95,6 +98,15 @@ def _to_real(u: np.ndarray) -> np.ndarray:
 
 def _to_complex(x: np.ndarray) -> np.ndarray:
     return x[0::2] + 1.0j * x[1::2]
+
+
+def _real_jacobian_matrix(diff: np.ndarray) -> np.ndarray:
+    """The 2N x 2N real Jacobian from a map's (2N, N) derivatives along the
+    real directions of ``_real_directions`` (column a is direction a's)."""
+    jac = np.empty((diff.shape[0], diff.shape[0]), dtype=np.float64)
+    jac[0::2] = diff.real.T
+    jac[1::2] = diff.imag.T
+    return jac
 
 
 @dataclass(frozen=True)
@@ -329,12 +341,8 @@ def real_jacobian(map_rows: Callable[[JTSKind, np.ndarray], np.ndarray], z: Elem
                                 f"{rows.shape}, got shape {mapped.shape}")
         return mapped
 
-    n = z.coords.size
-    diff = _central(checked_rows, z, _real_directions(n), h)  # row a: d map / d x_a
-    jac = np.empty((2 * n, 2 * n), dtype=np.float64)
-    jac[0::2] = diff.real.T
-    jac[1::2] = diff.imag.T
-    return RealJacobian(jac)
+    diff = _central(checked_rows, z, _real_directions(z.coords.size), h)  # row a: d map / d x_a
+    return RealJacobian(_real_jacobian_matrix(diff))
 
 
 def pullback_eval(omega: TwoFormSample, jac: RealJacobian,
@@ -343,34 +351,27 @@ def pullback_eval(omega: TwoFormSample, jac: RealJacobian,
     return omega.evaluate(jac.apply(u), jac.apply(v))
 
 
-def _pullback_pairs(z: Element, h: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _pullback_pairs(z: Element) -> list[tuple[np.ndarray, np.ndarray]]:
     """(pulled back, native) real 2N x 2N form matrices (``real_matrix``) of
     psi^* omega_dual = omega_flat and psi^* omega_flat = omega_hyp: with J the
     real Jacobian of psi at z, (J^T S_dual(psi(z)) J, S_flat) and
     (J^T S_flat J, S_hyp(z)).  S_flat is the same at z and at psi(z).
 
-    psi(z) comes from the Jacobian's one ``psi_rows`` call, which maps z's row
-    after the 4N stencil rows (and refuses a z outside the domain); a row's
-    image does not depend on its batch.  The hyperbolic form at z and the dual
-    one at psi(z) are one ``_form_hessians`` call, bit for bit the forms
-    ``kahler_matrix`` returns.
+    psi(z) and J come exactly from one ``_psi_differential_rows`` call along
+    the 2N real directions (which refuses a z outside the domain).  The
+    hyperbolic form at z and the dual one at psi(z) are one ``_form_hessians``
+    call, bit for bit the forms ``kahler_matrix`` returns.
     """
     flat = kahler_matrix(PotentialId.FLAT, z).real_matrix()
-    image = []
-
-    def stencil_then_z(kind: JTSKind, rows: np.ndarray) -> np.ndarray:
-        mapped = psi_rows(kind, np.concatenate([rows, z.coords[None, :]]))
-        image.append(mapped[-1])
-        return mapped[:-1]
-
-    jac = real_jacobian(stencil_then_z, z, h).matrix
+    [image], [diff] = _psi_differential_rows(z.kind, z.coords[None, :],
+                                             _real_directions(z.coords.size))
+    jac = _real_jacobian_matrix(diff)
     hyp, dual = (TwoFormSample(m).real_matrix()
-                 for m in _form_hessians(z.kind, np.stack([z.coords, image[0]]), (-1.0, 1.0)))
+                 for m in _form_hessians(z.kind, np.stack([z.coords, image]), (-1.0, 1.0)))
     return [(jac.T @ dual @ jac, flat), (jac.T @ flat @ jac, hyp)]
 
 
 def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
-                             h: float = DEFAULT_FD_STEP,
                              rng: np.random.Generator | None = None) -> tuple[float, float]:
     """Verify both pullback identities of the duality map at a point.
 
@@ -384,7 +385,7 @@ def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
     if rng is None:
         rng = np.random.default_rng(7)
     n = z.coords.size
-    pairs = _pullback_pairs(z, h)
+    pairs = _pullback_pairs(z)
     draws = rng.standard_normal((2 * tangent_pairs, 2, n))  # per tangent: n real, n imaginary
     tangents = draws[:, 0] + 1.0j * draws[:, 1]
     x = _to_real(tangents / np.sqrt(np.sum(np.abs(tangents) ** 2, axis=1))[:, None])
@@ -393,7 +394,7 @@ def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
     return err1, err2
 
 
-def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
+def check_volume_duality(z: Element) -> float:
     """Compare determinants of the pulled-back and native real form matrices.
 
     The top exterior powers of two 2-forms agree exactly when the determinants
@@ -402,7 +403,7 @@ def check_volume_duality(z: Element, h: float = DEFAULT_FD_STEP) -> float:
     pairs of ``_pullback_pairs``, returning the worse relative mismatch.  The
     four determinants are one ``det`` call on the (4, 2N, 2N) stack.
     """
-    dets = det(np.stack([m for pair in _pullback_pairs(z, h) for m in pair])).real.tolist()
+    dets = det(np.stack([m for pair in _pullback_pairs(z) for m in pair])).real.tolist()
     return worst_of(abs(d_pulled - d_native) / max(abs(d_native), np.finfo(np.float64).tiny)
                     for d_pulled, d_native in zip(dets[0::2], dets[1::2]))
 
@@ -530,22 +531,20 @@ def check_lemma_a2(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -
     return worst_of(residuals)
 
 
-def check_flat_dbar_pullback(z: Element, direction: Element,
-                             h: float = DEFAULT_FD_STEP) -> float:
+def check_flat_dbar_pullback(z: Element, direction: Element) -> float:
     """Pullback of the antiholomorphic differential of the flat potential.
 
-    The pulled-back (0,1)-part of d m1(u,u) under psi, evaluated on w by
-    finite-differencing psi itself, must equal
-    m1(quasi-inverse of z, w) + beta(w)/2.  A second-order-on-first-order
-    composite, so callers should allow a looser tolerance (~1e-4).
+    The pulled-back (0,1)-part of d m1(u,u) under psi, evaluated on w through
+    the exact differential of psi (``_psi_differential_rows``), must equal
+    m1(quasi-inverse of z, w) + beta(w)/2.  Returns the residual relative to
+    max(1, |right-hand side|).
     """
     _same_kind(z.kind, direction.kind)
     if not in_domain(z):
         raise DomainError("flat pullback check needs an interior point")
     w = direction.coords
     kind = z.kind
-    [image] = psi_rows(kind, z.coords[None, :])
-    [d_psi_w] = _central(lambda rows: psi_rows(kind, rows), z, w[None, :], h)
+    [image], [[d_psi_w]] = _psi_differential_rows(kind, z.coords[None, :], w[None, :])
     lhs = complex(np.vdot(d_psi_w, image))
 
     dbox_w_z = _dbox_z(kind, z.coords, w)

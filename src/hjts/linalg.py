@@ -407,7 +407,14 @@ def hermitian_power(a, t: float) -> np.ndarray:
     """
     t = as_real(t, "hermitian_power exponent t must be a finite real number, got {!r}",
                 exclusive=True)
-    m = _checked(a, "matrix", 2, 3)
+    return _eig_power(_checked(a, "matrix", 2, 3), t)[2]
+
+
+def _eig_power(m: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues w, eigenvectors v and power ``m**t`` of a checked
+    Hermitian positive definite matrix or (K, n, n) stack, under
+    :func:`hermitian_power`'s rules: the Hermitian rule per slice
+    (ContractError), and DomainError for any eigenvalue <= 0."""
     adjoint = m.conj().swapaxes(-1, -2)
     if (_norms(m - adjoint) > 1e-10 * np.maximum(1.0, _norms(m))).any():
         raise ContractError("hermitian_power requires a Hermitian matrix")
@@ -417,7 +424,7 @@ def hermitian_power(a, t: float) -> np.ndarray:
         raise DomainError(f"matrix power {t} needs a positive spectrum; "
                           f"smallest eigenvalue is {w.min():.3e}")
     powered = (v * (w ** t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return 0.5 * (powered + powered.conj().swapaxes(-1, -2))
+    return w, v, 0.5 * (powered + powered.conj().swapaxes(-1, -2))
 
 
 def cholesky_logdet(a):

@@ -66,9 +66,9 @@ def test_criterion_1_symplectic_duality(criterion):
     ))
     elapsed = time.perf_counter() - started
     worst = max(r.max_error for r in report.results)
-    ok = report.all_pass and worst <= 1e-5 and elapsed <= 60.0
+    ok = report.all_pass and worst <= 1e-10 and elapsed <= 60.0
     criterion(1, "symplectic duality, both pullback identities",
-              ok, f"max {worst:.2e} <= 1e-5 over 700 points, {elapsed:.1f}s <= 60s")
+              ok, f"max {worst:.2e} <= 1e-10 over 700 points, {elapsed:.1f}s <= 60s")
 
 
 def test_criterion_2_diffeomorphism(criterion):
@@ -202,7 +202,7 @@ def test_criterion_8_volume(criterion):
         for _ in range(20):
             worst = max(worst, check_volume_duality(sample_domain(kind, rng, 0.95)))
     criterion(8, "top-power (volume) comparison of the pulled-back forms",
-              worst <= 1e-4, f"max {worst:.2e} <= 1e-4, 20 per kind")
+              worst <= 1e-10, f"max {worst:.2e} <= 1e-10, 20 per kind")
 
 
 def test_criterion_9_determinism(criterion):

@@ -167,12 +167,18 @@ def test_verify_unwritable_out_is_exit_3_before_any_sample(tmp_path, capsys, mon
     assert err.count("\n") == 1 and target in err and "Traceback" not in err
 
 
-def test_verify_fd_step_too_large_for_cap_is_exit_3(capsys):
-    code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "symplectic",
-                             "--fd-step", "1e-2")
-    assert code == 3
-    assert out == ""  # rejected before any sample runs
-    assert "fd_step 0.01" in err and "boundary_cap 0.95" in err
+def test_verify_pullback_suites_read_no_fd_step(capsys):
+    # psi's differential is exact, so a step at the range's end changes only the echo
+    docs = []
+    for step in ("1e-2", str(DEFAULT_FD_STEP)):
+        code, out, _ = run_cli(capsys, "verify", "--all", "--suites", "symplectic,volume",
+                               "--points", "3", "--fd-step", step)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"].pop("fd_step") == float(step)
+        del doc["wall_time_s"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_verify_fd_step_1e_3_is_accepted(capsys):

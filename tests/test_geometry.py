@@ -2,7 +2,7 @@
 
 The one-disc numbers are hand-computable and pinned exactly:
 at z = 0.6 the hyperbolic Hessian is 1/(1-0.36)^2 = 2.44140625 and the
-differential of the point map is (1-0.36)^(-3/2) = 1.953125.
+radial derivative of the point map is (1-0.36)^(-3/2) = 1.953125.
 """
 
 import inspect
@@ -14,11 +14,11 @@ import pytest
 
 import hjts.geometry
 import hjts.kinds as K
-from hjts.duality import psi, psi_rows
+from hjts.duality import _psi_differential_rows, psi, psi_rows
 from hjts.errors import ContractError, DomainError
 from hjts.geometry import (
-    DEFAULT_FD_STEP,
     PotentialId,
+    RealJacobian,
     _BETA_LAMBDA_MAX,
     _central,
     _dbox_z,
@@ -60,6 +60,18 @@ def unit(kind, seed):
     n = K.ambient_dim(kind)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return Element(kind, v / np.sqrt(np.sum(np.abs(v) ** 2)))
+
+
+def exact_jacobian(z):
+    """psi's exact real Jacobian at z, from its derivatives along the 2N real
+    directions e_j, i e_j (interleaved): column a holds direction a's."""
+    n = z.coords.size
+    dirs = np.repeat(np.eye(n, dtype=complex), 2, axis=0)
+    dirs[1::2] *= 1j
+    [_], [diff] = _psi_differential_rows(z.kind, z.coords[None, :], dirs)
+    jac = np.empty((2 * n, 2 * n))
+    jac[0::2], jac[1::2] = diff.real.T, diff.imag.T
+    return RealJacobian(jac)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +183,9 @@ _STEP_DRIVERS = {
     "complex_hessian":
         lambda z, w, h: complex_hessian(lambda e: potential(PotentialId.DUAL_FS, e), z, h),
     "real_jacobian": lambda z, w, h: real_jacobian(psi_rows, z, h),
-    "check_symplectic_duality": lambda z, w, h: check_symplectic_duality(z, tangent_pairs=1, h=h),
-    "check_volume_duality": lambda z, w, h: check_volume_duality(z, h),
     "check_lemma_a1": lambda z, w, h: check_lemma_a1(z, w, h),
     "check_lemma_a2": lambda z, w, h: check_lemma_a2(z, w, h),
     "check_beta_exactness": lambda z, w, h: check_beta_exactness(z, w, h),
-    "check_flat_dbar_pullback": lambda z, w, h: check_flat_dbar_pullback(z, w, h),
 }
 
 
@@ -261,6 +270,94 @@ def test_disc_jacobian_golden():
     assert abs(jac.matrix[0, 1]) < 1e-6 and abs(jac.matrix[1, 0]) < 1e-6
 
 
+def test_disc_exact_differential_golden():
+    jac = exact_jacobian(Element(K.TypeI(1, 1), np.array([0.6], dtype=complex))).matrix
+    assert jac[0, 0] == pytest.approx(1.953125, rel=1e-15)
+    assert jac[1, 1] == pytest.approx(1.25, rel=1e-15)
+    assert jac[0, 1] == 0.0 and jac[1, 0] == 0.0
+
+
+_DIFFERENTIAL_KINDS = DEFAULT_KINDS + (K.TypeI(3, 2), K.TypeII(5))
+
+
+@pytest.mark.parametrize("cap", [0.5, 0.95])
+@pytest.mark.parametrize("kind", _DIFFERENTIAL_KINDS, ids=K.format_kind)
+def test_exact_differential_matches_the_finite_difference_jacobian(kind, cap):
+    # oracle: central differences of psi_rows itself, whose error is the stencil's
+    for seed in (60, 61, 62):
+        z = interior(kind, seed=seed, cap=cap)
+        exact = exact_jacobian(z).matrix
+        measured = real_jacobian(psi_rows, z).matrix
+        assert np.abs(exact - measured).max() <= 2e-6 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("kind", _DIFFERENTIAL_KINDS, ids=K.format_kind)
+def test_exact_differential_images_are_psi_rows_bytes(kind):
+    rows = np.stack([interior(kind, seed=seed, cap=0.95).coords for seed in (63, 64, 65)])
+    dirs = np.stack([unit(kind, seed=seed).coords for seed in (66, 67)])
+    images, derivs = _psi_differential_rows(kind, rows, dirs)
+    assert images.tobytes() == psi_rows(kind, rows).tobytes()
+    assert derivs.shape == (3, 2, K.ambient_dim(kind))
+    # each row's derivatives are its own: the same bytes on their own
+    for k in range(3):
+        alone = _psi_differential_rows(kind, rows[k:k + 1], dirs)
+        assert alone[0].tobytes() == images[k:k + 1].tobytes()
+        assert alone[1].tobytes() == derivs[k:k + 1].tobytes()
+
+
+@pytest.mark.parametrize("kind", _DIFFERENTIAL_KINDS, ids=K.format_kind)
+def test_exact_differential_refuses_what_psi_rows_refuses(kind):
+    z = interior(kind, seed=68)
+    lam1 = spectral_values(z)[0]
+    rows = np.stack([z.coords, 1.001 * z.coords / lam1])  # the second row lies outside
+    dirs = unit(kind, seed=69).coords[None, :]
+    with pytest.raises(DomainError) as from_rows:
+        psi_rows(kind, rows)
+    with pytest.raises(DomainError) as from_differential:
+        _psi_differential_rows(kind, rows, dirs)
+    assert str(from_differential.value) == str(from_rows.value)
+    with pytest.raises(ContractError):
+        _psi_differential_rows(kind, rows[:1], dirs[:, :-1])
+    with pytest.raises(ContractError):
+        _psi_differential_rows(kind, rows[:1], np.full_like(dirs, np.nan))
+
+
+@pytest.mark.parametrize("kind", _DIFFERENTIAL_KINDS, ids=K.format_kind)
+def test_exact_differential_at_the_origin_is_the_identity(kind):
+    n = K.ambient_dim(kind)
+    jac = exact_jacobian(zero(kind)).matrix
+    assert np.abs(jac - np.eye(2 * n)).max() <= 1e-15
+
+
+def _degenerate_points():
+    """Points whose Gram matrix has a repeated or a unit eigenvalue (a repeated
+    or a zero spectral value), or a spin factor with q = x.x = 0."""
+    rng = np.random.default_rng(70)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            for n in (2, 2))
+    repeated = 0.7 * u @ np.diag([1.0, 1.0]) @ v  # I:2,2, both values 0.7
+    col, row = (w / np.linalg.norm(w) for w in (rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                                               rng.standard_normal(2) + 1j * rng.standard_normal(2)))
+    rank_one = 0.8 * np.outer(col, row.conj())  # tall I:3,2, values (0.8, 0)
+    isotropic = 0.6 * np.array([1.0, 1j, 0.0, 0.0]) / np.sqrt(2.0)  # x.x = 0: values (0.85, 0)
+    return {
+        "I:2,2 repeated": Element(K.TypeI(2, 2), K.matrix_to_coords(K.TypeI(2, 2), repeated)),
+        "I:3,2 rank one": Element(K.TypeI(3, 2), K.matrix_to_coords(K.TypeI(3, 2), rank_one)),
+        "II:4 paired": interior(K.TypeII(4), seed=71, cap=0.9),
+        "IV:4 q = 0": Element(K.TypeIV(4), K.ambient_to_coords(K.TypeIV(4), isotropic)),
+    }
+
+
+@pytest.mark.parametrize("label", list(_degenerate_points()))
+def test_exact_differential_at_degenerate_spectra(label):
+    # the divided differences take their derivative limit at repeated Gram eigenvalues
+    z = _degenerate_points()[label]
+    exact = exact_jacobian(z).matrix
+    assert np.isfinite(exact).all()
+    measured = real_jacobian(psi_rows, z).matrix
+    assert np.abs(exact - measured).max() <= 2e-6 * np.abs(exact).max()
+
+
 @pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
 def test_batched_jacobian_equals_per_row_psi(kind):
     z = interior(kind, seed=51, cap=0.95)
@@ -312,14 +409,14 @@ def test_disc_pullback_golden():
 def test_symplectic_duality(kind):
     z = interior(kind, seed=10 + K.ambient_dim(kind))
     err1, err2 = check_symplectic_duality(z, tangent_pairs=4)
-    assert err1 < 1e-5
-    assert err2 < 1e-5
+    assert err1 < 1e-12
+    assert err2 < 1e-12
 
 
 @pytest.mark.parametrize("kind", SIMPLE_KINDS)
 def test_volume_duality(kind):
     z = interior(kind, seed=20, cap=0.7)
-    assert check_volume_duality(z) < 1e-4
+    assert check_volume_duality(z) < 1e-12
 
 
 def test_symplectic_rng_reproducible():
@@ -342,14 +439,14 @@ def test_symplectic_rejects_a_bad_tangent_pair_count(bad):
 
 
 def _public_form_pairs(z):
-    """(form at psi(z), native form at z) of both identities, and the Jacobian
-    of psi at z, from the public sampling API."""
+    """(form at psi(z), native form at z) of both identities from the public
+    sampling API, and the exact Jacobian of psi at z."""
     image = psi(z)
     forms = [
         (kahler_matrix(PotentialId.DUAL_FS, image), kahler_matrix(PotentialId.FLAT, z)),
         (kahler_matrix(PotentialId.FLAT, image), kahler_matrix(PotentialId.HYPERBOLIC, z)),
     ]
-    return forms, real_jacobian(psi_rows, z)
+    return forms, exact_jacobian(z)
 
 
 @pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
@@ -415,12 +512,13 @@ def _count_calls(monkeypatch, name, *modules):
 def test_pullback_checks_map_rows_once_and_take_one_determinant(kind, monkeypatch):
     # psi_rows is counted in duality too, so a psi(z) call would show
     z = interior(kind, seed=42, cap=0.7)
-    rows = _count_calls(monkeypatch, "psi_rows", hjts.geometry, hjts.duality)
+    rows = _count_calls(monkeypatch, "_psi_differential_rows", hjts.geometry)
+    plain = _count_calls(monkeypatch, "psi_rows", hjts.duality)
     dets = _count_calls(monkeypatch, "det", hjts.geometry)
     check_symplectic_duality(z)
-    assert (len(rows), len(dets)) == (1, 0)
+    assert (len(rows), len(plain), len(dets)) == (1, 0, 0)
     check_volume_duality(z)
-    assert (len(rows), len(dets)) == (2, 1)
+    assert (len(rows), len(plain), len(dets)) == (2, 0, 1)
 
 
 @pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
@@ -430,7 +528,7 @@ def test_pullback_forms_share_one_solve_per_factor_and_equal_the_public_forms(ki
     z = interior(kind, seed=44, cap=0.95)
     image = psi(z)
     solves = _count_calls(monkeypatch, "solve", hjts.geometry)
-    _pullback_pairs(z, DEFAULT_FD_STEP)
+    _pullback_pairs(z)
     assert len(solves) == sum(not isinstance(f, K.TypeIV) for f in K.simple_factors(kind))
     hyp, dual = _form_hessians(kind, np.stack([z.coords, image.coords]), (-1.0, 1.0))
     assert hyp.tobytes() == kahler_matrix(PotentialId.HYPERBOLIC, z).hessian.tobytes()
@@ -452,7 +550,7 @@ def test_symplectic_tangents_equal_the_per_tangent_draws(kind):
         tangents.append(w / frobenius(w))
     x = _to_real(np.array(tangents))
     expected = tuple(float(np.max(np.abs(np.sum((x[0::2] @ (p - s)) * x[1::2], axis=1))))
-                     for p, s in _pullback_pairs(z, DEFAULT_FD_STEP))
+                     for p, s in _pullback_pairs(z))
     assert got == expected
     assert rng.standard_normal() == oracle_rng.standard_normal()
 
@@ -579,7 +677,7 @@ def test_flat_dbar_pullback(kind):
     # the composite d-bar identity behind the first pullback equality
     z = interior(kind, seed=70, cap=0.7)
     w = unit(kind, seed=71)
-    assert check_flat_dbar_pullback(z, w) < 1e-4
+    assert check_flat_dbar_pullback(z, w) < 1e-12
 
 
 def test_disc_flat_dbar_scalar_value():
@@ -591,4 +689,4 @@ def test_disc_flat_dbar_scalar_value():
     kind = K.TypeI(1, 1)
     z = Element(kind, np.array([t], dtype=complex))
     w = Element(kind, np.array([1.0 + 0j]))
-    assert check_flat_dbar_pullback(z, w) < 1e-6
+    assert check_flat_dbar_pullback(z, w) < 1e-15

@@ -374,6 +374,18 @@ def test_two_dimensional_hermitian_power_goes_through_eigh():
         assert hermitian_power(h, -0.5).tobytes() == expected.tobytes()
 
 
+def test_eigenpairs_behind_hermitian_power():
+    # psi's exact differential reads the eigenpairs of the very power psi_rows takes
+    rng = np.random.default_rng(27)
+    for n in range(1, 7):
+        stack = _mixed_stack(rng, n)
+        w, v, power = hjts.linalg._eig_power(stack, -0.5)
+        assert power.tobytes() == hermitian_power(stack, -0.5).tobytes()
+        assert (np.diff(w, axis=1) <= 0.0).all()
+        rebuilt = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+        assert np.abs(rebuilt - stack).max() <= 1e-12 * np.abs(stack).max()
+
+
 def test_cholesky_logdet_matches_slogdet():
     rng = np.random.default_rng(13)
     for n in (1, 3, 6):
