@@ -291,6 +291,21 @@ def test_exact_differential_matches_the_finite_difference_jacobian(kind, cap):
         assert np.abs(exact - measured).max() <= 2e-6 * np.abs(exact).max()
 
 
+@pytest.mark.parametrize("cap", [0.5, 0.95])
+@pytest.mark.parametrize("kind", [K.TypeI(4, 4), K.TypeII(6), K.TypeIII(4), K.TypeIV(8)],
+                         ids=K.format_kind)
+def test_exact_differential_on_larger_kinds(kind, cap):
+    # rank 3 and 4 Gram spectra: more divided differences per row than the defaults
+    z = interior(kind, seed=60, cap=cap)
+    exact = exact_jacobian(z).matrix
+    measured = real_jacobian(psi_rows, z).matrix
+    assert np.abs(exact - measured).max() <= 2e-6 * np.abs(exact).max()
+    # and both pullback identities read roundoff through it
+    err1, err2 = check_symplectic_duality(z, tangent_pairs=4)
+    assert err1 < 1e-12 and err2 < 1e-12
+    assert check_volume_duality(z) < 1e-12
+
+
 @pytest.mark.parametrize("kind", _DIFFERENTIAL_KINDS, ids=K.format_kind)
 def test_exact_differential_images_are_psi_rows_bytes(kind):
     rows = np.stack([interior(kind, seed=seed, cap=0.95).coords for seed in (63, 64, 65)])
