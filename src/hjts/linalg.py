@@ -9,20 +9,25 @@ behaviour of the package does not depend on any external solver.  Every
 orthonormal basis these factorizations (and the spectral frames built on
 them) must finish is finished by one routine, :func:`orthonormal_extension`.
 
-Every Jacobi rotation (:func:`eigh`, its stacked form, :func:`svd`) goes
-through :func:`_rotate` on one work layout, the matrix above its accumulated
-factor, so one call rotates both; both eigensolvers stop on :func:`_offdiag_norm`.
+There is one Hermitian eigensolver, :func:`_eigh_slices`: a scalar
+row-cyclic Jacobi iteration, :func:`_jacobi`, on each slice of a (K, n, n)
+stack in turn, held as Python complex numbers.  :func:`eigh` is its
+one-slice case, and :func:`hermitian_power` and :func:`takagi` reach it too.
+Every Jacobi rotation, :func:`svd`'s included, goes through :func:`_rotate`.
+The library's calls are small (n <= 6, K <= 2), where numpy's overhead per
+call costs more than the arithmetic.  Each Jacobi kernel scales its input by
+a power of two, which is exact, so that no square overflows or underflows.
 
 Conventions: matrices are 2-D complex128 arrays, eigen/singular values are
 returned in descending order, and factors satisfy the reconstruction
 identities stated on each routine.  Four routines also take a stack of
 matrices and treat each slice as on its own, so a slice's result does not
 depend on the stack: :func:`cholesky_logdet` (shape (..., n, n)),
-:func:`hermitian_power` (shape (K, n, n), one cyclic Jacobi iteration over
-the whole stack), and :func:`det` and :func:`solve` (shape (K, n, n), one LU
-over the whole stack, :func:`_lu_partial_pivot`; every slice takes every
-step, a zero pivot included).  Every kernel checks its input through one
-helper, :func:`_checked`.
+:func:`hermitian_power` (shape (K, n, n), each slice its own Jacobi
+iteration), and :func:`det` and :func:`solve` (shape (K, n, n), one LU over
+the whole stack, :func:`_lu_partial_pivot`; every slice takes every step, a
+zero pivot included).  Every kernel checks its input through one helper,
+:func:`_checked`.
 """
 
 from __future__ import annotations
@@ -124,16 +129,21 @@ def worst_of(values) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values, default=0.0)
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the last two axes, one per slice."""
-    return np.sqrt((np.abs(x) ** 2).sum(axis=(-2, -1)))
+def _binade(amax: float) -> int:
+    """The exponent e that brings amax / 2**e into [0.5, 1), held to
+    [-1021, 1021] so that 2**e and 2**-e are normal floats; 0 for amax = 0."""
+    return min(max(math.frexp(amax)[1], -1021), 1021)
 
 
-def _offdiag_norm(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of the off-diagonal part over the last two axes."""
-    off = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)).copy()
-    off[..., :: x.shape[-1] + 1] = 0.0  # the diagonal of each slice
-    return _norms(off.reshape(x.shape))
+def _norm(values) -> float:
+    """The 2-norm of a sequence of Python numbers (``math.hypot``, which does
+    not overflow where the squares would)."""
+    return math.hypot(*map(abs, values))
+
+
+def _inner(x: list, y: list) -> complex:
+    """<x, y> = sum conj(x_i) y_i over two lists of Python complex numbers."""
+    return sum(a.conjugate() * b for a, b in zip(x, y))
 
 
 def _rotation(app: float, aqq: float, apq: complex) -> tuple[float, complex]:
@@ -150,25 +160,87 @@ def _rotation(app: float, aqq: float, apq: complex) -> tuple[float, complex]:
     return c, t * c * phase
 
 
-def _rotate(m: np.ndarray, p: int, q: int, c, sp, sp_conj) -> None:
-    """Apply J of :func:`_rotation` to columns p, q of m in place.  Leading axes
-    of m are slices; c and sp are scalars, or (K, 1) arrays, one per slice,
-    and sp_conj is conj(sp), which the caller has at hand."""
-    mp, mq = m[..., p], m[..., q]
-    new_p = c * mp - sp_conj * mq
-    m[..., q] = sp * mp + c * mq
-    m[..., p] = new_p
+def _rotate(cols: list, p: int, q: int, c: float, sp: complex, sp_conj: complex) -> None:
+    """Apply J of :func:`_rotation` to columns p, q of a matrix held as the
+    list of its columns (lists of Python complex numbers), in place; sp_conj
+    is conj(sp), which the caller has at hand."""
+    col_p, col_q = cols[p], cols[q]
+    cols[p] = [c * x - sp_conj * y for x, y in zip(col_p, col_q)]
+    cols[q] = [sp * x + c * y for x, y in zip(col_p, col_q)]
 
 
-def _rotate_two_sided(m: np.ndarray, n: int, p: int, q: int, c, sp) -> None:
-    """h <- J^* h J on a (..., 2n, n) work array of h above its eigenvectors:
-    J on columns p, q of both blocks, J^* on rows p, q of h (J with the
-    conjugate sp on the columns of h.T), then zero the annihilated pair."""
-    sp_conj = sp.conjugate()
-    _rotate(m, p, q, c, sp, sp_conj)
-    _rotate(m[..., :n, :].swapaxes(-1, -2), p, q, c, sp_conj, sp)
-    m[..., p, q] = 0.0
-    m[..., q, p] = 0.0
+def _offdiag(work: list) -> float:
+    """Frobenius norm of the off-diagonal part of the Hermitian matrix on top
+    of :func:`_jacobi`'s work columns: sqrt(2) times the part above the diagonal."""
+    return math.sqrt(2.0) * _norm([x for j, col in enumerate(work) for x in col[:j]])
+
+
+def _jacobi(work: list, up: float) -> tuple[list, list]:
+    """Eigenvalues (descending, stable, times ``up``) and the eigenvector rows
+    of a Hermitian h held as n work columns, h's column above the identity's.
+
+    Row-cyclic Jacobi, h <- J^* h J: one :func:`_rotate` puts J on the work,
+    then J^* on rows p, q of h is the 2x2 block by formula and, elsewhere, the
+    conjugates of the rotated columns.  eigh's rules: stop at off-diagonal mass
+    <= tol = 1e-14 * ||h||_F, skip |h_pq| <= tol / 2n, ConvergenceError (its
+    mass times ``up``) after ``_MAX_SWEEPS`` sweeps."""
+    n = len(work)
+    tol = 1e-14 * _norm([x for col in work for x in col[:n]])
+    skip = tol / (2.0 * n)
+    for _ in range(_MAX_SWEEPS):
+        if _offdiag(work) <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(work[q][p]) <= skip:
+                    continue
+                c, sp = _rotation(work[p][p].real, work[q][q].real, work[q][p])
+                sp_conj = sp.conjugate()
+                _rotate(work, p, q, c, sp, sp_conj)
+                col_p, col_q = work[p], work[q]
+                app, aqq = c * col_p[p] - sp * col_p[q], sp_conj * col_q[p] + c * col_q[q]
+                for col, x, y in zip(work, col_p, col_q):  # the 2x2 block is set after
+                    col[p], col[q] = x.conjugate(), y.conjugate()
+                col_p[p], col_q[q], col_p[q], col_q[p] = app, aqq, 0j, 0j
+    else:
+        off = _offdiag(work)
+        if off > tol:
+            raise ConvergenceError("hermitian eigensolve exceeded the sweep cap", off * up)
+    w = [col[j].real * up for j, col in enumerate(work)]
+    order = sorted(range(n), key=w.__getitem__, reverse=True)
+    return [w[j] for j in order], list(zip(*[work[j][n:] for j in order]))
+
+
+def _eigh_slices(m: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (K, n), descending, and eigenvectors (K, n, n), as columns,
+    of each slice of a checked (K, n, n) stack by :func:`_jacobi`, on its own.
+
+    Each slice is scaled by the power of two that brings its largest entry into
+    [0.5, 1), exactly, then checked against the Hermitian rule ||h - h*||_F <=
+    1e-10 * max(1, ||h||_F) (ContractError naming ``who``) and symmetrized.
+    """
+    n = m.shape[-1]
+    if n <= 1:  # nothing to rotate, and no square to take
+        h = m.diagonal(axis1=1, axis2=2)
+        if (np.abs(h - h.conj()) > 1e-10 * np.maximum(1.0, np.abs(h))).any():
+            raise ContractError(f"{who} requires a Hermitian matrix")
+        return h.real.copy(), np.ones_like(m)
+    eye = np.eye(n, dtype=np.complex128).tolist()
+    values, vectors = [], []
+    for cols, rows in zip(m.swapaxes(1, 2).tolist(), m.tolist()):
+        e = _binade(max(abs(x) for col in cols for x in col))
+        down = 2.0 ** -e
+        pairs = [[(down * x, down * y.conjugate()) for x, y in zip(col, row)]
+                 for col, row in zip(cols, rows)]  # column j of h and of h*, scaled
+        if (_norm([x - y for pair in pairs for x, y in pair])
+                > 1e-10 * max(down, _norm([x for pair in pairs for x, _ in pair]))):
+            raise ContractError(f"{who} requires a Hermitian matrix")
+        w, v = _jacobi([[0.5 * (x + y) for x, y in pair] + unit
+                        for pair, unit in zip(pairs, eye)], 2.0 ** e)
+        values.append(w)
+        vectors.append(v)
+    return (np.array(values, dtype=float).reshape(m.shape[:2]),
+            np.array(vectors, dtype=np.complex128).reshape(m.shape))
 
 
 def eigh(a) -> EighResult:
@@ -178,95 +250,11 @@ def eigh(a) -> EighResult:
     iterating, and a relative deviation above 1e-10 raises ContractError).
     Sweeps stop once the off-diagonal Frobenius mass falls below
     1e-14 * ||a||_F; exceeding the sweep cap raises ConvergenceError carrying
-    the leftover residual.
+    the leftover residual.  This is the one-slice case of the stacked
+    eigensolve behind :func:`hermitian_power`, so it returns the same bytes.
     """
-    m = as_matrix(a, square=True)
-    n = m.shape[0]
-    if frobenius(m - m.conj().T) > 1e-10 * max(1.0, frobenius(m)):
-        raise ContractError("eigh requires a Hermitian matrix")
-    work = np.concatenate((0.5 * (m + m.conj().T), np.eye(n, dtype=np.complex128)))
-    h = work[:n]
-    scale = frobenius(h)
-    if n == 1 or scale == 0.0:
-        return EighResult(np.diag(h).real.copy(), work[n:])
-    tol = 1e-14 * scale
-    skip = tol / (2.0 * n)
-
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(h) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(h[p, q]) <= skip:
-                    continue
-                c, sp = _rotation(h[p, p].real, h[q, q].real, h[p, q])
-                _rotate_two_sided(work, n, p, q, c, sp)
-    else:
-        off = float(_offdiag_norm(h))
-        if off > tol:
-            raise ConvergenceError("hermitian eigensolve exceeded the sweep cap", off)
-
-    w = np.diag(h).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return EighResult(w[order], work[n:, order])
-
-
-def _jacobi_step(m: np.ndarray, n: int, p: int, q: int, beta: np.ndarray) -> None:
-    """One (p, q) rotation of :func:`_eigh_stack`: the formulas of
-    :func:`_rotation`, one rotation per slice of m; beta = |m[:, p, q]|."""
-    beta = beta[:, None]
-    phase = m[:, p, q, None] / beta
-    tau = (m[:, q, q, None].real - m[:, p, p, None].real) / (2.0 * beta)
-    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    _rotate_two_sided(m, n, p, q, c, t * c * phase)
-
-
-def _eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cyclic Jacobi of :func:`eigh` on every slice of a Hermitian
-    (K, n, n) stack at once: eigenvalues (K, n), descending per slice, and
-    eigenvectors (K, n, n) as columns.
-
-    Each slice keeps eigh's rules on its own numbers: the tolerance
-    1e-14 * ||h_k||_F, the skip threshold, the stop once its off-diagonal
-    mass is below tolerance, and the sweep cap.  A rotation touches only the
-    slices it applies to and is elementwise across them, so a slice's result
-    does not depend on the stack around it.
-    """
-    k, n, _ = h.shape
-    if n == 1:
-        return h[:, 0].real.copy(), np.ones_like(h)
-    work = np.concatenate((h, np.broadcast_to(np.eye(n, dtype=h.dtype), h.shape)), axis=1)
-    tol = 1e-14 * _norms(h)
-    live, m = np.arange(k), work  # the unconverged slices and their working copy
-
-    for _ in range(_MAX_SWEEPS):
-        keep = _offdiag_norm(m[:, :n]) > tol[live]
-        if not keep.all():
-            work[live] = m
-            live, m = live[keep], m[keep]
-        if not live.size:
-            break
-        skip = tol[live] / (2.0 * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = np.abs(m[:, p, q])
-                big = beta > skip
-                if big.all():
-                    _jacobi_step(m, n, p, q, beta)
-                elif big.any():
-                    sub = m[big]
-                    _jacobi_step(sub, n, p, q, beta[big])
-                    m[big] = sub
-    else:
-        off = _offdiag_norm(m[:, :n])
-        if (off > tol[live]).any():
-            raise ConvergenceError("hermitian eigensolve exceeded the sweep cap",
-                                   float(off.max()))
-    work[live] = m
-    w = work[:, range(n), range(n)].real
-    slices, order = np.arange(k)[:, None], np.argsort(-w, axis=1, kind="stable")
-    return w[slices, order], work[:, n:].swapaxes(1, 2)[slices, order].swapaxes(1, 2)
+    w, v = _eigh_slices(as_matrix(a, square=True)[None], "eigh")
+    return EighResult(w[0], v[0])
 
 
 def orthonormal_extension(basis, candidates, count: int) -> list[np.ndarray]:
@@ -309,7 +297,10 @@ def svd(a) -> SvdResult:
     which keeps the returned factors unitary even in the presence of tiny
     singular values; a sweep with no rotations ends the iteration.  Columns
     not exactly orthogonal at the sweep cap raise ConvergenceError carrying
-    the off-diagonal norm of their Gram matrix.
+    the off-diagonal norm of their Gram matrix.  The columns are held as
+    lists of Python complex numbers, scaled by the power of two that brings
+    the largest entry into [0.5, 1) (exact, so only sigma is scaled back),
+    and rotated by :func:`_rotate`, as :func:`eigh`'s are.
     """
     m0 = as_matrix(a)
     rows, cols_n = m0.shape
@@ -317,43 +308,44 @@ def svd(a) -> SvdResult:
         flipped = svd(m0.conj().T)
         return SvdResult(flipped.v, flipped.sigma, flipped.u)
 
-    work = np.concatenate((m0, np.eye(cols_n, dtype=np.complex128)))
-    w = work[:rows]
+    up = 2.0 ** _binade(float(np.abs(m0).max(initial=0.0)))
+    eye = np.eye(cols_n, dtype=np.complex128).tolist()
+    work = [col + unit for col, unit in zip((m0 / up).T.tolist(), eye)]  # the columns above V's
     for _ in range(_MAX_SWEEPS):
         rotated = False
         for p in range(cols_n - 1):
             for q in range(p + 1, cols_n):
-                alpha = float(np.sum(np.abs(w[:, p]) ** 2))
-                delta = float(np.sum(np.abs(w[:, q]) ** 2))
-                g = complex(np.vdot(w[:, p], w[:, q]))
-                if abs(g) <= 1e-15 * math.sqrt(alpha * delta):
+                col_p, col_q = work[p][:rows], work[q][:rows]
+                alpha, delta, g = _norm(col_p), _norm(col_q), _inner(col_p, col_q)
+                if abs(g) <= 1e-15 * alpha * delta:
                     continue
                 rotated = True
-                c, sp = _rotation(alpha, delta, g)
+                c, sp = _rotation(alpha * alpha, delta * delta, g)
                 _rotate(work, p, q, c, sp, sp.conjugate())
         if not rotated:
             break
     else:
-        off = float(_offdiag_norm(w.conj().T @ w))
+        off = _norm([_inner(work[i][:rows], work[j][:rows])
+                     for i in range(cols_n) for j in range(cols_n) if i != j])
         if off > 0.0:
-            raise ConvergenceError("one-sided SVD exceeded the sweep cap", off)
+            raise ConvergenceError("one-sided SVD exceeded the sweep cap", off * up * up)
 
-    sigma = np.array([frobenius(w[:, k]) for k in range(cols_n)])
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    w = w[:, order]
-    v = work[rows:, order]
+    sigma = [_norm(col[:rows]) for col in work]
+    order = sorted(range(cols_n), key=sigma.__getitem__, reverse=True)
+    sigma = [sigma[k] for k in order]
+    cols = [np.array(work[k][:rows]) for k in order]
+    v = np.array(list(zip(*[work[k][rows:] for k in order])), dtype=complex).reshape(cols_n, -1)
 
     # sigma is descending, so the columns carrying signal are a prefix; they
     # are normalized, and completion fills the numerically dead ones and the
     # rows-beyond-columns part of U.
     ztol = max(rows, cols_n) * 1e-16 * (sigma[0] if cols_n else 0.0)
-    live = [w[:, k] / sigma[k] for k in range(cols_n) if sigma[k] > ztol and sigma[k] > 0.0]
+    live = [col / s for col, s in zip(cols, sigma) if s > ztol and s > 0.0]
     filled = orthonormal_extension(live, np.eye(rows, dtype=np.complex128), rows - len(live))
     u = np.empty((rows, rows), dtype=np.complex128)
     for k, col in enumerate(live + filled):
         u[:, k] = col
-    return SvdResult(u, sigma, v)
+    return SvdResult(u, np.array(sigma) * up, v)
 
 
 def takagi(a) -> TakagiResult:
@@ -365,12 +357,17 @@ def takagi(a) -> TakagiResult:
     column u = x + iy with a @ conj(u) = sigma * u.  This route has no
     clustering step, so nearby singular values cost no accuracy.
 
-    Raises ContractError when ||a - a.T|| exceeds 1e-12 * max(1, ||a||).
+    Raises ContractError when ||a - a.T|| exceeds 1e-12 * max(1, ||a||).  A
+    singular value counts as zero below 1e-12 * ||a||.  Both tests run on a
+    scaled by the power of two that brings its largest entry into [0.5, 1),
+    which is exact, so takagi(2**k * a) is (u, 2**k * sigma) bit for bit.
     """
     m = as_matrix(a, square=True)
     n = m.shape[0]
+    up = 2.0 ** _binade(float(np.abs(m).max(initial=0.0)))
+    m = m / up
     scale = frobenius(m)
-    if frobenius(m - m.T) > 1e-12 * max(1.0, scale):
+    if frobenius(m - m.T) > 1e-12 * max(1.0 / up, scale):
         raise ContractError("takagi requires a (complex) symmetric matrix")
     if n == 0:
         return TakagiResult(np.eye(0, dtype=np.complex128), np.zeros(0))
@@ -379,14 +376,13 @@ def takagi(a) -> TakagiResult:
     big = np.block([[x, y], [y, -x]]).astype(np.complex128)
     w, vecs = eigh(big)
 
-    ztol = 1e-12 * max(1.0, scale)
-    npos = int(np.sum(w > ztol))
+    npos = int(np.sum(w > 1e-12 * scale))
     # a = u diag(sigma) u^T, so a conj(v) = 0 for every v orthogonal to the
     # npos live columns: any orthonormal completion is a Takagi column.
     live = vecs[:n, :npos] + 1j * vecs[n:, :npos]
     null = orthonormal_extension(live.T, np.eye(n, dtype=np.complex128), n - npos)
     return TakagiResult(np.column_stack([live, *null]),
-                        np.concatenate([w[:npos], np.zeros(n - npos)]))
+                        np.concatenate([w[:npos], np.zeros(n - npos)]) * up)
 
 
 def hermitian_power(a, t: float) -> np.ndarray:
@@ -399,11 +395,13 @@ def hermitian_power(a, t: float) -> np.ndarray:
     negative powers need a positive spectrum, and this routine refuses to
     guess at the boundary).
 
-    ``a`` may be a (K, n, n) stack, which returns the (K, n, n) powers.  The
-    stack runs one cyclic Jacobi iteration over all slices, with eigh's rules
-    applied to each slice on its own, so a slice's power does not depend on
-    the stack around it; any slice that fails a check raises.  A 2-D input
-    goes through :func:`eigh`.
+    ``a`` may be a (K, n, n) stack, which returns the (K, n, n) powers.
+    Each slice runs eigh's Jacobi iteration on its own, one after the other,
+    so a slice's power does not depend on the stack; any slice that fails a
+    check raises.  A 2-D input is the one-slice stack, with eigh's eigenpairs.
+    From K of about 5 a vectorized iteration over the stack would be faster
+    (K = 16, n = 4: about 1.0 against 2.6 ms); the library makes no call with
+    K > 2 on the default kinds.
     """
     t = as_real(t, "hermitian_power exponent t must be a finite real number, got {!r}",
                 exclusive=True)
@@ -414,17 +412,16 @@ def _eig_power(m: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     """The eigenvalues w, eigenvectors v and power ``m**t`` of a checked
     Hermitian positive definite matrix or (K, n, n) stack, under
     :func:`hermitian_power`'s rules: the Hermitian rule per slice
-    (ContractError), and DomainError for any eigenvalue <= 0."""
-    adjoint = m.conj().swapaxes(-1, -2)
-    if (_norms(m - adjoint) > 1e-10 * np.maximum(1.0, _norms(m))).any():
-        raise ContractError("hermitian_power requires a Hermitian matrix")
-    herm = 0.5 * (m + adjoint)
-    w, v = eigh(herm) if m.ndim == 2 else _eigh_stack(herm)
+    (ContractError), and DomainError for any eigenvalue <= 0.  A matrix is
+    the one-slice stack, so it gets the bytes of its slice in any stack."""
+    stacked = m.ndim == 3
+    w, v = _eigh_slices(m if stacked else m[None], "hermitian_power")
     if w.size and w.min() <= 0.0:
         raise DomainError(f"matrix power {t} needs a positive spectrum; "
                           f"smallest eigenvalue is {w.min():.3e}")
-    powered = (v * (w ** t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return w, v, 0.5 * (powered + powered.conj().swapaxes(-1, -2))
+    powered = (v * (w ** t)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    power = 0.5 * (powered + powered.conj().swapaxes(1, 2))
+    return (w, v, power) if stacked else (w[0], v[0], power[0])
 
 
 def cholesky_logdet(a):

@@ -29,7 +29,7 @@ from . import kinds as _k
 from .errors import (ConsistencyError, ContractError, DomainError, SingularityError,
                      as_int)
 from .jts import Element, _box_apply
-from .linalg import (_checked, cholesky_logdet, eigh, frobenius, hermitian_power,
+from .linalg import (_binade, _checked, cholesky_logdet, eigh, frobenius, hermitian_power,
                      orthonormal_extension, solve, svd, takagi)
 
 __all__ = [
@@ -94,11 +94,17 @@ def _values_simple(kind: _k.JTSKind, coords: np.ndarray) -> np.ndarray:
 
 
 def spectral_values(z: Element) -> np.ndarray:
-    """The lambda_j of z (its factors' values merged), descending, length rank(kind)."""
+    """The lambda_j of z (its factors' values merged), descending, length rank(kind).
+
+    They are taken from z scaled by the power of two that brings its largest
+    coordinate into [0.5, 1), and scaled back.  That is exact, so no Gram
+    matrix overflows or underflows and spectral_values(2**k * z) is
+    2**k * spectral_values(z) bit for bit."""
     kind = z.kind
+    up = 2.0 ** _binade(float(np.abs(z.coords).max(initial=0.0)))
     parts = [_values_simple(f, c)
-             for f, c in zip(_k.simple_factors(kind), _k.split_coords(kind, z.coords))]
-    values = np.concatenate(parts)
+             for f, c in zip(_k.simple_factors(kind), _k.split_coords(kind, z.coords / up))]
+    values = np.concatenate(parts) * up
     values[::-1].sort()  # ascending in reverse: descending in place
     return values
 

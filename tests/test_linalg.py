@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import hjts.linalg
 import hjts.kinds as K
 from hjts.errors import ContractError, ConvergenceError, DomainError, SingularityError
-from hjts.jts import isotropy_action, zero
+from hjts.jts import Element, isotropy_action, zero
 from hjts.linalg import (
     as_matrix,
     as_vector,
@@ -30,6 +30,7 @@ from hjts.linalg import (
     takagi,
     worst_of,
 )
+from hjts.spectral import spectral_values
 
 
 def random_complex(rng, *shape):
@@ -283,9 +284,9 @@ def test_stacked_hermitian_power_matches_oracle():
             got = hermitian_power(stack, t)
             assert got.shape == stack.shape
             assert np.allclose(got, _power_oracle(stack, t), rtol=0.0, atol=1e-10)
-            # the per-slice 2-D path rounds differently, within a few ulps
+            # a matrix is the one-slice stack: the 2-D path gives the same bytes
             loop = np.array([hermitian_power(m, t) for m in stack])
-            assert np.max(np.abs(got - loop)) <= 1e-13 * np.max(np.abs(loop))
+            assert got.tobytes() == loop.tobytes()
 
 
 def _mixed_stack(rng, n):
@@ -381,9 +382,41 @@ def test_eigenpairs_behind_hermitian_power():
         stack = _mixed_stack(rng, n)
         w, v, power = hjts.linalg._eig_power(stack, -0.5)
         assert power.tobytes() == hermitian_power(stack, -0.5).tobytes()
+        for k, m in enumerate(stack):  # one kernel: eigh is the one-slice stack
+            pair = eigh(m)
+            assert (pair.values.tobytes(), pair.vectors.tobytes()) == (w[k].tobytes(),
+                                                                      v[k].tobytes())
         assert (np.diff(w, axis=1) <= 0.0).all()
         rebuilt = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
         assert np.abs(rebuilt - stack).max() <= 1e-12 * np.abs(stack).max()
+
+
+@pytest.mark.parametrize("s", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+def test_kernels_commute_with_an_extreme_power_of_two(s):
+    # each kernel scales its input by a power of two before iterating, so no
+    # square overflows or underflows and the scaled results are exact multiples
+    rng = np.random.default_rng(28)
+    for n in (1, 2, 3, 5):
+        h = _random_hpd(rng, n)
+        w, v = eigh(h)
+        ws, vs = eigh(s * h)
+        assert ws.tobytes() == (s * w).tobytes() and vs.tobytes() == v.tobytes()
+        for t in (-0.5, 0.25):
+            assert hermitian_power(s * h, t).tobytes() == (s ** t * hermitian_power(h, t)).tobytes()
+        a = random_complex(rng, n, n + 1)
+        for x in (a, a.T):
+            u, sigma, vv = svd(x)
+            us, sigmas, vvs = svd(s * x)
+            assert (us.tobytes(), sigmas.tobytes(), vvs.tobytes()) == (
+                u.tobytes(), (s * sigma).tobytes(), vv.tobytes())
+        sym = a[:, :n] + a[:, :n].T
+        u, sigma = takagi(sym)
+        us, sigmas = takagi(s * sym)
+        assert us.tobytes() == u.tobytes() and sigmas.tobytes() == (s * sigma).tobytes()
+    for kind in map(K.parse_kind, ["I:2,2", "II:4", "III:3", "IV:4", "prod(I:1,1;IV:3)"]):
+        z = 0.4 * random_complex(rng, K.ambient_dim(kind))
+        lam = spectral_values(Element(kind, z))
+        assert spectral_values(Element(kind, s * z)).tobytes() == (s * lam).tobytes()
 
 
 def test_cholesky_logdet_matches_slogdet():

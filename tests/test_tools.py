@@ -11,8 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 LABELS = (
-    [f"eigh n={n}" for n in (2, 3, 4, 6, 8)] + [f"svd n={n}" for n in (2, 3, 4, 6, 8)]
-    + [f"hermitian_power (16,{n},{n})" for n in (2, 3, 4)]
+    [f"eigh n={n}" for n in (1, 2, 3, 4, 6, 8)] + [f"svd n={n}" for n in (1, 2, 3, 4, 6, 8)]
+    + [f"hermitian_power ({k},{n},{n})" for k in (1, 2, 16) for n in (2, 3, 4)]
     + ["hermitian_power (16,16)", "hermitian_power (27,27)"]
     + [f"det n={n}" for n in (3, 6, 8, 12)] + [f"det (4,{n},{n})" for n in (3, 6, 8, 12)]
     + [f"solve n={n}" for n in (3, 6, 8, 12)] + ["det upper n=8", "det lower n=8"]

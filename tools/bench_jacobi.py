@@ -3,8 +3,10 @@
 Prints the best-of-N time per call, in microseconds, of
 
 * ``eigh`` (Hermitian positive definite input) and ``svd`` (general complex
-  input) at n in {2, 3, 4, 6, 8};
-* ``hermitian_power`` on a (16, n, n) stack at n in {2, 3, 4};
+  input) at n in {1, 2, 3, 4, 6, 8};
+* ``hermitian_power`` on (1, n, n) and (2, n, n) stacks, the shapes of the
+  row maps' calls on one or two points, and on a (16, n, n) stack, at n in
+  {2, 3, 4};
 * 2-D ``hermitian_power`` at n = 16 and 27;
 * ``det`` and ``solve`` (general complex input, one right-hand side) at n in
   {3, 6, 8, 12}, and ``det`` on a (4, n, n) stack at the same n.  On a tree
@@ -41,8 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-SIZES = (2, 3, 4, 6, 8)
+SIZES = (1, 2, 3, 4, 6, 8)
 STACK_SIZES = (2, 3, 4)
+SMALL_STACK_SLICES = (1, 2)
 STACK_SLICES = 16
 LARGE_SIZES = (16, 27)
 LU_SIZES = (3, 6, 8, 12)
@@ -95,10 +98,11 @@ def cases(linalg) -> list[tuple[str, object]]:
     for n in SIZES:
         a = _general(rng, n, n)
         out.append((f"svd n={n}", lambda a=a: linalg.svd(a)))
-    for n in STACK_SIZES:
-        stack = np.array([_hpd(rng, n) for _ in range(STACK_SLICES)])
-        out.append((f"hermitian_power ({STACK_SLICES},{n},{n})",
-                    lambda s=stack: linalg.hermitian_power(s, -0.5)))
+    for slices in (*SMALL_STACK_SLICES, STACK_SLICES):
+        for n in STACK_SIZES:
+            stack = np.array([_hpd(rng, n) for _ in range(slices)])
+            out.append((f"hermitian_power ({slices},{n},{n})",
+                        lambda s=stack: linalg.hermitian_power(s, -0.5)))
     for n in LARGE_SIZES:
         h = _hpd(rng, n)
         out.append((f"hermitian_power ({n},{n})", lambda h=h: linalg.hermitian_power(h, -0.5)))
