@@ -1,18 +1,14 @@
 """The symplectic duality map between a bounded domain and its flat ambient space.
 
-``psi`` maps a domain point z to B(z,z)^(-1/4) z in the ambient space and
-``psi_inverse`` maps back via B(u,-u)^(-1/4) u.  Each direction can be
-evaluated along three independent routes (Bergman power, box power,
-spectral resolution); they agree to high accuracy on valid inputs, and the
-``*_route_spread`` helpers turn any disagreement beyond 1e-7 into a hard
-internal-consistency failure.
-
-The default route, BOX_HALF, is (id -+ z box z)^(-1/2) z, evaluated by
-:func:`psi_rows` on every row of a (K, N) coordinate array through
-``spectral._box_power_rows``, which works on the p x p Gram side (a closed
-form for the spin factor) and builds no N x N operator.
-
-``psi`` and ``psi_inverse`` on BOX_HALF are the K = 1 case of ``psi_rows``.
+``psi`` maps a domain point z to B(z,z)^(-1/4) z and ``psi_inverse`` maps an
+ambient point u back via B(u,-u)^(-1/4) u, each along three independent
+routes (Bergman power, box power, spectral resolution); the
+``*_route_spread`` helpers turn a disagreement beyond 1e-7 into a hard
+internal-consistency failure.  The default route, BOX_HALF, is
+(id -+ z box z)^(-1/2) z, which :func:`psi_rows` maps over the rows of a
+(K, N) array (``psi`` and ``psi_inverse`` are its K = 1 case) and
+``_psi_differential_rows`` differentiates exactly; both go factor by factor
+through the closed forms of ``spectral``.
 """
 from __future__ import annotations
 
@@ -24,10 +20,9 @@ import numpy as np
 from .errors import ConsistencyError, ContractError, DomainError
 from .jts import (Element, _same_kind, bergman_operator, embed, in_domain, isotropy_action,
                   restrict)
-from .kinds import (JTSKind, TypeIV, ambient_to_coords, coords_to_ambient, coords_to_matrix,
-                    format_kind, join_coords, matrix_to_coords, simple_factors, split_coords)
-from .linalg import _eig_power, frobenius, hermitian_power, worst_of
-from .spectral import (_box_power_rows, _box_power_simple, _gram, _rows, log_norm_rows,
+from .kinds import JTSKind, format_kind, join_coords, simple_factors, split_coords
+from .linalg import frobenius, hermitian_power, worst_of
+from .spectral import (_box_power_rows, _psi_differential_simple, _rows, log_norm_rows,
                        spectral_decompose)
 
 __all__ = [
@@ -99,64 +94,15 @@ def _psi_differential_rows(kind: JTSKind, coords: np.ndarray,
     array: entry [k, d] is d/dt psi(z_k + t w_d) at real t = 0.
 
     The images are bit for bit ``psi_rows``'s, and the rows it refuses are
-    refused here.  Types I-III take A = I - Z Z* = V diag(w) V* (I - Z* Z
-    for a tall Z) from one stacked eigensolve, the one ``hermitian_power``
-    makes, and along W, with dA = -(W Z* + Z W*) (-(W* Z + Z* W) when tall),
-
-        d psi = V (F o V* dA V) V* Z + A^(-1/2) W   (Z d(A^(-1/2)) + W A^(-1/2) when tall),
-
-    F_ij = -1/(sqrt w_i sqrt w_j (sqrt w_i + sqrt w_j)) being the divided
-    differences of x^(-1/2), which take its derivative at w_i = w_j
-    (Daleckii-Krein; Higham, Functions of Matrices, SIAM 2008, ch. 3).  The
-    spin factor differentiates the closed form of ``_box_power_rows`` by the
-    chain rule in a = |x|^2 and q = x.x.  Products go factor by factor.
+    refused here.  Each simple factor is differentiated in closed form by
+    ``spectral._psi_differential_simple``; products go factor by factor.
     """
     coords = _rows(kind, coords, -1.0)
     dirs = _rows(kind, dirs, -1.0)
     _check_inside(kind, coords)
-    pieces = [_psi_differential_simple(f, c, d) for f, c, d in
-              zip(simple_factors(kind), split_coords(kind, coords), split_coords(kind, dirs))]
-    return (join_coords(kind, [image for image, _ in pieces]),
-            join_coords(kind, [deriv for _, deriv in pieces]))
-
-
-def _psi_differential_simple(kind: JTSKind, coords: np.ndarray,
-                             dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(kind, TypeIV):
-        image = _box_power_simple(kind, coords, -1.0, -0.5)
-        x = coords_to_ambient(kind, coords)[:, None, :]  # (K, 1, n) against (D, n)
-        y = coords_to_ambient(kind, dirs)
-        u = coords_to_ambient(kind, image)[:, None, :]
-        a = (np.abs(x) ** 2).sum(axis=-1, keepdims=True)
-        q = (x * x).sum(axis=-1, keepdims=True)
-        root = np.sqrt(1.0 - 2.0 * a + np.abs(q) ** 2)  # sqrt N
-        half = np.sqrt(2.0 - 2.0 * a + 2.0 * root)
-        # u = ((1 + root) x - q conj(x)) / (root half), differentiated along y
-        da = 2.0 * (np.conj(x) * y).sum(axis=-1, keepdims=True).real
-        dq = 2.0 * (x * y).sum(axis=-1, keepdims=True)
-        droot = ((np.conj(q) * dq).real - da) / root
-        dden = droot * half + root * (droot - da) / half
-        du = (droot * x + (1.0 + root) * y - dq * np.conj(x) - q * np.conj(y) - dden * u) \
-            / (root * half)
-        return image, ambient_to_coords(kind, du)
-    mat = coords_to_matrix(kind, coords)  # (K, p, q)
-    gram, wide = _gram(mat)
-    eye = np.eye(gram.shape[-1], dtype=np.complex128)
-    w, v, power = _eig_power(eye - gram, -0.5)
-    adj = np.conj(mat).swapaxes(-1, -2)[:, None]  # (K, 1, q, p) against (D, p, q)
-    mat_k, dmat = mat[:, None], coords_to_matrix(kind, dirs)
-    dadj = np.conj(dmat).swapaxes(-1, -2)
-    d_shift = -(dmat @ adj + mat_k @ dadj) if wide else -(dadj @ mat_k + adj @ dmat)
-    root = np.sqrt(w)
-    f = -1.0 / (root[:, :, None] * root[:, None, :] * (root[:, :, None] + root[:, None, :]))
-    v_k = v[:, None]
-    v_adj = np.conj(v_k).swapaxes(-1, -2)
-    d_power = v_k @ (f[:, None] * (v_adj @ d_shift @ v_k)) @ v_adj
-    if wide:
-        image, deriv = power @ mat, d_power @ mat_k + power[:, None] @ dmat
-    else:
-        image, deriv = mat @ power, mat_k @ d_power + dmat @ power[:, None]
-    return matrix_to_coords(kind, image), matrix_to_coords(kind, deriv)
+    images, derivs = zip(*(_psi_differential_simple(f, c, d) for f, c, d in zip(
+        simple_factors(kind), split_coords(kind, coords), split_coords(kind, dirs))))
+    return join_coords(kind, images), join_coords(kind, derivs)
 
 
 def _point_map(el: Element, route: DualityRoute, sign: float) -> Element:

@@ -1,25 +1,23 @@
-"""Kähler potentials, numerical two-forms, pullbacks, and identity checks.
+"""Kähler potentials and forms, pullbacks, and the identity checks.
 
 Three potentials drive everything here: the hyperbolic one -log N(z) on the
 bounded domain, its dual log N*(z) on the ambient space, and the flat one
-m1(z,z).  Each yields a (1,1)-form through its mixed complex Hessian, which
-``kahler_matrix`` takes in closed form (the Bergman metric of each potential,
-the identity for the flat one) and ``complex_hessian`` measures by central
-differences of any potential, the oracle of the closed forms.  A form is
+m1(z,z).  Each yields a (1,1)-form through its mixed complex Hessian H,
 evaluated with the fixed convention
 
     omega(u, v) = -(1/pi) * Im( sum_jk H_jk u_j conj(v_k) ),
 
-which normalizes the flat form to omega0(e, i e) = 1/pi at the origin.  On
-top of that sit the verification routines: the symplectic pullback identities
-for psi, their volume-form consequence, the logarithmic-derivative identities
-for N and N*, the exactness of the one-form beta, and the trace-derivative
-identity for powers of the box operator, worst over (p, k) in {0, 1, 2}^2.
-The pullback checks differentiate psi exactly (``duality._psi_differential_rows``)
-and take no step; ``real_jacobian`` measures the same differential by central
-differences, its oracle.  Every driver with a step takes it, h * max(1, |z|)
-with h in [1e-7, 1e-2], from ``_fd_step``, and every first-order central
-difference from ``_central``.
+which normalizes the flat form to omega0(e, i e) = 1/pi at the origin.
+``kahler_matrix`` takes the forms in closed form, from ``spectral``'s
+per-family blocks; ``complex_hessian`` differences ``potential``, their
+oracle.  The checks: the symplectic pullback identities for psi and their
+volume-form consequence, which differentiate psi exactly
+(``duality._psi_differential_rows``; ``real_jacobian`` is the oracle) and take
+no step; the logarithmic-derivative identities for N and N*; the exactness of
+the one-form beta; the trace-derivative identity for powers of the box
+operator, worst over (p, k) in {0, 1, 2}^2; and the flat (0,1)-pullback.  Every
+driver with a step takes it, h * max(1, |z|) with h in [1e-7, 1e-2], from
+``_fd_step``, and every first-order central difference from ``_central``.
 """
 from __future__ import annotations
 
@@ -33,11 +31,10 @@ import numpy as np
 
 from .errors import ContractError, DomainError, as_int, as_real
 from .jts import Element, _same_kind, _triple_coords, in_domain
-from .kinds import (JTSKind, TypeI, TypeIV, ambient_dim, coords_to_ambient, coords_to_matrix,
-                    matrix_to_coords, simple_factors, split_coords)
-from .linalg import det, solve, worst_of
-from .spectral import (_box_power_rows, _gram, generic_norms, log_generic_norm_minus,
-                       log_generic_norm_plus, spectral_values)
+from .kinds import JTSKind, simple_factors, split_coords
+from .linalg import det, worst_of
+from .spectral import (_box_power_rows, _form_hessian_simple, generic_norms,
+                       log_generic_norm_minus, log_generic_norm_plus, spectral_values)
 from .duality import _psi_differential_rows
 
 __all__ = [
@@ -153,13 +150,8 @@ class RealJacobian:
 
 
 def potential(pid: PotentialId, z: Element) -> float:
-    """Evaluate one of the three potentials exactly.
-
-    The two logarithmic norms are taken through their determinant identities
-    (log det(id -+ Gram) = sum log(1 -+ lambda^2)), which is both exact and an
-    order of magnitude cheaper than an eigendecomposition -- this function is
-    the inner loop of every finite-difference Hessian.
-    """
+    """Evaluate one of the three potentials exactly: the inner loop of the
+    oracle ``complex_hessian``, the logarithmic norms by ``log_norm_rows``."""
     if pid is PotentialId.FLAT:
         return float(np.vdot(z.coords, z.coords).real)
     if pid is PotentialId.HYPERBOLIC:
@@ -250,59 +242,19 @@ def complex_hessian(fn: Callable[[Element], float], z: Element,
     return _assemble_hessian(values, step, stencil)
 
 
-@lru_cache(maxsize=None)
-def _basis_matrices(kind: JTSKind) -> np.ndarray:
-    """The (N, p, q) matrices E_j of a type I-III kind's coordinate basis."""
-    basis = coords_to_matrix(kind, np.eye(ambient_dim(kind), dtype=np.complex128))
-    basis.setflags(write=False)
-    return basis
-
-
 def _form_hessians(kind: JTSKind, coords: np.ndarray, signs) -> np.ndarray:
     """Exact mixed Hessians of sign * log prod(1 + sign * lambda_j^2) at the rows
     of a (R, N) coordinate array, one sign per row: the hyperbolic form
     (B(z, z)^-1)^T for sign -1, the dual one (B(w, -w)^-1)^T for sign +1, as
-    (R, N, N), block-diagonal over the simple factors.
-
-    Types I-III: row j of a block holds the coordinates of A^-1 E_j C^-1, with
-    A = I + sign Z Z*, C = I + sign Z* Z and E_j the basis matrices.  One
-    stacked ``solve`` per factor inverts the smaller of A and C (``_gram``);
-    types II and III take C^-1 = conj(A^-1), and type I the larger inverse by
-    push-through, C^-1 = I - sign Z* A^-1 Z or A^-1 = I - sign Z C^-1 Z*.
-    The spin factor's block is the rank-two update
-    ((2 I + 4 sign x x^H) / N_s - sign u v^T / N_s^2) / 2 of its ambient x,
-    with q = x.x, N_s = 1 + 2 sign |x|^2 + |q|^2, u = 2 sign conj(x) + 2 conj(q) x
-    and v = 2 sign x + 2 q conj(x).  A row's Hessian does not depend on the
-    rows around it.  Domain checks are the callers'.
+    (R, N, N), block-diagonal over the simple factors (``spectral._form_hessian_simple``).
+    A row's Hessian does not depend on the rows around it.  Domain checks are the callers'.
     """
     sign = np.array(signs, dtype=np.float64)[:, None, None]
     n = coords.shape[1]
     hess = np.zeros((len(coords), n, n), dtype=np.complex128)
     at = 0
     for f, c in zip(simple_factors(kind), split_coords(kind, coords)):
-        if isinstance(f, TypeIV):
-            x = coords_to_ambient(f, c)[:, :, None]  # columns (R, n, 1)
-            q = (x * x).sum(axis=1, keepdims=True)
-            norm = 1.0 + 2.0 * sign * (np.abs(x) ** 2).sum(axis=1, keepdims=True) + np.abs(q) ** 2
-            u = 2.0 * sign * np.conj(x) + 2.0 * np.conj(q) * x
-            v = 2.0 * sign * x + 2.0 * q * np.conj(x)
-            block = 0.5 * ((2.0 * np.eye(f.n) + 4.0 * sign * x * np.conj(x).swapaxes(1, 2)) / norm
-                           - sign * u * v.swapaxes(1, 2) / norm ** 2)
-        else:
-            z = coords_to_matrix(f, c)
-            gram, wide = _gram(z)
-            eye = np.eye(gram.shape[-1], dtype=np.complex128)
-            small = solve(eye + sign * gram, eye)
-            if isinstance(f, TypeI):
-                adj = np.conj(z).swapaxes(1, 2)
-                if wide:
-                    left, right = small, np.eye(f.q) - sign * (adj @ small @ z)
-                else:
-                    left, right = np.eye(f.p) - sign * (z @ small @ adj), small
-            else:
-                left, right = small, np.conj(small)
-            block = matrix_to_coords(f, left[:, None] @ _basis_matrices(f) @ right[:, None])
-        hess[:, at:at + c.shape[1], at:at + c.shape[1]] = block
+        hess[:, at:at + c.shape[1], at:at + c.shape[1]] = _form_hessian_simple(f, c, sign)
         at += c.shape[1]
     return 0.5 * (hess + np.conj(hess).swapaxes(1, 2))
 

@@ -225,13 +225,9 @@ def genus(kind: _k.JTSKind):
 
 
 def in_domain(z: Element) -> bool:
-    """True iff the largest spectral value is < 1 (B(z, z) positive definite).
-
-    Tested through the Cholesky pivots of id - Gram (a strict positive
-    definiteness certificate equivalent to lambda_1 < 1) rather than by
-    computing the spectral values, since this sits on the hot path of every
-    map evaluation.
-    """
+    """True iff the largest spectral value is < 1 (B(z, z) positive definite),
+    tested by ``log_generic_norm_minus`` (the Cholesky pivots of id - Gram, a
+    strict certificate of lambda_1 < 1), not by the spectral values."""
     from .spectral import log_generic_norm_minus  # deferred: spectral builds on this module
 
     try:

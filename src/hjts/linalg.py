@@ -117,8 +117,17 @@ def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    """Frobenius norm of an array of any shape."""
-    return math.sqrt(float(np.sum(np.abs(np.asarray(a)) ** 2)))
+    """Frobenius norm of an array of any shape.  With the largest magnitude in
+    [1e-150, 1e150] (or 0) it is the plain root of the sum of squares; outside,
+    where a square could overflow or the sum underflow, the entries are first
+    scaled by the power of two that brings the largest into [0.5, 1), exactly.
+    Calling the reductions directly, not through ``np.sum``, pays for the max."""
+    mag = np.abs(np.asarray(a))
+    amax = float(np.maximum.reduce(mag, axis=None, initial=0.0))
+    if amax <= 1e150 and not 0.0 < amax < 1e-150:
+        return math.sqrt(float(np.add.reduce(mag ** 2, axis=None)))
+    up = 2.0 ** _binade(amax)
+    return math.sqrt(float(np.add.reduce((mag / up) ** 2, axis=None))) * up
 
 
 def worst_of(values) -> float:

@@ -1,20 +1,17 @@
-"""Spectral decomposition into tripotent frames and the derived scalars.
+"""Spectral values and frames, and every per-family closed form of id + sign z box z.
 
 Every element factors as z = sum_j lambda_j c_j over a frame (mutually
 orthogonal primitive-type tripotents), lambda_1 >= ... >= lambda_r >= 0 with
-r = rank(kind).  The factorizations are kind-specific: SVD for type I,
-Takagi for type III, the paired (Youla) eigenstructure of Z Z* for type II,
-and a two-term closed form for the spin factor.  The factor-wise routines loop
-over the (simple factor, coordinate slice) pairs of ``kinds.split_coords``, a
-simple kind being one pair, and combine the factors' results: values and
-frames merge in descending order, log-norms add, row maps concatenate.  On top
-of the decomposition sit the generic norms
-N = prod(1 - lambda_j^2) and N* = prod(1 + lambda_j^2), the quasi-inverse
-(id - z box z)^(-1) z, and odd powers z^(2j+1).
+r = rank(kind): by SVD for type I, Takagi for type III, the paired (Youla)
+eigenstructure of Z Z* for type II, and a two-term closed form for the spin
+factor.  On top sit N = prod(1 - lambda_j^2), N* = prod(1 + lambda_j^2), the
+quasi-inverse (id - z box z)^(-1) z and odd powers z^(2j+1).
 
-One Gram-side row map, ``_box_power_rows``, applies (id + sign z box z)^t z
-for t = -1/2 (psi, psi^-1), -1 (resolvents, quasi-inverse) and -2 (beta);
-no function here builds the N x N box or quadratic operator.
+This module owns each family's closed forms: log N and log N*, the row map
+(id + sign z box z)^t z (``_box_power_rows``), psi's exact differential and
+the Kähler forms (B(z, -sign z)^-1)^T.  Each reads ``_gram_side`` (types I-III)
+or ``_spin``, and none builds the N x N box or quadratic operator.  The
+factor-wise routines loop over ``kinds.split_coords``'s (factor, slice) pairs.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,8 +27,8 @@ from . import kinds as _k
 from .errors import (ConsistencyError, ContractError, DomainError, SingularityError,
                      as_int)
 from .jts import Element, _box_apply
-from .linalg import (_binade, _checked, cholesky_logdet, eigh, frobenius, hermitian_power,
-                     orthonormal_extension, solve, svd, takagi)
+from .linalg import (_binade, _checked, _eig_power, cholesky_logdet, eigh, frobenius,
+                     hermitian_power, orthonormal_extension, solve, svd, takagi)
 
 __all__ = [
     "SpectralDecomposition",
@@ -67,7 +65,8 @@ class SpectralDecomposition:
 
 
 # --------------------------------------------------------------------------
-# Spectral values (no frames -- cheap path used by domain tests & potentials)
+# The two per-family helpers; spectral values (for sample_domain, beta,
+# quasi_inverse, generic_norms) and log-norms (domain checks, potentials)
 
 def _gram(mat: np.ndarray) -> tuple[np.ndarray, bool]:
     """The smaller Gram matrix of ``mat`` over its last two axes, and whether
@@ -79,11 +78,29 @@ def _gram(mat: np.ndarray) -> tuple[np.ndarray, bool]:
     return (mat @ adjoint if wide else adjoint @ mat), wide
 
 
+def _gram_side(kind: _k.JTSKind, coords: np.ndarray, sign):
+    """(Z, wide, I, I + sign * Gram) of a type I-III kind's coordinates on the
+    smaller Gram side (``_gram``); ``sign`` may be an array that broadcasts."""
+    mat = _k.coords_to_matrix(kind, coords)
+    gram, wide = _gram(mat)
+    eye = np.eye(gram.shape[-1], dtype=np.complex128)
+    return mat, wide, eye, eye + sign * gram
+
+
+def _spin(kind: _k.JTSKind, coords: np.ndarray, sign):
+    """(x, a, q, N_s) of a spin factor's coordinates: the ambient x = coords /
+    sqrt(2), a = |x|^2 and q = x.x over the last axis (kept, of length 1), and
+    N_s = 1 + 2 sign a + |q|^2 = prod(1 + sign lambda_j^2)."""
+    x = _k.coords_to_ambient(kind, coords)
+    a = (np.abs(x) ** 2).sum(axis=-1, keepdims=True)
+    q = (x * x).sum(axis=-1, keepdims=True)
+    return x, a, q, 1.0 + sign * 2.0 * a + np.abs(q) ** 2
+
+
 def _values_simple(kind: _k.JTSKind, coords: np.ndarray) -> np.ndarray:
     if isinstance(kind, _k.TypeIV):
-        amb = _k.coords_to_ambient(kind, coords)
-        a = float(np.sum(np.abs(amb) ** 2))
-        q = complex(np.sum(amb * amb))
+        _, a, q, _ = _spin(kind, coords, -1.0)
+        a, q = float(a[0]), complex(q[0])
         disc = math.sqrt(max(a * a - abs(q) ** 2, 0.0))
         return np.array([math.sqrt(a + disc), math.sqrt(max(a - disc, 0.0))])
     mat = _k.coords_to_matrix(kind, coords)
@@ -133,10 +150,9 @@ def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.nd
     failed-pivot signal is a strict test of lambda_1 < 1.
     """
     if isinstance(kind, _k.TypeIV):
-        amb = _k.coords_to_ambient(kind, coords)
-        a = (np.abs(amb) ** 2).sum(axis=-1)
-        q_sq = np.abs((amb * amb).sum(axis=-1)) ** 2
-        shift = sign * 2.0 * a + q_sq  # N - 1 or N* - 1
+        _, a, q, _ = _spin(kind, coords, sign)
+        a, q_sq = a[:, 0], np.abs(q[:, 0]) ** 2
+        shift = sign * 2.0 * a + q_sq  # N_s - 1, for log1p
         # lambda_1 < 1 iff both 1 - lambda_j^2 are positive: their product N
         # and their sum 2 - 2a are.
         if sign < 0.0 and not ((a < 1.0) & (shift > -1.0)).all():
@@ -145,15 +161,11 @@ def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.nd
                 "point lies outside the bounded domain "
                 f"(largest spectral value {math.sqrt(np.max(lam1_sq)):.6f} >= 1)"
             )
-        # math.log1p, not np.log1p: numpy's vectorized log1p is a few ulp less
-        # accurate, and this roundoff is the noise floor of every
-        # finite-difference Hessian of the potentials.
+        # math.log1p, not np.log1p, which is a few ulp less accurate: this
+        # roundoff is the noise floor of complex_hessian's oracle forms
         return np.array([math.log1p(x) for x in shift.tolist()])
-    mat = _k.coords_to_matrix(kind, coords)
-    gram = _gram(mat)[0]
-    shifted = np.eye(gram.shape[-1], dtype=np.complex128) + sign * gram
     try:
-        logdet = cholesky_logdet(shifted)
+        logdet = cholesky_logdet(_gram_side(kind, coords, sign)[3])
     except DomainError:
         raise DomainError(
             "point lies outside the bounded domain (largest spectral value >= 1)"
@@ -289,8 +301,8 @@ def _decompose_type_iv(kind: _k.TypeIV, coords: np.ndarray):
     with |x| >= |y|, and z = lam_+ c_+ + lam_- c_- for
     c_+- = exp(i theta/2)(u +- i v)/2, lam_+- = |x| +- |y|.
     """
-    amb = _k.coords_to_ambient(kind, coords)
-    qv = complex(np.sum(amb * amb))
+    amb, _, qv, _ = _spin(kind, coords, -1.0)
+    qv = complex(qv[0])
     theta = cmath.phase(qv) if qv != 0 else 0.0
     half = cmath.exp(-0.5j * theta)
     zeta = half * amb
@@ -359,11 +371,10 @@ def _box_power_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float,
     """(id + sign * z box z)^t z for every row z of a (K, N) coordinate array,
     t in {-1/2, -1, -2}, through f(z box z) z = f(Z Z*) Z: no N x N operator.
 
-    Types I-III power I + sign * Gram on the smaller Gram side (``_gram``):
-    t = -1/2 by one stacked ``hermitian_power``, t = -1 and -2 by one stacked
-    ``solve`` against the identity (squared for -2).  The spin factor maps
-    x = coords / sqrt(2) to (c_x x + c_q q conj(x)) / den, with a = |x|^2,
-    q = x.x and N_s = 1 + 2 sign a + |q|^2; (c_x, c_q, den) is
+    Types I-III power I + sign * Gram (``_gram_side``): t = -1/2 by one
+    stacked ``hermitian_power``, t = -1 and -2 by one stacked ``solve``
+    against the identity (squared for -2).  The spin factor maps its ambient x
+    (``_spin``) to (c_x x + c_q q conj(x)) / den, (c_x, c_q, den) being
     (1 + sqrt N_s, sign, sqrt N_s sqrt(2 + 2 sign a + 2 sqrt N_s)) at -1/2,
     (1, sign, N_s) at -1 and (1 - |q|^2, 2 (sign + a), N_s^2) at -2.
     Products go factor by factor.  t = -1/2 with sign = -1 needs every row
@@ -379,10 +390,7 @@ def _box_power_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float,
 def _box_power_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float,
                       t: float) -> np.ndarray:
     if isinstance(kind, _k.TypeIV):
-        x = _k.coords_to_ambient(kind, coords)
-        a = (np.abs(x) ** 2).sum(axis=-1, keepdims=True)
-        q = (x * x).sum(axis=-1, keepdims=True)
-        norm = 1.0 + sign * 2.0 * a + np.abs(q) ** 2  # N_s
+        x, a, q, norm = _spin(kind, coords, sign)
         if t == -0.5:
             root = np.sqrt(norm)
             c_x, c_q, den = 1.0 + root, sign, root * np.sqrt(2.0 + sign * 2.0 * a + 2.0 * root)
@@ -391,10 +399,7 @@ def _box_power_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float,
         else:
             c_x, c_q, den = 1.0 - np.abs(q) ** 2, 2.0 * (sign + a), norm * norm
         return _k.ambient_to_coords(kind, (c_x * x + c_q * q * np.conj(x)) / den)
-    mat = _k.coords_to_matrix(kind, coords)
-    gram, wide = _gram(mat)
-    eye = np.eye(gram.shape[-1], dtype=np.complex128)
-    shifted = eye + sign * gram
+    mat, wide, eye, shifted = _gram_side(kind, coords, sign)
     if t == -0.5:
         power = hermitian_power(shifted, -0.5)
     else:
@@ -402,6 +407,98 @@ def _box_power_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float,
         if t == -2:
             power = power @ power
     return _k.matrix_to_coords(kind, power @ mat if wide else mat @ power)
+
+
+def _psi_differential_simple(kind: _k.JTSKind, coords: np.ndarray,
+                             dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``duality._psi_differential_rows`` on a simple kind: the images bit for
+    bit ``_box_power_simple``'s at (-1, -1/2), and the (K, D, N) derivatives.
+
+    Types I-III take A = I - Z Z* = V diag(w) V* (I - Z* Z for a tall Z) from
+    one stacked eigensolve, ``hermitian_power``'s, and along W, with
+    dA = -(W Z* + Z W*) (-(W* Z + Z* W) when tall),
+
+        d psi = V (F o V* dA V) V* Z + A^(-1/2) W   (Z d(A^(-1/2)) + W A^(-1/2) when tall),
+
+    F_ij = -1/(sqrt w_i sqrt w_j (sqrt w_i + sqrt w_j)) being the divided
+    differences of x^(-1/2), which take its derivative at w_i = w_j
+    (Daleckii-Krein; Higham, Functions of Matrices, SIAM 2008, ch. 3).  The
+    spin factor differentiates its closed form by the chain rule in a and q.
+    """
+    if isinstance(kind, _k.TypeIV):
+        x, a, q, norm = _spin(kind, coords[:, None, :], -1.0)  # (K, 1, n) against (D, n)
+        y = _k.coords_to_ambient(kind, dirs)
+        root = np.sqrt(norm)  # sqrt N
+        half = np.sqrt(2.0 - 2.0 * a + 2.0 * root)
+        # u = ((1 + root) x - q conj(x)) / (root half), through the coordinates
+        # as _box_power_simple takes it, then differentiated along y
+        image = _k.ambient_to_coords(kind, ((1.0 + root) * x + -1.0 * q * np.conj(x))
+                                     / (root * half))
+        u = _k.coords_to_ambient(kind, image)
+        da = 2.0 * (np.conj(x) * y).sum(axis=-1, keepdims=True).real
+        dq = 2.0 * (x * y).sum(axis=-1, keepdims=True)
+        droot = ((np.conj(q) * dq).real - da) / root
+        dden = droot * half + root * (droot - da) / half
+        du = (droot * x + (1.0 + root) * y - dq * np.conj(x) - q * np.conj(y) - dden * u) \
+            / (root * half)
+        return image[:, 0], _k.ambient_to_coords(kind, du)
+    mat, wide, _, shifted = _gram_side(kind, coords, -1.0)  # (K, p, q)
+    w, v, power = _eig_power(shifted, -0.5)
+    adj = np.conj(mat).swapaxes(-1, -2)[:, None]  # (K, 1, q, p) against (D, p, q)
+    mat_k, dmat = mat[:, None], _k.coords_to_matrix(kind, dirs)
+    dadj = np.conj(dmat).swapaxes(-1, -2)
+    d_shift = -(dmat @ adj + mat_k @ dadj) if wide else -(dadj @ mat_k + adj @ dmat)
+    root = np.sqrt(w)
+    f = -1.0 / (root[:, :, None] * root[:, None, :] * (root[:, :, None] + root[:, None, :]))
+    v_k = v[:, None]
+    v_adj = np.conj(v_k).swapaxes(-1, -2)
+    d_power = v_k @ (f[:, None] * (v_adj @ d_shift @ v_k)) @ v_adj
+    if wide:
+        image, deriv = power @ mat, d_power @ mat_k + power[:, None] @ dmat
+    else:
+        image, deriv = mat @ power, mat_k @ d_power + dmat @ power[:, None]
+    return _k.matrix_to_coords(kind, image), _k.matrix_to_coords(kind, deriv)
+
+
+@lru_cache(maxsize=None)
+def _basis_matrices(kind: _k.JTSKind) -> np.ndarray:
+    """The (N, p, q) matrices E_j of a type I-III kind's coordinate basis."""
+    basis = _k.coords_to_matrix(kind, np.eye(_k.ambient_dim(kind), dtype=np.complex128))
+    basis.setflags(write=False)
+    return basis
+
+
+def _form_hessian_simple(kind: _k.JTSKind, coords: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """``geometry._form_hessians``'s (R, N, N) block of a simple kind's (R, N)
+    rows, ``sign`` being (R, 1, 1), before symmetrization.
+
+    Types I-III: row j holds the coordinates of A^-1 E_j C^-1, with
+    A = I + sign Z Z*, C = I + sign Z* Z and E_j the basis matrices.  One
+    stacked ``solve`` inverts the smaller of A and C (``_gram_side``); types
+    II and III take C^-1 = conj(A^-1), and type I the larger inverse by
+    push-through, C^-1 = I - sign Z* A^-1 Z or A^-1 = I - sign Z C^-1 Z*.
+    The spin factor's block is the rank-two update
+    ((2 I + 4 sign x x^H) / N_s - sign u v^T / N_s^2) / 2 of its ambient x,
+    with u = 2 sign conj(x) + 2 conj(q) x and v = 2 sign x + 2 q conj(x).
+    """
+    if isinstance(kind, _k.TypeIV):
+        row, _, q, norm = _spin(kind, coords[:, None, :], sign)
+        x = row.swapaxes(1, 2)  # columns (R, n, 1)
+        u = 2.0 * sign * np.conj(x) + 2.0 * np.conj(q) * x
+        v = 2.0 * sign * x + 2.0 * q * np.conj(x)
+        return 0.5 * ((2.0 * np.eye(kind.n) + 4.0 * sign * x * np.conj(x).swapaxes(1, 2)) / norm
+                      - sign * u * v.swapaxes(1, 2) / norm ** 2)
+    mat, wide, eye, shifted = _gram_side(kind, coords, sign)
+    small = solve(shifted, eye)
+    if isinstance(kind, _k.TypeI):
+        adj = np.conj(mat).swapaxes(1, 2)
+        if wide:
+            left, right = small, np.eye(kind.q) - sign * (adj @ small @ mat)
+        else:
+            left, right = np.eye(kind.p) - sign * (mat @ small @ adj), small
+    else:
+        left, right = small, np.conj(small)
+    return _k.matrix_to_coords(kind, left[:, None] @ _basis_matrices(kind) @ right[:, None])
 
 
 def quasi_inverse(z: Element) -> Element:

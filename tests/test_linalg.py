@@ -212,6 +212,29 @@ def test_worst_of_keeps_every_nan(values, expected):
 
 
 # ---------------------------------------------------------------------------
+# frobenius: no overflow or underflow in the sum of squares
+
+@pytest.mark.parametrize("entries, expected", [
+    ([1e160, 1e160], 2.0 ** 0.5 * 1e160),
+    ([3e-170, 4e-170], 5e-170),
+    ([0.0, 0.0], 0.0),
+], ids=["overflow", "underflow", "zero"])
+def test_frobenius_scales_past_the_normal_range(entries, expected):
+    assert frobenius(entries) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_element_norm_does_not_overflow():
+    assert Element(K.TypeI(2, 2), 1e160 * np.ones(4)).norm() == pytest.approx(2e160, rel=1e-15)
+
+
+def test_frobenius_keeps_the_plain_sum_in_the_normal_range():
+    rng = np.random.default_rng(29)
+    for shape in [(3,), (4, 4), (2, 3, 5)]:
+        a = random_complex(rng, *shape)
+        assert frobenius(a) == np.sqrt(np.sum(np.abs(a) ** 2))
+
+
+# ---------------------------------------------------------------------------
 # hermitian_power / cholesky_logdet
 
 def _random_hpd(rng, n, shift=0.1):
@@ -844,3 +867,55 @@ def test_scalar_type_test_scanner_finds_every_form():
 def test_library_checks_scalars_only_through_the_errors_rules(path):
     tests = _scalar_type_tests(ast.parse(path.read_text(encoding="utf-8")))
     assert tests == [], f"{path.name} tests a scalar type itself, not via as_int/as_real: {tests}"
+
+
+# ---------------------------------------------------------------------------
+# one owner of the per-family closed forms: duality and geometry go factor by
+# factor through spectral, and test no kind class and convert no coordinates
+
+KIND_CLASSES = {"TypeI", "TypeII", "TypeIII", "TypeIV", "Product"}
+CONVERSIONS = {"coords_to_matrix", "matrix_to_coords", "coords_to_ambient", "ambient_to_coords"}
+
+
+def _family_branches(tree: ast.AST) -> list[str]:
+    """isinstance tests against a kind class and calls of a coordinate
+    conversion: by name, under an import alias, or as an attribute."""
+    classes, conversions = set(KIND_CLASSES), set(CONVERSIONS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            classes |= {a.asname for a in node.names if a.name in KIND_CLASSES and a.asname}
+            conversions |= {a.asname for a in node.names if a.name in CONVERSIONS and a.asname}
+
+    def names(node: ast.AST, wanted: set) -> bool:
+        return (isinstance(node, ast.Name) and node.id in wanted
+                or isinstance(node, ast.Attribute) and node.attr in wanted)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+            if any(names(n, classes) for n in ast.walk(node.args[1])):
+                found.append((node.lineno, f"isinstance {ast.unparse(node.args[1])}"))
+        elif names(node.func, conversions):
+            found.append((node.lineno, ast.unparse(node.func)))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_family_branch_scanner_finds_every_form():
+    source = ("from .kinds import TypeIV as Spin, coords_to_matrix as to_mat\n"
+              "import hjts.kinds as K\n"
+              "isinstance(f, K.TypeI)\nisinstance(f, (TypeII, list))\nisinstance(f, Spin)\n"
+              "isinstance(f, Product)\ncoords_to_ambient(f, c)\nK.matrix_to_coords(f, m)\n"
+              "to_mat(f, c)\n_k.ambient_to_coords(f, x)\nisinstance(f, JTSKind)\n"
+              "split_coords(f, c)\ntype(f) is TypeIII\n")
+    assert [f.split(":")[0] for f in _family_branches(ast.parse(source))] == [
+        f"line {n}" for n in (3, 4, 5, 6, 7, 8, 9, 10)]
+
+
+FACTOR_WISE = [p for p in SOURCES if p.name in ("duality.py", "geometry.py")]
+
+
+@pytest.mark.parametrize("path", FACTOR_WISE, ids=[p.name for p in FACTOR_WISE])
+def test_duality_and_geometry_leave_the_per_family_forms_to_spectral(path):
+    found = _family_branches(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == [], f"{path.name} branches on a kind family itself: {found}"
