@@ -117,17 +117,13 @@ def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    """Frobenius norm of an array of any shape.  With the largest magnitude in
-    [1e-150, 1e150] (or 0) it is the plain root of the sum of squares; outside,
-    where a square could overflow or the sum underflow, the entries are first
-    scaled by the power of two that brings the largest into [0.5, 1), exactly.
-    Calling the reductions directly, not through ``np.sum``, pays for the max."""
+    """Frobenius norm of an array of any shape.  The entries are first scaled by
+    the power of two that brings the largest into [0.5, 1), so no square
+    overflows and the sum does not underflow; the scaling is exact, so in the
+    normal range the result is the plain root of the sum of squares, bit for bit."""
     mag = np.abs(np.asarray(a))
-    amax = float(np.maximum.reduce(mag, axis=None, initial=0.0))
-    if amax <= 1e150 and not 0.0 < amax < 1e-150:
-        return math.sqrt(float(np.add.reduce(mag ** 2, axis=None)))
-    up = 2.0 ** _binade(amax)
-    return math.sqrt(float(np.add.reduce((mag / up) ** 2, axis=None))) * up
+    up = 2.0 ** _binade(float(mag.max(initial=0.0)))
+    return math.sqrt(float(np.sum((mag / up) ** 2))) * up
 
 
 def worst_of(values) -> float:

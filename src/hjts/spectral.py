@@ -87,19 +87,21 @@ def _gram_side(kind: _k.JTSKind, coords: np.ndarray, sign):
     return mat, wide, eye, eye + sign * gram
 
 
-def _spin(kind: _k.JTSKind, coords: np.ndarray, sign):
-    """(x, a, q, N_s) of a spin factor's coordinates: the ambient x = coords /
-    sqrt(2), a = |x|^2 and q = x.x over the last axis (kept, of length 1), and
-    N_s = 1 + 2 sign a + |q|^2 = prod(1 + sign lambda_j^2)."""
+def _spin(kind: _k.JTSKind, coords: np.ndarray):
+    """(x, a, q) of a spin factor's coordinates: the ambient x = coords /
+    sqrt(2), a = |x|^2 and q = x.x over the last axis (kept, of length 1)."""
     x = _k.coords_to_ambient(kind, coords)
-    a = (np.abs(x) ** 2).sum(axis=-1, keepdims=True)
-    q = (x * x).sum(axis=-1, keepdims=True)
-    return x, a, q, 1.0 + sign * 2.0 * a + np.abs(q) ** 2
+    return x, (np.abs(x) ** 2).sum(axis=-1, keepdims=True), (x * x).sum(axis=-1, keepdims=True)
+
+
+def _spin_norm(a: np.ndarray, q: np.ndarray, sign) -> np.ndarray:
+    """N_s = 1 + 2 sign a + |q|^2 = prod(1 + sign lambda_j^2) from ``_spin``'s a, q."""
+    return 1.0 + sign * 2.0 * a + np.abs(q) ** 2
 
 
 def _values_simple(kind: _k.JTSKind, coords: np.ndarray) -> np.ndarray:
     if isinstance(kind, _k.TypeIV):
-        _, a, q, _ = _spin(kind, coords, -1.0)
+        _, a, q = _spin(kind, coords)
         a, q = float(a[0]), complex(q[0])
         disc = math.sqrt(max(a * a - abs(q) ** 2, 0.0))
         return np.array([math.sqrt(a + disc), math.sqrt(max(a - disc, 0.0))])
@@ -150,7 +152,7 @@ def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.nd
     failed-pivot signal is a strict test of lambda_1 < 1.
     """
     if isinstance(kind, _k.TypeIV):
-        _, a, q, _ = _spin(kind, coords, sign)
+        _, a, q = _spin(kind, coords)
         a, q_sq = a[:, 0], np.abs(q[:, 0]) ** 2
         shift = sign * 2.0 * a + q_sq  # N_s - 1, for log1p
         # lambda_1 < 1 iff both 1 - lambda_j^2 are positive: their product N
@@ -164,8 +166,9 @@ def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.nd
         # math.log1p, not np.log1p, which is a few ulp less accurate: this
         # roundoff is the noise floor of complex_hessian's oracle forms
         return np.array([math.log1p(x) for x in shift.tolist()])
+    *_, shifted = _gram_side(kind, coords, sign)
     try:
-        logdet = cholesky_logdet(_gram_side(kind, coords, sign)[3])
+        logdet = cholesky_logdet(shifted)
     except DomainError:
         raise DomainError(
             "point lies outside the bounded domain (largest spectral value >= 1)"
@@ -301,7 +304,7 @@ def _decompose_type_iv(kind: _k.TypeIV, coords: np.ndarray):
     with |x| >= |y|, and z = lam_+ c_+ + lam_- c_- for
     c_+- = exp(i theta/2)(u +- i v)/2, lam_+- = |x| +- |y|.
     """
-    amb, _, qv, _ = _spin(kind, coords, -1.0)
+    amb, _, qv = _spin(kind, coords)
     qv = complex(qv[0])
     theta = cmath.phase(qv) if qv != 0 else 0.0
     half = cmath.exp(-0.5j * theta)
@@ -390,7 +393,8 @@ def _box_power_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float,
 def _box_power_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float,
                       t: float) -> np.ndarray:
     if isinstance(kind, _k.TypeIV):
-        x, a, q, norm = _spin(kind, coords, sign)
+        x, a, q = _spin(kind, coords)
+        norm = _spin_norm(a, q, sign)
         if t == -0.5:
             root = np.sqrt(norm)
             c_x, c_q, den = 1.0 + root, sign, root * np.sqrt(2.0 + sign * 2.0 * a + 2.0 * root)
@@ -426,22 +430,20 @@ def _psi_differential_simple(kind: _k.JTSKind, coords: np.ndarray,
     spin factor differentiates its closed form by the chain rule in a and q.
     """
     if isinstance(kind, _k.TypeIV):
-        x, a, q, norm = _spin(kind, coords[:, None, :], -1.0)  # (K, 1, n) against (D, n)
+        image = _box_power_simple(kind, coords, -1.0, -0.5)
+        x, a, q = _spin(kind, coords[:, None, :])  # (K, 1, n) against (D, n)
         y = _k.coords_to_ambient(kind, dirs)
-        root = np.sqrt(norm)  # sqrt N
+        u = _k.coords_to_ambient(kind, image)[:, None, :]
+        root = np.sqrt(_spin_norm(a, q, -1.0))  # sqrt N
         half = np.sqrt(2.0 - 2.0 * a + 2.0 * root)
-        # u = ((1 + root) x - q conj(x)) / (root half), through the coordinates
-        # as _box_power_simple takes it, then differentiated along y
-        image = _k.ambient_to_coords(kind, ((1.0 + root) * x + -1.0 * q * np.conj(x))
-                                     / (root * half))
-        u = _k.coords_to_ambient(kind, image)
+        # u = ((1 + root) x - q conj(x)) / (root half), differentiated along y
         da = 2.0 * (np.conj(x) * y).sum(axis=-1, keepdims=True).real
         dq = 2.0 * (x * y).sum(axis=-1, keepdims=True)
         droot = ((np.conj(q) * dq).real - da) / root
         dden = droot * half + root * (droot - da) / half
         du = (droot * x + (1.0 + root) * y - dq * np.conj(x) - q * np.conj(y) - dden * u) \
             / (root * half)
-        return image[:, 0], _k.ambient_to_coords(kind, du)
+        return image, _k.ambient_to_coords(kind, du)
     mat, wide, _, shifted = _gram_side(kind, coords, -1.0)  # (K, p, q)
     w, v, power = _eig_power(shifted, -0.5)
     adj = np.conj(mat).swapaxes(-1, -2)[:, None]  # (K, 1, q, p) against (D, p, q)
@@ -482,7 +484,8 @@ def _form_hessian_simple(kind: _k.JTSKind, coords: np.ndarray, sign: np.ndarray)
     with u = 2 sign conj(x) + 2 conj(q) x and v = 2 sign x + 2 q conj(x).
     """
     if isinstance(kind, _k.TypeIV):
-        row, _, q, norm = _spin(kind, coords[:, None, :], sign)
+        row, a, q = _spin(kind, coords[:, None, :])
+        norm = _spin_norm(a, q, sign)
         x = row.swapaxes(1, 2)  # columns (R, n, 1)
         u = 2.0 * sign * np.conj(x) + 2.0 * np.conj(q) * x
         v = 2.0 * sign * x + 2.0 * q * np.conj(x)

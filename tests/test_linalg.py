@@ -878,8 +878,9 @@ CONVERSIONS = {"coords_to_matrix", "matrix_to_coords", "coords_to_ambient", "amb
 
 
 def _family_branches(tree: ast.AST) -> list[str]:
-    """isinstance tests against a kind class and calls of a coordinate
-    conversion: by name, under an import alias, or as an attribute."""
+    """isinstance tests and ``type(f)`` or ``f.__class__`` comparisons against
+    a kind class, and calls of a coordinate conversion: by name, under an
+    import alias, or as an attribute."""
     classes, conversions = set(KIND_CLASSES), set(CONVERSIONS)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -889,8 +890,17 @@ def _family_branches(tree: ast.AST) -> list[str]:
     def names(node: ast.AST, wanted: set) -> bool:
         return (isinstance(node, ast.Name) and node.id in wanted
                 or isinstance(node, ast.Attribute) and node.attr in wanted)
+    def names_type(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "type" or isinstance(node, ast.Attribute)
+                and node.attr == "__class__")
     found = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(names_type(s) for s in sides)
+                    and any(names(n, classes) for s in sides for n in ast.walk(s))):
+                found.append((node.lineno, ast.unparse(node)))
         if not isinstance(node, ast.Call):
             continue
         if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
@@ -907,9 +917,11 @@ def test_family_branch_scanner_finds_every_form():
               "isinstance(f, K.TypeI)\nisinstance(f, (TypeII, list))\nisinstance(f, Spin)\n"
               "isinstance(f, Product)\ncoords_to_ambient(f, c)\nK.matrix_to_coords(f, m)\n"
               "to_mat(f, c)\n_k.ambient_to_coords(f, x)\nisinstance(f, JTSKind)\n"
-              "split_coords(f, c)\ntype(f) is TypeIII\n")
+              "split_coords(f, c)\ntype(f) is TypeIII\ntype(f) == K.TypeIV\n"
+              "type(f) in (TypeI, Spin)\nf.__class__ is Product\ntype(f) is int\n"
+              "f.kind is TypeII\n")
     assert [f.split(":")[0] for f in _family_branches(ast.parse(source))] == [
-        f"line {n}" for n in (3, 4, 5, 6, 7, 8, 9, 10)]
+        f"line {n}" for n in (3, 4, 5, 6, 7, 8, 9, 10, 13, 14, 15, 16)]
 
 
 FACTOR_WISE = [p for p in SOURCES if p.name in ("duality.py", "geometry.py")]
