@@ -17,12 +17,11 @@ import itertools
 
 import numpy as np
 
-from .errors import ConsistencyError, ContractError, DomainError
-from .jts import (Element, _same_kind, bergman_operator, embed, in_domain, isotropy_action,
-                  restrict)
-from .kinds import JTSKind, format_kind, join_coords, simple_factors, split_coords
+from .errors import ConsistencyError, ContractError
+from .jts import Element, _same_kind, bergman_operator, embed, isotropy_action, restrict
+from .kinds import JTSKind, join_coords, simple_factors, split_coords
 from .linalg import frobenius, hermitian_power, worst_of
-from .spectral import (_box_power_rows, _psi_differential_simple, _rows, log_norm_rows,
+from .spectral import (_box_power_rows, _psi_differential_simple, _require_interior, _rows,
                        spectral_decompose)
 
 __all__ = [
@@ -57,34 +56,21 @@ class DualityRoute(enum.Enum):
     SPECTRAL = "spectral"
 
 
-def _outside_message(kind: JTSKind) -> str:
-    return (f"psi needs an interior point of the {format_kind(kind)} domain "
-            "(largest spectral value must be < 1)")
-
-
 def psi_rows(kind: JTSKind, coords: np.ndarray, sign: float = -1.0) -> np.ndarray:
     """The BOX_HALF route of psi (sign = -1) or psi_inverse (sign = +1) on every
     row of a (K, N) coordinate array; returns the (K, N) images.  Any other
     sign raises ContractError.
 
-    For sign = -1 every row must lie in the domain: one ``log_norm_rows``
-    call tests the whole stack, and any row on or outside the boundary raises
-    DomainError.  Rows are processed by the same steps whatever K is, so a
-    row's image does not depend on the batch it is mapped in.
+    For sign = -1 every row must lie in the domain: one
+    ``spectral._require_interior`` call tests the whole stack, and any row on
+    or outside the boundary raises DomainError.  Rows are processed by the
+    same steps whatever K is, so a row's image does not depend on the batch
+    it is mapped in.
     """
     coords = _rows(kind, coords, sign)
     if sign < 0.0:
-        _check_inside(kind, coords)
+        _require_interior(kind, coords, "psi")
     return _box_power_rows(kind, coords, sign, -0.5)
-
-
-def _check_inside(kind: JTSKind, coords: np.ndarray) -> None:
-    """psi's domain check of a (K, N) stack: one ``log_norm_rows`` call, and
-    DomainError when any row lies on or outside the boundary."""
-    try:
-        log_norm_rows(kind, coords, -1.0)
-    except DomainError:
-        raise DomainError(_outside_message(kind)) from None
 
 
 def _psi_differential_rows(kind: JTSKind, coords: np.ndarray,
@@ -99,7 +85,7 @@ def _psi_differential_rows(kind: JTSKind, coords: np.ndarray,
     """
     coords = _rows(kind, coords, -1.0)
     dirs = _rows(kind, dirs, -1.0)
-    _check_inside(kind, coords)
+    _require_interior(kind, coords, "psi")
     images, derivs = zip(*(_psi_differential_simple(f, c, d) for f, c, d in zip(
         simple_factors(kind), split_coords(kind, coords), split_coords(kind, dirs))))
     return join_coords(kind, images), join_coords(kind, derivs)
@@ -110,8 +96,8 @@ def _point_map(el: Element, route: DualityRoute, sign: float) -> Element:
     psi_inverse for sign = +1.  Only sign = -1 needs an interior point."""
     if route is DualityRoute.BOX_HALF:
         return Element(el.kind, psi_rows(el.kind, el.coords[None, :], sign)[0])
-    if sign < 0.0 and not in_domain(el):
-        raise DomainError(_outside_message(el.kind))
+    if sign < 0.0:
+        _require_interior(el.kind, el.coords[None, :], "psi")
     if route is DualityRoute.BERGMAN_QUARTER:
         b = bergman_operator(el, Element(el.kind, -sign * el.coords)).matrix
         coords = hermitian_power(b, -0.25) @ el.coords

@@ -9,9 +9,11 @@ evaluated with the fixed convention
 
 which normalizes the flat form to omega0(e, i e) = 1/pi at the origin.
 ``kahler_matrix`` takes the forms in closed form, from ``spectral``'s
-per-family blocks; ``complex_hessian`` differences ``potential``, their
-oracle.  The checks: the symplectic pullback identities for psi and their
-volume-form consequence, which differentiate psi exactly
+per-family blocks; ``complex_hessian``, their oracle, differences
+``potential`` over every pair of real directions in one plain loop.  Every
+interior-point refusal here is ``spectral._require_interior``.  The checks:
+the symplectic pullback identities for psi and their volume-form
+consequence, which differentiate psi exactly
 (``duality._psi_differential_rows``; ``real_jacobian`` is the oracle) and take
 no step; the logarithmic-derivative identities for N and N*; the exactness of
 the one-form beta; the trace-derivative identity for powers of the box
@@ -24,16 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import enum
-from functools import lru_cache
-from typing import Callable, NamedTuple
+import itertools
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError, DomainError, as_int, as_real
-from .jts import Element, _same_kind, _triple_coords, in_domain
+from .jts import Element, _box_apply, _same_kind, _triple_coords
 from .kinds import JTSKind, simple_factors, split_coords
 from .linalg import det, worst_of
-from .spectral import (_box_power_rows, _form_hessian_simple, generic_norms,
+from .spectral import (_box_power_rows, _form_hessian_simple, _require_interior, generic_norms,
                        log_generic_norm_minus, log_generic_norm_plus, spectral_values)
 from .duality import _psi_differential_rows
 
@@ -161,38 +163,6 @@ def potential(pid: PotentialId, z: Element) -> float:
     raise ContractError(f"unknown potential {pid!r}")  # pragma: no cover
 
 
-class _Stencil(NamedTuple):
-    """Central-difference stencil of every mixed second derivative in 2n real directions."""
-
-    offsets: np.ndarray  # (K, n): row 0 is the centre, then the pair rows
-    rows: np.ndarray     # (P,) direction index a of each pair a <= b
-    cols: np.ndarray     # (P,) direction index b
-    taps: np.ndarray     # (4, P): offset rows read at ++, --, +-, -+
-
-
-@lru_cache(maxsize=None)
-def _stencil(n: int) -> _Stencil:
-    """The P = n(2n+1) pairs a <= b read f at z +- step (d_a + d_b) and
-    z +- step (d_a - d_b).  On the diagonal the difference vanishes, so both
-    cross taps read the centre, which is stored once: K = 4P - 4n + 1 rows."""
-    dirs = _real_directions(n)
-    rows, cols = np.triu_indices(2 * n)
-    pairs = rows.size
-    off = np.flatnonzero(rows != cols)
-    plus = dirs[rows] + dirs[cols]
-    minus = dirs[rows[off]] - dirs[cols[off]]
-    offsets = np.concatenate([np.zeros((1, n), dtype=np.complex128),
-                              plus, -plus, minus, -minus])
-    taps = np.zeros((4, pairs), dtype=np.intp)
-    taps[0] = 1 + np.arange(pairs)
-    taps[1] = 1 + pairs + np.arange(pairs)
-    taps[2, off] = 1 + 2 * pairs + np.arange(off.size)
-    taps[3, off] = 1 + 2 * pairs + off.size + np.arange(off.size)
-    for arr in (offsets, rows, cols, taps):
-        arr.setflags(write=False)
-    return _Stencil(offsets, rows, cols, taps)
-
-
 def _fd_step(norm: float, h: float) -> float:
     """The step h * max(1, norm) at a point of that norm, for a real h in
     [1e-7, 1e-2] (below, roundoff swamps a difference; above, truncation does),
@@ -211,35 +181,30 @@ def _central(fn: Callable[[np.ndarray], np.ndarray], z: Element, dirs: np.ndarra
     return (values[:len(dirs)] - values[len(dirs):]) / (2.0 * step)
 
 
-def _assemble_hessian(values: np.ndarray, step: float, stencil: _Stencil) -> np.ndarray:
-    """Mixed complex Hessian from f at the stencil rows.
-
-    Builds the real second-difference table S over the 2N directions and
-    assembles H_jk = (S_xx + S_yy + i (S_xy - S_yx)) / 4, Hermitian whenever f
-    is real-valued, then symmetrizes it.
-    """
-    f_pp, f_mm, f_pm, f_mp = values[stencil.taps]
-    two_n = 2 * stencil.offsets.shape[1]
-    s = np.empty((two_n, two_n), dtype=np.float64)
-    s[stencil.rows, stencil.cols] = s[stencil.cols, stencil.rows] = \
-        (f_pp - f_pm - f_mp + f_mm) / (4.0 * step * step)
-    hess = 0.25 * (s[0::2, 0::2] + s[1::2, 1::2]
-                   + 1.0j * (s[0::2, 1::2] - s[1::2, 0::2]))
-    return 0.5 * (hess + hess.conj().T)
-
-
 def complex_hessian(fn: Callable[[Element], float], z: Element,
                     h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Mixed complex Hessian H_jk = d^2 fn / dz_j dzbar_k by central differences.
 
-    Evaluates fn once per stencil row (step h scaled by max(1, |z|)); see
-    ``_assemble_hessian`` for how the second differences combine.
+    For each pair a <= b of the 2N real directions d, fn is read at
+    z +- step (d_a + d_b) and z +- step (d_a - d_b) (step h scaled by
+    max(1, |z|)), 4 N (2N + 1) reads, giving the real second difference
+    S_ab = S_ba.  H_jk = (S_xx + S_yy + i (S_xy - S_yx)) / 4 is Hermitian
+    whenever fn is real-valued, and is symmetrized.
     """
     step = _fd_step(z.norm(), h)
-    stencil = _stencil(z.coords.size)
-    values = np.array([fn(Element(z.kind, p)) for p in z.coords + step * stencil.offsets],
-                      dtype=np.float64)
-    return _assemble_hessian(values, step, stencil)
+    dirs = _real_directions(z.coords.size)
+
+    def at(offset: np.ndarray) -> float:
+        return float(fn(Element(z.kind, z.coords + step * offset)))
+
+    s = np.empty((len(dirs), len(dirs)), dtype=np.float64)
+    for a, b in itertools.combinations_with_replacement(range(len(dirs)), 2):
+        plus, minus = dirs[a] + dirs[b], dirs[a] - dirs[b]
+        s[a, b] = s[b, a] = ((at(plus) - at(minus) - at(-minus) + at(-plus))
+                             / (4.0 * step * step))
+    hess = 0.25 * (s[0::2, 0::2] + s[1::2, 1::2]
+                   + 1.0j * (s[0::2, 1::2] - s[1::2, 0::2]))
+    return 0.5 * (hess + hess.conj().T)
 
 
 def _form_hessians(kind: JTSKind, coords: np.ndarray, signs) -> np.ndarray:
@@ -271,9 +236,8 @@ def kahler_matrix(pid: PotentialId, z: Element) -> TwoFormSample:
     if pid is PotentialId.FLAT:
         return TwoFormSample(np.eye(z.coords.size, dtype=np.complex128))
     sign = -1.0 if pid is PotentialId.HYPERBOLIC else 1.0  # -log N, or log N*
-    if sign < 0.0 and not in_domain(z):
-        raise DomainError("the hyperbolic form needs a point inside the domain "
-                          "(largest spectral value < 1)")
+    if sign < 0.0:
+        _require_interior(z.kind, z.coords[None, :], "the hyperbolic form")
     return TwoFormSample(_form_hessians(z.kind, z.coords[None, :], (sign,))[0])
 
 
@@ -377,8 +341,7 @@ def check_lemma_a1(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -
     dbar f (w) = (d/dt f(z + t w) + i d/dt f(z + i t w)) / 2 over real t.
     """
     _same_kind(z.kind, direction.kind)
-    if not in_domain(z):
-        raise DomainError("logarithmic derivative of N needs an interior point")
+    _require_interior(z.kind, z.coords[None, :], "the logarithmic derivative of N")
     w = direction.coords
     kind, c = z.kind, z.coords
     # d(N, N*)/dt along w and i w; Python floats keep the division below exact
@@ -457,25 +420,22 @@ def check_lemma_a2(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -
     taken by finite differences, against the analytic right-hand side
     m1((z box z)^p z, k (z box z)^(k-1) (d(z box z))(w) z), relative to
     max(1, |right-hand side|); at k = 0 both sides are exactly 0.  Each power of
-    z box z is applied once as v -> {z z v}/2, on z +- step w in one central difference.
+    z box z is applied once by ``jts._box_apply``, on z +- step w in one central difference.
     """
     _same_kind(z.kind, direction.kind)
     w = direction.coords
     kind, c = z.kind, z.coords
 
-    def box(r: np.ndarray, v: np.ndarray) -> np.ndarray:  # leading axes broadcast
-        return 0.5 * _triple_coords(kind, r, r, v)
-
     def box_powers_of_z(rows: np.ndarray) -> np.ndarray:  # (r box r)^k z, k = 1, 2
-        once = box(rows, c)
-        return np.stack([once, box(rows, once)], axis=1)
+        once = _box_apply(kind, rows, 1, c)
+        return np.stack([once, _box_apply(kind, rows, 1, once)], axis=1)
 
     [d_powers] = _central(box_powers_of_z, z, w[None, :], h)  # row k-1: (d (z box z)^k)(w) z
     dbox_w_z = _dbox_z(kind, c, w)
-    inners = (dbox_w_z, box(c, dbox_w_z))  # (z box z)^(k-1) (d(z box z))(w) z
-    slot1 = box(c, c)
+    inners = (dbox_w_z, _box_apply(kind, c, 1, dbox_w_z))  # (z box z)^(k-1) (d(z box z))(w) z
+    slot1 = _box_apply(kind, c, 1, c)
     residuals = []
-    for slot in (c, slot1, box(c, slot1)):  # (z box z)^p z for p = 0, 1, 2
+    for slot in (c, slot1, _box_apply(kind, c, 1, slot1)):  # (z box z)^p z for p = 0, 1, 2
         for k, d_power_z, inner in zip((1, 2), d_powers, inners):
             lhs = complex(np.sum(slot * d_power_z.conj()))
             rhs = k * complex(np.sum(slot * inner.conj()))
@@ -489,11 +449,9 @@ def check_flat_dbar_pullback(z: Element, direction: Element) -> float:
     The pulled-back (0,1)-part of d m1(u,u) under psi, evaluated on w through
     the exact differential of psi (``_psi_differential_rows``), must equal
     m1(quasi-inverse of z, w) + beta(w)/2.  Returns the residual relative to
-    max(1, |right-hand side|).
+    max(1, |right-hand side|); the differential refuses a z outside the domain.
     """
     _same_kind(z.kind, direction.kind)
-    if not in_domain(z):
-        raise DomainError("flat pullback check needs an interior point")
     w = direction.coords
     kind = z.kind
     [image], [[d_psi_w]] = _psi_differential_rows(kind, z.coords[None, :], w[None, :])

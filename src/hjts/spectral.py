@@ -190,6 +190,17 @@ def log_norm_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.ndarr
     return sum(parts[1:], parts[0])
 
 
+def _require_interior(kind: _k.JTSKind, coords: np.ndarray, what: str) -> None:
+    """The one interior-point refusal: DomainError, naming ``what`` and the
+    kind, when any row of a (K, N) coordinate array lies on or outside the
+    domain, tested by one ``log_norm_rows`` call."""
+    try:
+        log_norm_rows(kind, coords, -1.0)
+    except DomainError:
+        raise DomainError(f"{what} needs an interior point of the {_k.format_kind(kind)} "
+                          "domain (largest spectral value must be < 1)") from None
+
+
 def log_generic_norm_minus(z: Element) -> float:
     """log N(z) = sum_j log(1 - lambda_j^2); DomainError outside the open domain."""
     return float(log_norm_rows(z.kind, z.coords[None, :], -1.0)[0])

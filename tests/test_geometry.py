@@ -7,6 +7,7 @@ radial derivative of the point map is (1-0.36)^(-3/2) = 1.953125.
 
 import inspect
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 import hjts.geometry
 import hjts.kinds as K
 import hjts.spectral
-from hjts.duality import _psi_differential_rows, psi, psi_rows
+from hjts.duality import DualityRoute, _psi_differential_rows, psi, psi_rows
 from hjts.errors import ContractError, DomainError
 from hjts.geometry import (
     PotentialId,
@@ -136,12 +137,16 @@ def test_two_form_real_matrix_structure():
     assert np.allclose(s, -s.T, atol=1e-12)   # antisymmetry = it is a 2-form
 
 
+# the default kinds, then a tall and an odd kind, each with its own seed
+_HESSIAN_ORACLE_KINDS = DEFAULT_KINDS + (K.TypeI(3, 2), K.TypeII(5))
+
+
 @pytest.mark.parametrize("cap", [0.5, 0.95])
 @pytest.mark.parametrize("pid", [PotentialId.HYPERBOLIC, PotentialId.DUAL_FS])
-@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+@pytest.mark.parametrize("kind", _HESSIAN_ORACLE_KINDS, ids=K.format_kind)
 def test_exact_forms_match_the_finite_difference_hessian(kind, pid, cap):
     # oracle: the second-difference stencil of the potential itself
-    z = interior(kind, seed=50 + DEFAULT_KINDS.index(kind), cap=cap)
+    z = interior(kind, seed=50 + _HESSIAN_ORACLE_KINDS.index(kind), cap=cap)
     exact = kahler_matrix(pid, z).hessian
     measured = complex_hessian(partial(potential, pid), z, 1e-5)
     assert np.abs(exact - measured).max() <= 5e-6 * np.abs(exact).max()
@@ -602,6 +607,51 @@ def test_flat_dbar_pullback_rejects_outside():
     outside = Element(kind, np.array([1.2], dtype=complex))
     with pytest.raises(DomainError):
         check_flat_dbar_pullback(outside, unit(kind, 1))
+
+
+# Every interior-point refusal, called at a point z with a unit direction w.
+_INTERIOR_SITES = {
+    "psi_rows": lambda z, w: psi_rows(z.kind, z.coords[None, :]),
+    "_psi_differential_rows":
+        lambda z, w: _psi_differential_rows(z.kind, z.coords[None, :], w.coords[None, :]),
+    **{f"psi[{route.value}]": lambda z, w, route=route: psi(z, route)
+       for route in DualityRoute},
+    "kahler_matrix": lambda z, w: kahler_matrix(PotentialId.HYPERBOLIC, z),
+    "check_lemma_a1": check_lemma_a1,
+    "check_flat_dbar_pullback": check_flat_dbar_pullback,
+}
+
+
+# points whose largest spectral value is exactly 1: E_11 of a matrix, and a
+# spin factor point whose x (``spectral._spin``) has |x|^2 = |x . x| = 1
+_BOUNDARY_POINTS = [(K.TypeI(2, 2), [1, 0, 0, 0]), (K.TypeIV(4), [1, 1, 0, 0]),
+                    (K.Product((K.TypeI(1, 1), K.TypeIV(3))), [1, 0, 0, 0])]
+
+
+@pytest.mark.parametrize("kind, coords", _BOUNDARY_POINTS,
+                         ids=[K.format_kind(k) for k, _ in _BOUNDARY_POINTS])
+@pytest.mark.parametrize("site", _INTERIOR_SITES.values(), ids=_INTERIOR_SITES.keys())
+def test_every_site_refuses_a_boundary_point_in_one_wording(site, kind, coords):
+    boundary = Element(kind, np.array(coords, dtype=complex))
+    with pytest.raises(DomainError, match=rf"needs an interior point of the "
+                       rf"{re.escape(K.format_kind(kind))} domain \(largest spectral "
+                       rf"value must be < 1\)"):
+        site(boundary, unit(kind, seed=3))
+
+
+@pytest.mark.parametrize("kind", [K.TypeI(2, 2), K.TypeIV(4)], ids=K.format_kind)
+def test_domain_tests_take_one_log_norm_call_per_stack(kind, monkeypatch):
+    # counted through every module binding of log_norm_rows, so a second
+    # domain test (by in_domain, or by a check of its own) would show
+    z, w = interior(kind, seed=45, cap=0.7), unit(kind, seed=46)
+    calls = _count_calls(monkeypatch, "log_norm_rows", *(
+        m for m in (hjts.spectral, hjts.duality, hjts.geometry) if hasattr(m, "log_norm_rows")))
+    check_flat_dbar_pullback(z, w)
+    assert len(calls) == 1
+    psi_rows(kind, np.stack([z.coords, 0.5 * z.coords]))
+    assert len(calls) == 2
+    _psi_differential_rows(kind, np.stack([z.coords, 0.5 * z.coords]), w.coords[None, :])
+    assert len(calls) == 3
 
 
 _DIRECTION_CHECKS = (check_lemma_a1, check_lemma_a2, check_beta_exactness,

@@ -824,6 +824,44 @@ def test_library_builds_no_box_or_quadratic_operator_outside_jts(path):
 
 
 # ---------------------------------------------------------------------------
+# one (z box z)^k v: no module but jts writes z box z as its own triple
+# product {z z v}/2; the others call jts._box_apply
+
+def _box_writes(tree: ast.AST) -> list[str]:
+    """Calls of _triple_coords, by name, by import alias or as an attribute,
+    whose second and third arguments are the same expression."""
+    names = {"_triple_coords"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.asname for a in node.names if a.name == "_triple_coords" and a.asname}
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and len(node.args) >= 3:
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name in names and ast.dump(node.args[1]) == ast.dump(node.args[2]):
+                calls.append(node.lineno)
+    return [f"line {line}" for line in sorted(calls)]
+
+
+def test_box_write_scanner_finds_every_form():
+    source = ("from .jts import _triple_coords as tc\nimport hjts.jts as J\n"
+              "_triple_coords(kind, r, r, v)\ntc(k, z.coords, z.coords, v)\n"
+              "J._triple_coords(k, rows[0], rows[0], v)\n"
+              "_triple_coords(kind, w, c, c)\n_triple_coords(kind, c, w, c)\n"
+              "_triple_coords(kind, r, s, r)\nother(kind, r, r, v)\n")
+    assert _box_writes(ast.parse(source)) == [f"line {n}" for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "jts.py"],
+                         ids=[p.name for p in SOURCES if p.name != "jts.py"])
+def test_library_applies_z_box_z_only_through_jts(path):
+    calls = _box_writes(ast.parse(path.read_text(encoding="utf-8")))
+    assert calls == [], f"{path.name} writes z box z as a triple product: {calls}"
+
+
+# ---------------------------------------------------------------------------
 # one rule per scalar kind: only errors.py (as_int, as_real) tests a value
 # against int, float, bool or a numbers class
 
