@@ -56,7 +56,7 @@ print()
 print("=== both pullback identities, higher rank ===")
 for kind in (TypeI(2, 2), TypeIV(4)):
     z = sample_domain(kind, rng, 0.9)
-    err1, err2 = check_symplectic_duality(z, tangent_pairs=6)
+    err1, err2 = check_symplectic_duality(z)
     vol = check_volume_duality(z)
     print(f"  {format_kind(kind):>8s}: dual-form err {err1:.1e}, flat-form err {err2:.1e}, "
           f"volume err {vol:.1e}")

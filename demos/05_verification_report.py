@@ -24,7 +24,7 @@ for r in report.results:
 print(f"  all_pass = {report.all_pass}   ({report.wall_time_s:.2f}s)")
 
 print()
-print("=== the report is plain JSON, schema hjts-report/1 ===")
+print("=== the report is plain JSON, schema hjts-report/2 ===")
 doc = json.loads(report.to_json())
 print(json.dumps({k: doc[k] for k in ("schema", "rng", "seed", "all_pass")}, indent=2))
 

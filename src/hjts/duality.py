@@ -121,10 +121,13 @@ def psi(z: Element, route: DualityRoute = DualityRoute.BOX_HALF) -> Element:
 
 
 def psi_inverse(u: Element, route: DualityRoute = DualityRoute.BOX_HALF) -> Element:
-    """Map any ambient point back into the domain.
+    """Map an ambient point back into the domain.
 
-    Defined on the whole ambient space; the image always satisfies
-    ``in_domain`` because mu/(1+mu^2)^(1/2) < 1 for every spectral value mu.
+    Every image is interior in exact arithmetic (mu/(1+mu^2)^(1/2) < 1 for each spectral value
+    mu), in double precision only while 1 - lambda^2 = 1/(1+mu^2) survives roundoff.  Images
+    pass ``in_domain`` at |u| = 1e4 but leave the domain from |u| ~ 2.0e4 on IV:4 along e_1,
+    3.2e5 on a rank-one I:2,2 point (BOX_HALF; BERGMAN_QUARTER raises DomainError from 1.3e4)
+    and 7.9e7 on I:1,1, II:4 and III:3; far larger points overflow.
     """
     return _point_map(u, route, 1.0)
 

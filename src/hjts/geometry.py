@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DomainError, as_int, as_real
+from .errors import ContractError, DomainError, as_real
 from .jts import Element, _box_apply, _same_kind, _triple_coords
 from .kinds import JTSKind, simple_factors, split_coords
 from .linalg import det, worst_of
@@ -63,6 +63,7 @@ DEFAULT_FD_STEP = 1e-5
 
 #: The beta check needs the largest spectral value below this.
 _BETA_LAMBDA_MAX = 0.99
+_TANGENT_PAIRS = 8  # random unit tangent pairs per symplectic check
 #: The 1/pi of the form convention omega = -(1/pi) Im(u^T H conj(v)).
 _FORM_SCALE = 1.0 / math.pi
 
@@ -287,22 +288,21 @@ def _pullback_pairs(z: Element) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(jac.T @ dual @ jac, flat), (jac.T @ flat @ jac, hyp)]
 
 
-def check_symplectic_duality(z: Element, *, tangent_pairs: int = 8,
+def check_symplectic_duality(z: Element, *,
                              rng: np.random.Generator | None = None) -> tuple[float, float]:
     """Verify both pullback identities of the duality map at a point.
 
     Returns ``(err1, err2)`` where ``err1`` is the worst
     |(psi^* omega_dual)(u,v) - omega_flat(u,v)| and ``err2`` the worst
-    |(psi^* omega_flat)(u,v) - omega_hyp(u,v)| over random unit tangent pairs
-    at z (u then v per pair), each as max |x_u^T (P - S) x_v| on a pair
-    (P, S) of ``_pullback_pairs``, x being a vector's real coordinates.
+    |(psi^* omega_flat)(u,v) - omega_hyp(u,v)| over ``_TANGENT_PAIRS`` random
+    unit tangent pairs at z (u then v per pair), each as max |x_u^T (P - S) x_v|
+    on a pair (P, S) of ``_pullback_pairs``, x being a vector's real coordinates.
     """
-    tangent_pairs = as_int(tangent_pairs, "tangent_pairs must be a nonnegative integer, got {!r}")
     if rng is None:
         rng = np.random.default_rng(7)
     n = z.coords.size
     pairs = _pullback_pairs(z)
-    draws = rng.standard_normal((2 * tangent_pairs, 2, n))  # per tangent: n real, n imaginary
+    draws = rng.standard_normal((2 * _TANGENT_PAIRS, 2, n))  # per tangent: n real, n imaginary
     tangents = draws[:, 0] + 1.0j * draws[:, 1]
     x = _to_real(tangents / np.sqrt(np.sum(np.abs(tangents) ** 2, axis=1))[:, None])
     err1, err2 = (float(np.max(np.abs(np.sum((x[0::2] @ (p - s)) * x[1::2], axis=1)), initial=0.0))

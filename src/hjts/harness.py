@@ -1,7 +1,7 @@
 """Seeded verification harness: sampling, suites, and machine-readable reports.
 
-A run is described by a :class:`SuiteConfig` (kinds, seed, sample counts,
-tolerances) and executed by :func:`run_suite`, which draws reproducible
+A run is described by a :class:`SuiteConfig` (kinds, suites, seed, sample count,
+boundary cap) and executed by :func:`run_suite`, which draws reproducible
 interior points for every (kind, suite) cell, evaluates the checks, and
 aggregates worst-case errors into a :class:`VerificationReport`.  The sampling
 generator is Philox (4x64 counter-based), with an independent stream per
@@ -9,8 +9,8 @@ sample seeded through ``SeedSequence(seed, spawn_key=(kind_index,
 suite_index, sample_index))``, so reports are byte-identical across runs and
 platforms apart from the wall-time field.
 
-Each suite's facts -- its sample evaluation, its tolerance and whether its
-step range binds -- are one row of ``_SUITES``.
+Each suite's facts -- its sample evaluation and its tolerance -- are one row of
+``_SUITES``; every check runs at its default step and tangent count.
 
 Internal failures abort the run: internal-consistency failures (route
 disagreements beyond 1e-7, non-integer genus) and kernel failures (any
@@ -27,7 +27,6 @@ import math
 import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,9 +46,7 @@ from .duality import (
     psi_route_spread,
 )
 from .geometry import (
-    DEFAULT_FD_STEP,
     _BETA_LAMBDA_MAX,
-    _fd_step,
     check_beta_exactness,
     check_lemma_a1,
     check_lemma_a2,
@@ -68,7 +65,7 @@ __all__ = [
     "run_suite",
 ]
 
-REPORT_SCHEMA = "hjts-report/1"
+REPORT_SCHEMA = "hjts-report/2"
 RNG_NAME = "philox4x64"
 
 _DEFAULT_CAP = 0.95  # SuiteConfig.boundary_cap and sample_domain's default
@@ -224,7 +221,7 @@ def _eval_hereditary(kind, config, rng, sample_index) -> float:
 
 def _eval_symplectic(kind, config, rng, sample_index) -> float:
     z = sample_domain(kind, rng, config.boundary_cap)
-    return worst_of(check_symplectic_duality(z, tangent_pairs=config.tangent_pairs, rng=rng))
+    return worst_of(check_symplectic_duality(z, rng=rng))
 
 
 def _eval_volume(kind, config, rng, sample_index) -> float:
@@ -236,34 +233,33 @@ def _directional(check: Callable) -> Callable:
     """The sample of a derivative lemma: z, then a unit direction, then ``check``."""
     def evaluate(kind, config, rng, sample_index) -> float:
         z = sample_domain(kind, rng, config.boundary_cap)
-        return check(z, _unit_direction(kind, rng), h=config.fd_step)
+        return check(z, _unit_direction(kind, rng))
     return evaluate
 
 
 class _Suite(NamedTuple):
-    """One suite's facts: its sample evaluation, its tolerance, its step rule."""
+    """One suite's facts: its sample evaluation and its tolerance."""
 
     evaluate: Callable          # (kind, config, rng, sample_index) -> scalar error
-    tolerance: Callable         # SuiteConfig -> the cell's tolerance
-    fd: bool = False            # differences with fd_step, whose range binds
+    tolerance: float            # the cell's tolerance
 
 
-_EXACT, _FD = attrgetter("tol_exact"), attrgetter("tol_fd")
+_EXACT, _FD = 1e-9, 1e-5  # closed-form identities; finite differences and the pullbacks
 
 #: Every suite, one row each, in spawn-key order (a suite's index is its suite_index).
 _SUITES = {
-    "jordan": _Suite(_eval_jordan, lambda config: 1e-10),  # Jordan identity, random quintuples
-    "spectral": _Suite(_eval_spectral, lambda config: 1e-8),  # frame residuals, det B = N^g, genus
+    "jordan": _Suite(_eval_jordan, 1e-10),  # Jordan identity, random quintuples
+    "spectral": _Suite(_eval_spectral, 1e-8),  # frame residuals, det B = N^g, genus
     "duality": _Suite(_eval_duality, _EXACT),  # route spreads, both round trips
     "equivariance": _Suite(_eval_equivariance, _EXACT),  # psi vs a random isotropy
     "hereditary": _Suite(_eval_hereditary, _EXACT),  # psi vs the canonical embedding
     "symplectic": _Suite(_eval_symplectic, _FD),  # both pullbacks, through psi's exact differential
-    # pulled-back skew determinants, exact too; the cell keeps 10x tol_fd, which the
+    # pulled-back skew determinants, exact too; the cell keeps 10x _FD, which the
     # report prints and perfbench's residual ratio divides by
-    "volume": _Suite(_eval_volume, lambda config: 10.0 * config.tol_fd),
-    "lemma_a1": _Suite(_directional(check_lemma_a1), _FD, fd=True),  # log-derivatives of N, N*
-    "lemma_a2": _Suite(_directional(check_lemma_a2), _FD, fd=True),  # trace derivatives, p, k <= 2
-    "beta_exact": _Suite(_directional(check_beta_exactness), _FD, fd=True),  # beta = d(gamma)
+    "volume": _Suite(_eval_volume, 10.0 * _FD),
+    "lemma_a1": _Suite(_directional(check_lemma_a1), _FD),  # log-derivatives of N, N*
+    "lemma_a2": _Suite(_directional(check_lemma_a2), _FD),  # trace derivatives, p, k <= 2
+    "beta_exact": _Suite(_directional(check_beta_exactness), _FD),  # beta = d(gamma)
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -292,10 +288,6 @@ class SuiteConfig:
     kinds: tuple = DEFAULT_KINDS
     seed: int = 0
     points: int = 100
-    tangent_pairs: int = 8
-    tol_exact: float = 1e-9
-    tol_fd: float = 1e-5
-    fd_step: float = DEFAULT_FD_STEP
     boundary_cap: float = _DEFAULT_CAP
     suites: tuple = SUITE_NAMES
 
@@ -307,12 +299,8 @@ class SuiteConfig:
         for kind in self.kinds:
             if not isinstance(kind, _k.JTSKind):
                 raise ContractError(f"kinds must hold kind objects (kinds.parse_kind), got {kind!r}")
-        for name in ("points", "tangent_pairs"):
-            object.__setattr__(self, name, as_int(
-                getattr(self, name), name + " must be a positive integer, got {!r}", 1))
-        for name in ("tol_exact", "tol_fd", "fd_step"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name + " must be "
-                               "positive and finite, got {!r}", 0.0, math.inf, exclusive=True))
+        object.__setattr__(self, "points", as_int(
+            self.points, "points must be a positive integer, got {!r}", 1))
         object.__setattr__(self, "boundary_cap",
                            as_real(self.boundary_cap, _CAP_WORDS, 0.0, 1.0, exclusive=True))
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
@@ -326,10 +314,7 @@ class SuiteConfig:
             repeated = sorted({label for label in labels if labels.count(label) > 1})
             if repeated:
                 raise ContractError(f"{name} repeat {', '.join(repeated)}; give each once")
-        # refuse here what a finite-difference suite would refuse mid-run: a step
-        # outside geometry._fd_step's range, and for beta_exact a cap at its limit
-        if any(_SUITES[s].fd for s in self.suites):
-            _fd_step(0.0, self.fd_step)
+        # refuse here what beta_exact would refuse mid-run: a cap at its limit
         if "beta_exact" in self.suites and not self.boundary_cap < _BETA_LAMBDA_MAX:
             raise ContractError(f"boundary_cap {self.boundary_cap!r} is too large for "
                                 f"beta_exact, which needs largest spectral value "
@@ -435,7 +420,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                            else f"{type(cause).__name__}: {cause}",
                 "point": None if offending is None else _encode(offending.coords),
             }
-        tolerance = _SUITES[suite].tolerance(config)
+        tolerance = _SUITES[suite].tolerance
         results.append(SuiteResult(_k.format_kind(kind), suite, samples, max_error, tolerance,
                                    max_error <= tolerance, status))
         if failure is not None:

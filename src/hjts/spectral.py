@@ -170,19 +170,19 @@ def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.nd
     try:
         logdet = cholesky_logdet(shifted)
     except DomainError:
-        raise DomainError(
-            "point lies outside the bounded domain (largest spectral value >= 1)"
-        ) from None
+        raise DomainError("point lies outside the bounded domain (largest spectral value >= 1)"
+                          if sign < 0.0 else "log N* cannot be evaluated at this scale: "
+                          "I + Gram lost its identity term to roundoff") from None
     return 0.5 * logdet if isinstance(kind, _k.TypeII) else logdet
 
 
 def log_norm_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.ndarray:
     """log prod_j (1 + sign * lambda_j^2) for every row of a (K, N) coordinate array.
 
-    ``sign = -1`` gives log N, and raises DomainError when any row lies on or
-    outside the domain; ``sign = +1`` gives log N*, defined everywhere; any
-    other sign raises ContractError.  Rows are processed by the same elementwise steps whatever K is, so a row's
-    value does not depend on the batch it is evaluated in.
+    ``sign = -1`` gives log N, and raises DomainError when any row lies on or outside the
+    domain; ``sign = +1`` gives log N*, finite everywhere but DomainError where I + Gram loses
+    its identity term to roundoff; any other sign raises ContractError.  Rows are processed by
+    the same elementwise steps whatever K is, so a row's value does not depend on the batch.
     """
     coords = _rows(kind, coords, sign)
     parts = [_log_norm_simple(f, c, sign)
@@ -207,7 +207,7 @@ def log_generic_norm_minus(z: Element) -> float:
 
 
 def log_generic_norm_plus(z: Element) -> float:
-    """log N*(z) = sum_j log(1 + lambda_j^2); defined everywhere."""
+    """log N*(z) = sum_j log(1 + lambda_j^2); finite, refused as by ``log_norm_rows``."""
     return float(log_norm_rows(z.kind, z.coords[None, :], 1.0)[0])
 
 

@@ -61,7 +61,7 @@ def unit_direction(kind, rng):
 def test_criterion_1_symplectic_duality(criterion):
     started = time.perf_counter()
     report = run_suite(SuiteConfig(
-        kinds=DEFAULT_KINDS, seed=0, points=100, tangent_pairs=8,
+        kinds=DEFAULT_KINDS, seed=0, points=100,
         boundary_cap=0.95, suites=("symplectic",),
     ))
     elapsed = time.perf_counter() - started
@@ -206,8 +206,7 @@ def test_criterion_8_volume(criterion):
 
 
 def test_criterion_9_determinism(criterion):
-    config = SuiteConfig(kinds=(K.TypeI(1, 1), K.TypeIV(3)), seed=7, points=3,
-                         tangent_pairs=2)
+    config = SuiteConfig(kinds=(K.TypeI(1, 1), K.TypeIV(3)), seed=7, points=3)
     first = run_suite(config).to_json()
     second = run_suite(config).to_json()
     scrub = lambda text: re.sub(r'"wall_time_s": [0-9.eE+-]+', '"wall_time_s": _', text)

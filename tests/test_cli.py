@@ -19,8 +19,7 @@ import hjts.duality
 import hjts.harness
 from hjts.cli import build_parser, main
 from hjts.errors import ConvergenceError, SingularityError
-from hjts.geometry import DEFAULT_FD_STEP
-from hjts.harness import SuiteConfig, sample_domain
+from hjts.harness import SuiteConfig, run_suite, sample_domain
 
 
 def run_cli(capsys, *argv):
@@ -37,7 +36,7 @@ def test_verify_stdout_report(capsys):
                              "--suites", "jordan,duality", "--points", "3")
     assert code == 0
     doc = json.loads(out)  # stdout carries nothing but the report
-    assert doc["schema"] == "hjts-report/1"
+    assert doc["schema"] == "hjts-report/2"
     assert doc["all_pass"] is True
     assert {r["suite"] for r in doc["results"]} == {"jordan", "duality"}
     assert "suite cells" in err
@@ -66,7 +65,16 @@ def test_run_defaults_have_one_source():
     assert sample.seed == defaults.seed and type(sample.seed) is type(defaults.seed)
     assert inspect.signature(sample_domain).parameters["boundary_cap"].default \
         == defaults.boundary_cap
-    assert defaults.fd_step == DEFAULT_FD_STEP
+
+
+def test_a_run_is_its_kinds_seed_points_cap_and_suites():
+    run = {"kinds", "seed", "points", "boundary_cap", "suites"}
+    assert {field.name for field in dataclasses.fields(SuiteConfig)} == run
+    # verify's options beside --out, with --all and --kind both choosing the kinds
+    options = set(vars(build_parser().parse_args(["verify"]))) - {"command", "out"}
+    assert {"kinds" if name in ("all", "kind") else name for name in options} == run
+    report = run_suite(SuiteConfig(suites=()))
+    assert set(json.loads(report.to_json())["config"]) == run
 
 
 def test_verify_multiple_kinds(capsys):
@@ -104,9 +112,12 @@ def test_verify_reports_a_skipped_hereditary_cell(capsys):
     assert "IV:4  hereditary    skipped (no embedding target)" in err
 
 
-def test_verify_tolerance_failure_is_exit_1(capsys):
+def test_verify_tolerance_failure_is_exit_1(capsys, monkeypatch):
+    above = 2.0 * hjts.harness._SUITES["duality"].tolerance
+    monkeypatch.setitem(hjts.harness._SUITE_EVALS, "duality",
+                        lambda kind, config, rng, sample_index: above)
     code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "duality",
-                             "--points", "2", "--tol-exact", "1e-30")
+                             "--points", "2")
     assert code == 1
     assert json.loads(out)["all_pass"] is False
     assert "FAIL" in err
@@ -141,9 +152,6 @@ def test_verify_consistency_failure_is_exit_2(capsys, monkeypatch):
     ("verify", "--kind", "I:1,1", "--suites", "jordan,bogus"),
     ("verify", "--kind", "I:1,1", "--points", "0"),
     ("verify", "--kind", "I:1,1", "--boundary-cap", "1.5"),
-    ("verify", "--kind", "I:1,1", "--suites", "duality", "--tol-exact", "inf"),
-    ("verify", "--kind", "I:1,1", "--suites", "duality", "--tol-fd", "inf"),
-    ("verify", "--kind", "I:1,1", "--suites", "jordan,duality", "--fd-step", "inf"),
     ("verify", "--kind", "I:1,1", "--suites", "jordan,jordan"),
     ("verify", "--kind", "I:1,1", "--kind", "I:1,1", "--suites", "jordan"),
 ])
@@ -165,27 +173,6 @@ def test_verify_unwritable_out_is_exit_3_before_any_sample(tmp_path, capsys, mon
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and target in err and "Traceback" not in err
-
-
-def test_verify_pullback_suites_read_no_fd_step(capsys):
-    # psi's differential is exact, so a step at the range's end changes only the echo
-    docs = []
-    for step in ("1e-2", str(DEFAULT_FD_STEP)):
-        code, out, _ = run_cli(capsys, "verify", "--all", "--suites", "symplectic,volume",
-                               "--points", "3", "--fd-step", step)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["config"].pop("fd_step") == float(step)
-        del doc["wall_time_s"]
-        docs.append(doc)
-    assert docs[0] == docs[1]
-
-
-def test_verify_fd_step_1e_3_is_accepted(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "symplectic,volume",
-                           "--points", "2", "--fd-step", "1e-3")
-    assert code == 0
-    assert json.loads(out)["config"]["fd_step"] == 1e-3
 
 
 @pytest.mark.parametrize("error, reported", [
@@ -229,14 +216,6 @@ def test_verify_kernel_failure_carries_the_tagged_point(capsys, monkeypatch):
     assert len(failure["point"]) == 1 and len(failure["point"][0]) == 2
 
 
-def test_verify_fd_step_outside_range_for_lemma_suites_is_exit_3(capsys):
-    code, out, err = run_cli(capsys, "verify", "--kind", "I:2,2", "--suites",
-                             "lemma_a1,beta_exact", "--fd-step", "0.5", "--points", "3")
-    assert code == 3
-    assert out == ""  # rejected before any sample runs
-    assert "fd_step 0.5" in err and "[1e-7, 1e-2]" in err
-
-
 @pytest.mark.parametrize("points", ["3", "300"])
 def test_verify_beta_cap_at_the_limit_is_exit_3_for_any_points(capsys, points):
     code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "beta_exact",
@@ -246,11 +225,16 @@ def test_verify_beta_cap_at_the_limit_is_exit_3_for_any_points(capsys, points):
     assert "boundary_cap 0.999" in err and "0.99" in err
 
 
-def test_unparsable_flags_are_exit_3():
-    for argv in (["verify", "--bogus"], ["verify", "--kind", "I:1,1", "--tol-exact", "1e-9x"]):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 3
+@pytest.mark.parametrize("flag, value", [
+    ("--bogus", None), ("--points", "3x"),
+    # a run takes no step, tangent count or tolerance from the command line
+    ("--tangent-pairs", "8"), ("--fd-step", "1e-5"), ("--tol-exact", "1e-9"), ("--tol-fd", "1e-5"),
+])
+def test_unparsable_flags_are_exit_3(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--kind", "I:1,1", flag] + ([value] if value else []))
+    assert info.value.code == 3
+    assert ("unrecognized arguments" in capsys.readouterr().err) == (flag != "--points")
 
 
 def test_empty_suites_is_a_passing_run(capsys):

@@ -20,7 +20,7 @@ from hjts.duality import (
 )
 from hjts.errors import ConsistencyError, ContractError, DomainError
 from hjts.harness import DEFAULT_KINDS, random_isotropy, sample_domain
-from hjts.jts import Element, isotropy_action, m1_norm, zero
+from hjts.jts import Element, in_domain, isotropy_action, m1_norm, zero
 from hjts.spectral import spectral_decompose
 from hjts.linalg import frobenius
 
@@ -224,6 +224,19 @@ def test_round_trips(kind):
     u = gaussian(kind, seed=11, scale=3.0)  # far outside any bounded picture
     forth = psi(psi_inverse(u))
     assert frobenius(forth.coords - u.coords) <= 1e-9 * max(1.0, u.norm())
+
+
+@pytest.mark.parametrize("kind, direction", [
+    (K.TypeI(2, 2), np.full(4, 0.5 + 0j)),  # rank one: every entry equal
+    (K.TypeIV(4), np.eye(4)[0].astype(complex)),
+    (K.TypeI(1, 1), np.ones(1, complex)),
+    (K.TypeII(4), np.eye(6)[0].astype(complex)),
+    (K.TypeIII(3), np.eye(6)[0].astype(complex)),
+], ids=["I:2,2-rank-one", "IV:4-e1", "I:1,1", "II:4-e1", "III:3-e1"])
+def test_psi_inverse_image_is_in_the_domain_at_norm_1e4(kind, direction):
+    # the images leave the domain in roundoff from |u| ~ 2.0e4 (IV:4) and
+    # ~ 3.2e5 (rank-one I:2,2); the documented envelope holds at 1e4
+    assert in_domain(psi_inverse(Element(kind, 1e4 * direction)))
 
 
 def test_psi_needs_interior():

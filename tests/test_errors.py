@@ -18,7 +18,7 @@ import hjts.geometry
 import hjts.kinds as K
 from hjts.duality import psi_rows
 from hjts.errors import ContractError, as_int, as_real
-from hjts.geometry import PotentialId, check_symplectic_duality, potential
+from hjts.geometry import PotentialId, potential
 from hjts.harness import SuiteConfig, sample_domain
 from hjts.jts import isotropy_action, zero
 from hjts.linalg import hermitian_power
@@ -95,14 +95,11 @@ INTEGER_ENTRIES = {
     "TypeIII.n": (K.TypeIII, "n must"),
     "TypeIV.n": (K.TypeIV, "n must"),
     **{f"SuiteConfig.{name}": (lambda v, name=name: SuiteConfig(**{name: v}), name)
-       for name in ("seed", "points", "tangent_pairs")},
-    "check_symplectic_duality.tangent_pairs":
-        (lambda v: check_symplectic_duality(_Z, tangent_pairs=v), "tangent_pairs"),
+       for name in ("seed", "points")},
     "odd_power.j": (lambda v: odd_power(_Z, v), "power index"),
 }
 REAL_ENTRIES = {
-    **{f"SuiteConfig.{name}": (lambda v, name=name: SuiteConfig(**{name: v}), name)
-       for name in ("tol_exact", "tol_fd", "fd_step", "boundary_cap")},
+    "SuiteConfig.boundary_cap": (lambda v: SuiteConfig(boundary_cap=v), "boundary_cap"),
     "sample_domain.boundary_cap":
         (lambda v: sample_domain(_KIND, np.random.default_rng(0), v), "boundary_cap"),
     "hermitian_power.t": (lambda v: hermitian_power(np.diag([4.0, 0.5]), v), "exponent"),

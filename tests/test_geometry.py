@@ -307,7 +307,7 @@ def test_exact_differential_on_larger_kinds(kind, cap):
     measured = real_jacobian(psi_rows, z).matrix
     assert np.abs(exact - measured).max() <= 2e-6 * np.abs(exact).max()
     # and both pullback identities read roundoff through it
-    err1, err2 = check_symplectic_duality(z, tangent_pairs=4)
+    err1, err2 = check_symplectic_duality(z)
     assert err1 < 1e-12 and err2 < 1e-12
     assert check_volume_duality(z) < 1e-12
 
@@ -429,7 +429,7 @@ def test_disc_pullback_golden():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_symplectic_duality(kind):
     z = interior(kind, seed=10 + K.ambient_dim(kind))
-    err1, err2 = check_symplectic_duality(z, tangent_pairs=4)
+    err1, err2 = check_symplectic_duality(z)
     assert err1 < 1e-12
     assert err2 < 1e-12
 
@@ -445,18 +445,6 @@ def test_symplectic_rng_reproducible():
     a = check_symplectic_duality(z, rng=np.random.default_rng(1))
     b = check_symplectic_duality(z, rng=np.random.default_rng(1))
     assert a == b
-
-
-def test_symplectic_without_tangent_pairs_reads_zero():
-    z = interior(K.TypeI(2, 2), seed=30)
-    assert check_symplectic_duality(z, tangent_pairs=0) == (0.0, 0.0)
-
-
-@pytest.mark.parametrize("bad", [-3, 2.5, True, "2"])
-def test_symplectic_rejects_a_bad_tangent_pair_count(bad):
-    z = interior(K.TypeI(2, 2), seed=30)
-    with pytest.raises(ContractError, match="tangent_pairs"):
-        check_symplectic_duality(z, tangent_pairs=bad)
 
 
 def _public_form_pairs(z):
@@ -475,7 +463,7 @@ def test_symplectic_check_equals_the_per_pair_form_loop(kind):
     # oracle: pullback_eval and evaluate on each tangent pair, drawn u then v
     # from the same rng; the two agree to 1e-12 of the largest form value
     z = interior(kind, seed=40)
-    got = check_symplectic_duality(z, tangent_pairs=8, rng=np.random.default_rng(3))
+    got = check_symplectic_duality(z, rng=np.random.default_rng(3))
     forms, jac = _public_form_pairs(z)
     rng = np.random.default_rng(3)
     n = z.coords.size
@@ -565,7 +553,7 @@ def test_symplectic_tangents_equal_the_per_tangent_draws(kind):
     z = interior(kind, seed=43)
     n = z.coords.size
     rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = check_symplectic_duality(z, tangent_pairs=8, rng=rng)
+    got = check_symplectic_duality(z, rng=rng)
     tangents = []
     for _ in range(16):
         w = oracle_rng.standard_normal(n) + 1j * oracle_rng.standard_normal(n)

@@ -76,8 +76,7 @@ def test_config_defaults():
     cfg = SuiteConfig()
     assert cfg.kinds == DEFAULT_KINDS
     assert cfg.suites == SUITE_NAMES
-    assert cfg.points == 100 and cfg.tangent_pairs == 8
-    assert cfg.tol_exact == 1e-9 and cfg.tol_fd == 1e-5
+    assert cfg.seed == 0 and cfg.points == 100
     assert cfg.boundary_cap == 0.95
 
 
@@ -90,17 +89,12 @@ def test_config_to_dict_has_one_key_per_field():
 
 @pytest.mark.parametrize("bad", [
     dict(seed=-1), dict(seed=2**64), dict(seed=1.5), dict(seed=True),
-    dict(points=0), dict(points=2.0), dict(tangent_pairs=-2),
-    dict(tol_exact=0.0), dict(tol_fd=-1e-5), dict(fd_step=0.0),
+    dict(points=0), dict(points=2.0),
     dict(boundary_cap=0.0), dict(boundary_cap=1.0), dict(boundary_cap="0.5"),
     dict(boundary_cap=None), dict(boundary_cap=0.5 + 0j),
     dict(suites=("jordan", "nope")),
-    # an infinite tolerance passes every cell and writes the non-JSON token
-    # Infinity; the step is checked with no finite-difference suite selected
-    dict(tol_exact=math.inf), dict(tol_fd=math.inf), dict(tol_fd=math.nan),
-    dict(fd_step=math.inf, suites=("jordan", "duality")),
     # values that would fail only mid-run
-    dict(tol_exact="1e-9"), dict(kinds=("I:1,1",), suites=("jordan",)),
+    dict(kinds=("I:1,1",), suites=("jordan",)),
     dict(kinds=(K.TypeI(1, 1), None), suites=("jordan",)),
     # a repeat would report two cells under one (kind, suite) label
     dict(kinds=(K.TypeI(1, 1), K.TypeIV(3), K.TypeI(1, 1)), suites=("jordan",)),
@@ -112,51 +106,29 @@ def test_config_validation(bad):
 
 
 @pytest.mark.parametrize("good", [
-    dict(fd_step=np.float32(1e-3)), dict(boundary_cap=np.float32(0.5)),
-    dict(points=np.int64(3)), dict(seed=np.uint64(2 ** 64 - 1)), dict(tangent_pairs=np.int8(2)),
-    dict(tol_exact=np.float32(1e-9)), dict(tol_fd=np.float64(1e-5)), dict(tol_exact=1),
+    dict(boundary_cap=np.float32(0.5)), dict(boundary_cap=np.float64(0.5)),
+    dict(points=np.int64(3)), dict(seed=np.uint64(2 ** 64 - 1)),
 ], ids=lambda good: "-".join(f"{k}={type(v).__name__}" for k, v in good.items()))
 def test_config_validation_accepts_numpy_scalars_as_python_numbers(good):
     cfg = SuiteConfig(**{"kinds": FAST_KINDS, **good})
     for name, value in good.items():
         stored = getattr(cfg, name)
-        assert type(stored) is (int if name in ("seed", "points", "tangent_pairs") else float)
+        assert type(stored) is (int if name in ("seed", "points") else float)
         assert stored == float(value) if type(stored) is float else stored == int(value)
 
 
 def test_numpy_scalar_config_round_trips_through_json():
     numpy = SuiteConfig(kinds=(K.TypeI(np.int64(1), np.uint64(2)), K.TypeIV(np.int32(3))),
-                        seed=np.uint64(9), points=np.int64(2), tangent_pairs=np.int64(2),
-                        tol_exact=np.float32(1e-9), tol_fd=np.float64(1e-5),
-                        fd_step=np.float32(1e-3), boundary_cap=np.float32(0.5),
+                        seed=np.uint64(9), points=np.int64(2), boundary_cap=np.float32(0.5),
                         suites=("spectral", "symplectic", "lemma_a1"))
     text = run_suite(numpy).to_json()
     config = json.loads(text)["config"]
-    assert config["fd_step"] == float(np.float32(1e-3)) and config["seed"] == 9
+    assert config["boundary_cap"] == float(np.float32(0.5)) and config["seed"] == 9
     # the same run from builtin numbers writes the same report
-    builtin = SuiteConfig(kinds=(K.TypeI(1, 2), K.TypeIV(3)), seed=9, points=2, tangent_pairs=2,
-                          tol_exact=float(np.float32(1e-9)), tol_fd=1e-5,
-                          fd_step=float(np.float32(1e-3)), boundary_cap=float(np.float32(0.5)),
+    builtin = SuiteConfig(kinds=(K.TypeI(1, 2), K.TypeIV(3)), seed=9, points=2,
+                          boundary_cap=float(np.float32(0.5)),
                           suites=("spectral", "symplectic", "lemma_a1"))
     assert strip_wall(run_suite(builtin).to_json()) == strip_wall(text)
-
-
-@pytest.mark.parametrize("step", [1e-8, 0.05])
-def test_config_rejects_fd_step_outside_the_step_range(step):
-    with pytest.raises(ContractError, match=r"fd_step .* outside \[1e-7, 1e-2\]"):
-        SuiteConfig(kinds=FAST_KINDS, fd_step=step, suites=("lemma_a1",))
-
-
-def test_pullback_suites_run_any_step_and_read_none():
-    # psi's differential is exact: a 1e-2 step at the default cap runs, and its
-    # report differs from the default step's only in the echoed fd_step
-    reports = [json.loads(run_suite(SuiteConfig(kinds=FAST_KINDS, points=3, fd_step=step,
-                                                suites=("symplectic", "volume"))).to_json())
-               for step in (1e-2, 1e-5)]
-    for doc, step in zip(reports, (1e-2, 1e-5)):
-        assert doc["config"].pop("fd_step") == step
-        del doc["wall_time_s"]
-    assert reports[0] == reports[1]
 
 
 def test_pullback_suites_pass_near_the_boundary():
@@ -168,19 +140,6 @@ def test_pullback_suites_pass_near_the_boundary():
     assert max(r.max_error for r in report.results) < 1e-9
 
 
-def test_config_accepts_fd_step_1e_3():
-    cfg = SuiteConfig(fd_step=1e-3)
-    assert cfg.fd_step == 1e-3
-
-
-@pytest.mark.parametrize("suite", ["lemma_a1", "lemma_a2", "beta_exact"])
-def test_fd_step_range_binds_every_finite_difference_suite(suite):
-    with pytest.raises(ContractError, match=r"fd_step 0.05 lies outside \[1e-7, 1e-2\]"):
-        SuiteConfig(kinds=FAST_KINDS, fd_step=0.05, suites=FAST_SUITES + (suite,))
-    # the range's end is accepted
-    SuiteConfig(kinds=FAST_KINDS, fd_step=1e-2, suites=(suite,))
-
-
 def test_config_rejects_a_cap_beta_exact_would_refuse():
     # beta_exact refuses a sample with lambda_1 >= 0.99, so a cap there is a config error
     for cap in (0.99, 0.999):
@@ -190,26 +149,15 @@ def test_config_rejects_a_cap_beta_exact_would_refuse():
     SuiteConfig(kinds=FAST_KINDS, boundary_cap=0.999, suites=("lemma_a1", "lemma_a2"))
 
 
-FD_SUITES = {"lemma_a1", "lemma_a2", "beta_exact"}
-
-
-@pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_step_rules_bind_exactly_their_suites(suite):
-    # 0.5 is outside the step range
-    if suite in FD_SUITES:
-        with pytest.raises(ContractError, match="fd_step"):
-            SuiteConfig(kinds=FAST_KINDS, fd_step=0.5, suites=(suite,))
-    else:
-        SuiteConfig(kinds=FAST_KINDS, fd_step=0.5, suites=(suite,))
-
-
 def test_each_suite_has_its_tolerance():
-    report = run_suite(SuiteConfig(kinds=(K.TypeI(1, 1),), points=1,
-                                   tol_exact=2e-9, tol_fd=3e-5))
-    expected = {"jordan": 1e-10, "spectral": 1e-8, "duality": 2e-9, "equivariance": 2e-9,
-                "hereditary": 2e-9, "volume": 10.0 * 3e-5}  # the report holds this float
-    assert {r.suite: r.tolerance for r in report.results} == \
-        {suite: expected.get(suite, 3e-5) for suite in SUITE_NAMES}
+    exact, fd = hjts.harness._EXACT, hjts.harness._FD
+    assert (exact, fd) == (1e-9, 1e-5)
+    expected = {"jordan": 1e-10, "spectral": 1e-8, "duality": exact, "equivariance": exact,
+                "hereditary": exact, "volume": 10.0 * fd}  # the report holds this float
+    expected = {suite: expected.get(suite, fd) for suite in SUITE_NAMES}
+    assert {name: row.tolerance for name, row in hjts.harness._SUITES.items()} == expected
+    report = run_suite(SuiteConfig(kinds=(K.TypeI(1, 1),), points=1))
+    assert {r.suite: r.tolerance for r in report.results} == expected
     assert report.all_pass
 
 
@@ -269,7 +217,7 @@ def test_seed_changes_the_numbers(small_report):
 
 def test_report_schema(small_report):
     doc = json.loads(small_report.to_json())
-    assert doc["schema"] == "hjts-report/1"
+    assert doc["schema"] == "hjts-report/2"
     assert doc["rng"] == "philox4x64"
     assert doc["seed"] == 11
     assert doc["all_pass"] is True

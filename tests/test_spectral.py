@@ -357,6 +357,18 @@ def test_log_norm_rows_raise_when_any_row_leaves_the_domain():
         log_norm_rows(kind, rows[0], -1.0)  # one point still needs a (1, N) array
 
 
+def test_log_norm_rows_refusals_name_their_cause():
+    # log N* is finite everywhere, so its refusal must not say "outside the
+    # domain": at 5e7 the rank-one Gram (1e16) swamps the identity in I + Gram
+    kind = K.TypeI(2, 2)
+    with pytest.raises(DomainError, match="^log N\\* cannot be evaluated at this scale: "
+                       "I \\+ Gram lost its identity term to roundoff$"):
+        log_norm_rows(kind, np.full((1, 4), 5e7), 1.0)
+    with pytest.raises(DomainError, match="^point lies outside the bounded domain "
+                       "\\(largest spectral value >= 1\\)$"):
+        log_norm_rows(kind, np.full((1, 4), 0.6), -1.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["minus", "plus"])
 @pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
