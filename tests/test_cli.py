@@ -152,6 +152,9 @@ def test_verify_consistency_failure_is_exit_2(capsys, monkeypatch):
     ("verify", "--kind", "I:1,1", "--suites", "jordan,bogus"),
     ("verify", "--kind", "I:1,1", "--points", "0"),
     ("verify", "--kind", "I:1,1", "--boundary-cap", "1.5"),
+    ("verify", "--kind", "I:1,1", "--boundary-cap", "nan"),
+    ("verify", "--kind", "I:1,1", "--seed", "-1"),
+    ("verify", "--kind", "I:1,1", "--seed", str(2 ** 64)),
     ("verify", "--kind", "I:1,1", "--suites", "jordan,jordan"),
     ("verify", "--kind", "I:1,1", "--kind", "I:1,1", "--suites", "jordan"),
 ])

@@ -233,10 +233,12 @@ def test_round_trips(kind):
     (K.TypeII(4), np.eye(6)[0].astype(complex)),
     (K.TypeIII(3), np.eye(6)[0].astype(complex)),
 ], ids=["I:2,2-rank-one", "IV:4-e1", "I:1,1", "II:4-e1", "III:3-e1"])
-def test_psi_inverse_image_is_in_the_domain_at_norm_1e4(kind, direction):
+@pytest.mark.parametrize("route", list(DualityRoute), ids=lambda route: route.value)
+def test_psi_inverse_image_is_in_the_domain_at_norm_1e4(kind, direction, route):
     # the images leave the domain in roundoff from |u| ~ 2.0e4 (IV:4) and
-    # ~ 3.2e5 (rank-one I:2,2); the documented envelope holds at 1e4
-    assert in_domain(psi_inverse(Element(kind, 1e4 * direction)))
+    # ~ 3.2e5 (rank-one I:2,2; BERGMAN_QUARTER raises from 1.3e4); the
+    # documented envelope holds at 1e4 on every route
+    assert in_domain(psi_inverse(Element(kind, 1e4 * direction), route))
 
 
 def test_psi_needs_interior():

@@ -445,6 +445,8 @@ def test_symplectic_rng_reproducible():
     a = check_symplectic_duality(z, rng=np.random.default_rng(1))
     b = check_symplectic_duality(z, rng=np.random.default_rng(1))
     assert a == b
+    # without a generator the check draws from a fresh default_rng(7)
+    assert check_symplectic_duality(z) == check_symplectic_duality(z, rng=np.random.default_rng(7))
 
 
 def _public_form_pairs(z):
@@ -545,8 +547,7 @@ def test_pullback_forms_share_one_solve_per_factor_and_equal_the_public_forms(ki
     assert dual.tobytes() == kahler_matrix(PotentialId.DUAL_FS, image).hessian.tobytes()
 
 
-@pytest.mark.parametrize("kind", [K.TypeI(1, 1), K.TypeIV(3), K.TypeI(4, 4)],
-                         ids=K.format_kind)
+@pytest.mark.parametrize("kind", ALL_KINDS + [K.TypeI(4, 4)], ids=K.format_kind)
 def test_symplectic_tangents_equal_the_per_tangent_draws(kind):
     # oracle: each tangent drawn by two standard_normal(n) calls and scaled by
     # its norm; the errors agree bit for bit and the generators end level

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import hjts.duality
+import hjts.geometry
 import hjts.harness
 import hjts.kinds as K
 from hjts.errors import ConsistencyError, ContractError
+from hjts.geometry import DEFAULT_FD_STEP, check_symplectic_duality
 from hjts.harness import (
     DEFAULT_KINDS,
     SUITE_NAMES,
@@ -89,10 +91,13 @@ def test_config_to_dict_has_one_key_per_field():
 
 @pytest.mark.parametrize("bad", [
     dict(seed=-1), dict(seed=2**64), dict(seed=1.5), dict(seed=True),
-    dict(points=0), dict(points=2.0),
+    dict(seed=None), dict(seed="0"), dict(seed=math.nan),
+    dict(points=0), dict(points=2.0), dict(points=-1), dict(points=True), dict(points=None),
     dict(boundary_cap=0.0), dict(boundary_cap=1.0), dict(boundary_cap="0.5"),
     dict(boundary_cap=None), dict(boundary_cap=0.5 + 0j),
-    dict(suites=("jordan", "nope")),
+    dict(boundary_cap=-0.5), dict(boundary_cap=math.nan), dict(boundary_cap=math.inf),
+    dict(boundary_cap=True),
+    dict(suites=("jordan", "nope")), dict(suites=("jordan", None)),
     # values that would fail only mid-run
     dict(kinds=("I:1,1",), suites=("jordan",)),
     dict(kinds=(K.TypeI(1, 1), None), suites=("jordan",)),
@@ -107,7 +112,10 @@ def test_config_validation(bad):
 
 @pytest.mark.parametrize("good", [
     dict(boundary_cap=np.float32(0.5)), dict(boundary_cap=np.float64(0.5)),
-    dict(points=np.int64(3)), dict(seed=np.uint64(2 ** 64 - 1)),
+    dict(boundary_cap=np.float16(0.5)),
+    dict(points=np.int64(3)), dict(points=np.uint8(3)),
+    dict(seed=np.uint64(2 ** 64 - 1)), dict(seed=np.int64(0)),
+    dict(seed=np.int32(5), points=np.int16(2), boundary_cap=np.float32(0.25)),
 ], ids=lambda good: "-".join(f"{k}={type(v).__name__}" for k, v in good.items()))
 def test_config_validation_accepts_numpy_scalars_as_python_numbers(good):
     cfg = SuiteConfig(**{"kinds": FAST_KINDS, **good})
@@ -115,6 +123,18 @@ def test_config_validation_accepts_numpy_scalars_as_python_numbers(good):
         stored = getattr(cfg, name)
         assert type(stored) is (int if name in ("seed", "points") else float)
         assert stored == float(value) if type(stored) is float else stored == int(value)
+
+
+@pytest.mark.parametrize("call, knob", [
+    *((SuiteConfig, knob) for knob in ("tangent_pairs", "fd_step", "tol_exact", "tol_fd")),
+    (lambda **knob: check_symplectic_duality(zero(K.TypeI(1, 1)), **knob), "tangent_pairs"),
+], ids=["SuiteConfig.tangent_pairs", "SuiteConfig.fd_step", "SuiteConfig.tol_exact",
+        "SuiteConfig.tol_fd", "check_symplectic_duality.tangent_pairs"])
+def test_a_run_takes_no_step_tangent_count_or_tolerance(call, knob):
+    # each suite's tolerance is its _SUITES row, the lemma suites run at the
+    # default step and the symplectic check always draws 8 tangent pairs
+    with pytest.raises(TypeError, match=knob):
+        call(**{knob: 1})
 
 
 def test_numpy_scalar_config_round_trips_through_json():
@@ -149,6 +169,21 @@ def test_config_rejects_a_cap_beta_exact_would_refuse():
     SuiteConfig(kinds=FAST_KINDS, boundary_cap=0.999, suites=("lemma_a1", "lemma_a2"))
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_step_rules_bind_exactly_their_suites(monkeypatch, suite):
+    # the three lemma suites difference at the library's default step; every
+    # other suite is closed-form (psi's differential is exact) and takes no step
+    steps = []
+    fd_step = hjts.geometry._fd_step
+    monkeypatch.setattr(hjts.geometry, "_fd_step",
+                        lambda norm, h: steps.append(h) or fd_step(norm, h))
+    run_suite(SuiteConfig(points=2, suites=(suite,)))
+    if suite in ("lemma_a1", "lemma_a2", "beta_exact"):
+        assert len(steps) >= 2 * len(DEFAULT_KINDS) and set(steps) == {DEFAULT_FD_STEP}
+    else:
+        assert steps == []
+
+
 def test_each_suite_has_its_tolerance():
     exact, fd = hjts.harness._EXACT, hjts.harness._FD
     assert (exact, fd) == (1e-9, 1e-5)
@@ -159,6 +194,19 @@ def test_each_suite_has_its_tolerance():
     report = run_suite(SuiteConfig(kinds=(K.TypeI(1, 1),), points=1))
     assert {r.suite: r.tolerance for r in report.results} == expected
     assert report.all_pass
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_a_cell_passes_up_to_its_suite_tolerance(monkeypatch, suite, above):
+    tolerance = hjts.harness._SUITES[suite].tolerance
+    error = math.nextafter(tolerance, math.inf) if above else tolerance
+    monkeypatch.setitem(hjts.harness._SUITE_EVALS, suite,
+                        lambda kind, config, rng, sample_index: error)
+    report = run_suite(SuiteConfig(kinds=(K.TypeI(1, 1),), points=2, suites=(suite,)))
+    (cell,) = report.results
+    assert (cell.max_error, cell.tolerance) == (error, tolerance)
+    assert cell.passed is report.all_pass is (not above)
 
 
 def test_suite_names_and_the_sample_seam_share_one_order():
