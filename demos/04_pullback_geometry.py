@@ -62,10 +62,10 @@ for kind in (TypeI(2, 2), TypeIV(4)):
           f"volume err {vol:.1e}")
 
 print()
-print("=== the derivative identities behind the proof ===")
+print("=== the derivative identities behind the proof, in closed form ===")
 kind = TypeI(2, 2)
 z = sample_domain(kind, rng, 0.85)
 w = Element(kind, np.array([1.0, 0, 0, 0], dtype=complex))
 print(f"  log-derivative of N, N*:  {check_lemma_a1(z, w):.2e}")
-print(f"  trace-derivative, worst (p, k): {check_lemma_a2(z, w):.2e}")
+print(f"  trace-derivative of (z box z)^2, worst p: {check_lemma_a2(z, w):.2e}")
 print(f"  beta = d(gamma), both mirrors: {check_beta_exactness(z, w):.2e}")

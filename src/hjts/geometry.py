@@ -13,13 +13,12 @@ per-family blocks; ``complex_hessian``, their oracle, differences
 ``potential`` over every pair of real directions in one plain loop.  Every
 interior-point refusal here is ``spectral._require_interior``.  The checks:
 the symplectic pullback identities for psi and their volume-form
-consequence, which differentiate psi exactly
-(``duality._psi_differential_rows``; ``real_jacobian`` is the oracle) and take
-no step; the logarithmic-derivative identities for N and N*; the exactness of
-the one-form beta; the trace-derivative identity for powers of the box
-operator, worst over (p, k) in {0, 1, 2}^2; and the flat (0,1)-pullback.  Every
-driver with a step takes it, h * max(1, |z|) with h in [1e-7, 1e-2], from
-``_fd_step``, and every first-order central difference from ``_central``.
+consequence (psi's differential ``duality._psi_differential_rows``); the
+log-derivative identities for N and N* and the exactness of beta (both by
+``spectral._trace_differentials``); the trace-derivative identity for
+(z box z)^2; and the flat (0,1)-pullback.  No check takes a step; the two
+oracles that do, ``complex_hessian`` and ``real_jacobian``, take
+h * max(1, |z|), h in [1e-7, 1e-2], from ``_fd_step``.
 """
 from __future__ import annotations
 
@@ -31,12 +30,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DomainError, as_real
+from .errors import ContractError, as_real
 from .jts import Element, _box_apply, _same_kind, _triple_coords
 from .kinds import JTSKind, simple_factors, split_coords
 from .linalg import det, worst_of
-from .spectral import (_box_power_rows, _form_hessian_simple, _require_interior, generic_norms,
-                       log_generic_norm_minus, log_generic_norm_plus, spectral_values)
+from .spectral import (_box_power_rows, _form_hessian_simple, _require_interior,
+                       _trace_differentials, log_generic_norm_minus, log_generic_norm_plus)
 from .duality import _psi_differential_rows
 
 __all__ = [
@@ -61,8 +60,6 @@ __all__ = [
 #: precision.
 DEFAULT_FD_STEP = 1e-5
 
-#: The beta check needs the largest spectral value below this.
-_BETA_LAMBDA_MAX = 0.99
 _TANGENT_PAIRS = 8  # random unit tangent pairs per symplectic check
 #: The 1/pi of the form convention omega = -(1/pi) Im(u^T H conj(v)).
 _FORM_SCALE = 1.0 / math.pi
@@ -172,16 +169,6 @@ def _fd_step(norm: float, h: float) -> float:
                    "finite-difference drivers accept", 1e-7, 1e-2) * max(1.0, norm)
 
 
-def _central(fn: Callable[[np.ndarray], np.ndarray], z: Element, dirs: np.ndarray,
-             h: float) -> np.ndarray:
-    """Central differences (f(z + step d) - f(z - step d)) / (2 step), one row per
-    direction d of ``dirs``, with ``fn`` mapping all rows z + step [dirs; -dirs] in
-    one call."""
-    step = _fd_step(z.norm(), h)
-    values = fn(z.coords + step * np.concatenate([dirs, -dirs]))
-    return (values[:len(dirs)] - values[len(dirs):]) / (2.0 * step)
-
-
 def complex_hessian(fn: Callable[[Element], float], z: Element,
                     h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Mixed complex Hessian H_jk = d^2 fn / dz_j dzbar_k by central differences.
@@ -251,14 +238,14 @@ def real_jacobian(map_rows: Callable[[JTSKind, np.ndarray], np.ndarray], z: Elem
     scaled by max(1, |z|)) go through it in one call, and the mapped rows
     must be finite.
     """
-    def checked_rows(rows: np.ndarray) -> np.ndarray:
-        mapped = np.asarray(map_rows(z.kind, rows))
-        if mapped.shape != rows.shape or not np.isfinite(mapped).all():
-            raise ContractError(f"row map must return finite coordinates of shape "
-                                f"{rows.shape}, got shape {mapped.shape}")
-        return mapped
-
-    diff = _central(checked_rows, z, _real_directions(z.coords.size), h)  # row a: d map / d x_a
+    step = _fd_step(z.norm(), h)
+    dirs = _real_directions(z.coords.size)
+    rows = z.coords + step * np.concatenate([dirs, -dirs])
+    mapped = np.asarray(map_rows(z.kind, rows))
+    if mapped.shape != rows.shape or not np.isfinite(mapped).all():
+        raise ContractError(f"row map must return finite coordinates of shape "
+                            f"{rows.shape}, got shape {mapped.shape}")
+    diff = (mapped[:len(dirs)] - mapped[len(dirs):]) / (2.0 * step)  # row a: d map / d x_a
     return RealJacobian(_real_jacobian_matrix(diff))
 
 
@@ -331,115 +318,81 @@ def _beta(kind: JTSKind, coords: np.ndarray, dbox_w_z: np.ndarray, sign: float) 
     return complex(np.sum(resolved * np.conj(dbox_w_z)))
 
 
-def check_lemma_a1(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -> float:
+def _dbox(kind: JTSKind, c: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(d(z box z))(w) v = ({w z v} + {z w v})/2 at z = c, as two triple products."""
+    return 0.5 * (_triple_coords(kind, w, c, v) + _triple_coords(kind, c, w, v))
+
+
+def check_lemma_a1(z: Element, direction: Element) -> float:
     """Logarithmic antiholomorphic derivatives of the two generic norms.
 
     Checks dbar N / N = -m1(quasi-inverse of z, w) and
-    dbar N* / N* = +m1((id + z box z)^(-1) z, w) against finite differences,
-    returning the worse residual relative to max(1, |analytic value|).  The
-    antiholomorphic derivative is the Wirtinger split
-    dbar f (w) = (d/dt f(z + t w) + i d/dt f(z + i t w)) / 2 over real t.
+    dbar N* / N* = +m1((id + z box z)^(-1) z, w), returning the worse residual
+    relative to max(1, |analytic value|).  The left-hand sides are the Wirtinger
+    split dbar f (w) = (d/dt f(z + t w) + i d/dt f(z + i t w)) / 2 of log N and
+    log N*, both directions from one ``_trace_differentials`` call.
     """
     _same_kind(z.kind, direction.kind)
     _require_interior(z.kind, z.coords[None, :], "the logarithmic derivative of N")
     w = direction.coords
     kind, c = z.kind, z.coords
-    # d(N, N*)/dt along w and i w; Python floats keep the division below exact
-    along, across = _central(
-        lambda rows: np.array([generic_norms(Element(kind, p)) for p in rows]),
-        z, np.stack([w, 1.0j * w]), h).tolist()
-    centre = generic_norms(z)
+    # d log(N, N*)/dt along w and i w, as Python floats
+    along, across = _trace_differentials(kind, c, np.stack([w, 1.0j * w]))[:, 0].tolist()
     residuals = []
     # sign * m1((id + sign z box z)^(-1) z, w), with N for sign -1, N* for +1
     for which, sign in enumerate((-1.0, 1.0)):
-        lhs = 0.5 * (along[which] + 1.0j * across[which]) / centre[which]
+        lhs = 0.5 * (along[which] + 1.0j * across[which])
         rhs = sign * complex(np.vdot(w, _box_power_rows(kind, c[None, :], sign, -1)[0]))
         residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst_of(residuals)
 
 
-def _g(t: float, sign: float) -> float:
-    """G(t) with t G(t) the antiderivative of u/(1 + sign u)^2 and G(0) = 0:
-    the hyperbolic G for sign = -1, its dual mirror for sign = +1."""
-    if abs(t) < 0.01:
-        # sum_{j>=1} j/(j+1) (-sign t)^(j-1) t; truncation < 1e-16 for |t| < 0.01
-        acc = 0.0
-        for j in range(8, 0, -1):
-            acc = acc * (-sign * t) + j / (j + 1.0)
-        return acc * t
-    return (math.log1p(sign * t) + 1.0 / (1.0 + sign * t) - 1.0) / t
-
-
-def _gamma(lam_sq: np.ndarray, sign: float) -> float:
-    return float(sum(_g(t, sign) * t for t in lam_sq))
-
-
-def _dbox_z(kind: JTSKind, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(d(z box z))(w) z = ({w z z} + {z w z})/2 at z = c, as two triple products."""
-    return 0.5 * (_triple_coords(kind, w, c, c) + _triple_coords(kind, c, w, c))
-
-
-def check_beta_exactness(z: Element, direction: Element,
-                         h: float = DEFAULT_FD_STEP) -> float:
+def check_beta_exactness(z: Element, direction: Element) -> float:
     """Verify that beta (and its dual mirror) is the differential of gamma.
 
-    beta(w) = m1((id - z box z)^(-2) z, (d(z box z))(w) z) must equal the real
-    finite-difference derivative of gamma(z) = m1(G(z box z) z, z) along w; the
-    dual variant swaps the sign of the box operator and uses the mirrored G.
-    (d(z box z))(w) z is applied as two triple products, and the spectral
-    values at z +- step w are computed once for both signs.  Both imaginary
-    parts must vanish.  Returns the worst residual relative to max(1, |derivative|).
+    beta(w) = m1((id - z box z)^(-2) z, (d(z box z))(w) z) must equal the
+    derivative along w of gamma(z) = m1(G(z box z) z, z), which
+    ``_trace_differentials`` reads exactly; the dual variant swaps the sign of
+    the box operator and mirrors G.  Both imaginary parts must vanish.  Returns
+    the worst residual relative to max(1, |derivative|); gamma, and so the
+    check, needs an interior point.
     """
     _same_kind(z.kind, direction.kind)
-    lam1 = spectral_values(z)[0]
-    if lam1 >= _BETA_LAMBDA_MAX:
-        raise DomainError(f"beta exactness check needs largest spectral value "
-                          f"< {_BETA_LAMBDA_MAX} (got {lam1:.6f})")
+    _require_interior(z.kind, z.coords[None, :], "the exactness of beta")
     w = direction.coords
-    kind = z.kind
-    dbox_w_z = _dbox_z(kind, z.coords, w)
-    # d gamma / dt along w for sign -1 and +1, from one spectral_values call per row
-    [derivative] = _central(
-        lambda rows: np.array([[_gamma(sq, sign) for sign in (-1.0, 1.0)] for sq in
-                               (spectral_values(Element(kind, p)) ** 2 for p in rows)]),
-        z, w[None, :], h).tolist()
+    kind, c = z.kind, z.coords
+    dbox_w_z = _dbox(kind, c, w, c)
+    [derivative] = _trace_differentials(kind, c, w[None, :])[:, 1].tolist()
     residuals = []
     scale = 1.0
-    for sign, fd in zip((-1.0, 1.0), derivative):
-        beta = _beta(kind, z.coords, dbox_w_z, sign)
-        residuals.append(abs(beta.real - fd))
+    for sign, exact in zip((-1.0, 1.0), derivative):
+        beta = _beta(kind, c, dbox_w_z, sign)
+        residuals.append(abs(beta.real - exact))
         residuals.append(abs(beta.imag))
-        scale = max(scale, abs(fd))
+        scale = max(scale, abs(exact))
     return worst_of(residuals) / scale
 
 
-def check_lemma_a2(z: Element, direction: Element, h: float = DEFAULT_FD_STEP) -> float:
-    """Trace-derivative identity for monomials of the box operator, worst over p, k in {0, 1, 2}.
+def check_lemma_a2(z: Element, direction: Element) -> float:
+    """Trace-derivative identity for the square of the box operator, worst over p in {0, 1, 2}.
 
-    Compares m1((z box z)^p z, (d (z box z)^k)(w) z), with the inner derivative
-    taken by finite differences, against the analytic right-hand side
-    m1((z box z)^p z, k (z box z)^(k-1) (d(z box z))(w) z), relative to
-    max(1, |right-hand side|); at k = 0 both sides are exactly 0.  Each power of
-    z box z is applied once by ``jts._box_apply``, on z +- step w in one central difference.
+    Compares m1((z box z)^p z, (d (z box z)^2)(w) z), by the product rule
+    d(z box z)(w) (z box z) z + (z box z) d(z box z)(w) z, against
+    m1((z box z)^p z, 2 (z box z) (d(z box z))(w) z), relative to max(1, |rhs|);
+    for (z box z)^1 the product rule is the right-hand side itself, and for
+    (z box z)^0 both sides are 0.  Powers of z box z go through ``jts._box_apply``.
     """
     _same_kind(z.kind, direction.kind)
     w = direction.coords
     kind, c = z.kind, z.coords
-
-    def box_powers_of_z(rows: np.ndarray) -> np.ndarray:  # (r box r)^k z, k = 1, 2
-        once = _box_apply(kind, rows, 1, c)
-        return np.stack([once, _box_apply(kind, rows, 1, once)], axis=1)
-
-    [d_powers] = _central(box_powers_of_z, z, w[None, :], h)  # row k-1: (d (z box z)^k)(w) z
-    dbox_w_z = _dbox_z(kind, c, w)
-    inners = (dbox_w_z, _box_apply(kind, c, 1, dbox_w_z))  # (z box z)^(k-1) (d(z box z))(w) z
     slot1 = _box_apply(kind, c, 1, c)
+    inner = _box_apply(kind, c, 1, _dbox(kind, c, w, c))  # (z box z) (d(z box z))(w) z
+    d_square = _dbox(kind, c, w, slot1) + inner  # (d (z box z)^2)(w) z
     residuals = []
     for slot in (c, slot1, _box_apply(kind, c, 1, slot1)):  # (z box z)^p z for p = 0, 1, 2
-        for k, d_power_z, inner in zip((1, 2), d_powers, inners):
-            lhs = complex(np.sum(slot * d_power_z.conj()))
-            rhs = k * complex(np.sum(slot * inner.conj()))
-            residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+        lhs = complex(np.sum(slot * d_square.conj()))
+        rhs = 2.0 * complex(np.sum(slot * inner.conj()))
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst_of(residuals)
 
 
@@ -457,7 +410,7 @@ def check_flat_dbar_pullback(z: Element, direction: Element) -> float:
     [image], [[d_psi_w]] = _psi_differential_rows(kind, z.coords[None, :], w[None, :])
     lhs = complex(np.vdot(d_psi_w, image))
 
-    dbox_w_z = _dbox_z(kind, z.coords, w)
+    dbox_w_z = _dbox(kind, z.coords, w, z.coords)
     rhs = (complex(np.vdot(w, _box_power_rows(kind, z.coords[None, :], -1.0, -1)[0]))
            + 0.5 * _beta(kind, z.coords, dbox_w_z, -1.0))
     return abs(lhs - rhs) / max(1.0, abs(rhs))

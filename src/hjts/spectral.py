@@ -8,10 +8,12 @@ factor.  On top sit N = prod(1 - lambda_j^2), N* = prod(1 + lambda_j^2), the
 quasi-inverse (id - z box z)^(-1) z and odd powers z^(2j+1).
 
 This module owns each family's closed forms: log N and log N*, the row map
-(id + sign z box z)^t z (``_box_power_rows``), psi's exact differential and
-the Kähler forms (B(z, -sign z)^-1)^T.  Each reads ``_gram_side`` (types I-III)
-or ``_spin``, and none builds the N x N box or quadratic operator.  The
-factor-wise routines loop over ``kinds.split_coords``'s (factor, slice) pairs.
+(id + sign z box z)^t z (``_box_power_rows``), psi's exact differential, the
+differentials of log N, log N* and gamma (``_trace_differentials``) and the
+Kähler forms (B(z, -sign z)^-1)^T.  Each reads ``_gram_side`` or ``_gram``
+(types I-III) or ``_spin``, and none builds the N x N box or quadratic
+operator.  The factor-wise routines loop over ``kinds.split_coords``'s
+(factor, slice) pairs.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class SpectralDecomposition:
 
 
 # --------------------------------------------------------------------------
-# The two per-family helpers; spectral values (for sample_domain, beta,
+# The two per-family helpers; spectral values (for sample_domain,
 # quasi_inverse, generic_norms) and log-norms (domain checks, potentials)
 
 def _gram(mat: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -171,9 +173,22 @@ def _log_norm_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.nd
         logdet = cholesky_logdet(shifted)
     except DomainError:
         raise DomainError("point lies outside the bounded domain (largest spectral value >= 1)"
-                          if sign < 0.0 else "log N* cannot be evaluated at this scale: "
-                          "I + Gram lost its identity term to roundoff") from None
+                          if sign < 0.0 else _LOST_IDENTITY) from None
     return 0.5 * logdet if isinstance(kind, _k.TypeII) else logdet
+
+
+#: The refusal of the dual side far out, where I + Gram rounds to Gram.
+_LOST_IDENTITY = ("log N* cannot be evaluated at this scale: "
+                  "I + Gram lost its identity term to roundoff")
+
+
+def _inverse_shift(shifted: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """(I + sign Gram)^-1 by one stacked ``solve``; the callers refuse the boundary
+    for sign -1, so an exactly singular shift is a lost identity term."""
+    try:
+        return solve(shifted, eye)
+    except SingularityError:
+        raise DomainError(_LOST_IDENTITY) from None
 
 
 def log_norm_rows(kind: _k.JTSKind, coords: np.ndarray, sign: float) -> np.ndarray:
@@ -418,7 +433,7 @@ def _box_power_simple(kind: _k.JTSKind, coords: np.ndarray, sign: float,
     if t == -0.5:
         power = hermitian_power(shifted, -0.5)
     else:
-        power = solve(shifted, eye)
+        power = _inverse_shift(shifted, eye)
         if t == -2:
             power = power @ power
     return _k.matrix_to_coords(kind, power @ mat if wide else mat @ power)
@@ -473,6 +488,43 @@ def _psi_differential_simple(kind: _k.JTSKind, coords: np.ndarray,
     return _k.matrix_to_coords(kind, image), _k.matrix_to_coords(kind, deriv)
 
 
+def _trace_differentials(kind: _k.JTSKind, coords: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """(D, 2, 2) derivatives at one point along each row of a (D, N) ``dirs``:
+    [d, 0, i] of log prod_j(1 + s lambda_j^2), [d, 1, i] of gamma_s =
+    sum_j g_s(lambda_j^2) with g_s'(t) = t/(1 + s t)^2, s = (-1, +1)[i].
+
+    Types I-III: d sum_j f(w_j) = sum_j f'(w_j) v_j* dG v_j over one ``eigh`` of
+    G = A* A (A = Z*, or Z when tall), dG = A* B + B* A (B of W likewise), at
+    repeated w_j too (Bhatia, Matrix Analysis, 1997, ch. V); type II, whose w_j
+    pair, halves it.  The spin factor differentiates N_s = 1 + 2 s a + |q|^2, and
+    gamma_s by the divided differences over the roots t+- of t^2 - 2 a t + |q|^2,
+    which are symmetric in t+- and so hold at t+ = t- too.
+    """
+    signs, total = np.array([-1.0, 1.0]), 0.0
+    for f, c, d in zip(_k.simple_factors(kind), _k.split_coords(kind, coords),
+                       _k.split_coords(kind, dirs)):
+        if isinstance(f, _k.TypeIV):
+            x, a, q = _spin(f, c)
+            y = _k.coords_to_ambient(f, d)
+            norm, q_sq = _spin_norm(a, q, signs), np.abs(q) ** 2
+            da = 2.0 * (np.conj(x) * y).sum(axis=-1, keepdims=True).real
+            dq_sq = 4.0 * (np.conj(q) * (x * y).sum(axis=-1, keepdims=True)).real
+            d_log = (2.0 * signs * da + dq_sq) / norm
+            d_gamma = (4.0 * (a + signs * q_sq) * da - (1.0 - q_sq) * dq_sq) / norm ** 2
+        else:
+            mat, dmat = _k.coords_to_matrix(f, c), _k.coords_to_matrix(f, d)
+            gram, wide = _gram(mat)
+            w, v = eigh(gram)
+            a, b = (np.conj(mat).T, np.conj(dmat).swapaxes(1, 2)) if wide else (mat, dmat)
+            proj = 2.0 * (np.conj(a @ v) * (b @ v)).sum(axis=1).real  # (D, r): v_j* dG v_j
+            shift = 1.0 + signs[:, None] * w
+            slopes = np.stack([signs[:, None] / shift, w / shift ** 2])  # (2, 2, r): the f'(w_j)
+            half = 0.5 if isinstance(f, _k.TypeII) else 1.0
+            d_log, d_gamma = half * np.einsum("kir,dr->kdi", slopes, proj)
+        total = total + np.stack([d_log, d_gamma], axis=1)
+    return total
+
+
 @lru_cache(maxsize=None)
 def _basis_matrices(kind: _k.JTSKind) -> np.ndarray:
     """The (N, p, q) matrices E_j of a type I-III kind's coordinate basis."""
@@ -503,7 +555,7 @@ def _form_hessian_simple(kind: _k.JTSKind, coords: np.ndarray, sign: np.ndarray)
         return 0.5 * ((2.0 * np.eye(kind.n) + 4.0 * sign * x * np.conj(x).swapaxes(1, 2)) / norm
                       - sign * u * v.swapaxes(1, 2) / norm ** 2)
     mat, wide, eye, shifted = _gram_side(kind, coords, sign)
-    small = solve(shifted, eye)
+    small = _inverse_shift(shifted, eye)
     if isinstance(kind, _k.TypeI):
         adj = np.conj(mat).swapaxes(1, 2)
         if wide:

@@ -189,10 +189,10 @@ def test_criterion_7_appendix_identities(criterion):
         for _ in range(20):
             z = sample_domain(kind, rng, 0.9)
             worst_beta = max(worst_beta, check_beta_exactness(z, unit_direction(kind, rng)))
-    ok = worst_a1 <= 1e-5 and worst_a2 <= 1e-5 and worst_beta <= 1e-5
+    ok = worst_a1 <= 1e-12 and worst_a2 <= 1e-12 and worst_beta <= 1e-12
     criterion(7, "derivative identities for the log-norm potentials",
               ok, f"first {worst_a1:.1e}, second {worst_a2:.1e}, "
-                  f"exactness {worst_beta:.1e}, all <= 1e-5")
+                  f"exactness {worst_beta:.1e}, all <= 1e-12")
 
 
 def test_criterion_8_volume(criterion):

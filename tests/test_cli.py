@@ -219,13 +219,19 @@ def test_verify_kernel_failure_carries_the_tagged_point(capsys, monkeypatch):
     assert len(failure["point"]) == 1 and len(failure["point"][0]) == 2
 
 
-@pytest.mark.parametrize("points", ["3", "300"])
-def test_verify_beta_cap_at_the_limit_is_exit_3_for_any_points(capsys, points):
-    code, out, err = run_cli(capsys, "verify", "--kind", "I:1,1", "--suites", "beta_exact",
-                             "--boundary-cap", "0.999", "--points", points)
-    assert code == 3
-    assert out == ""  # rejected before any sample runs
-    assert "boundary_cap 0.999" in err and "0.99" in err
+@pytest.mark.parametrize("points", ["3", "20"])
+def test_verify_all_at_cap_0_999_runs_beta_exact_and_passes(capsys, points):
+    # beta_exact took a finite difference and refused a cap of 0.99 or more as a
+    # config error (exit 3); its left-hand side is exact now, so --all runs it
+    code, out, err = run_cli(capsys, "verify", "--all", "--boundary-cap", "0.999",
+                             "--points", points)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["all_pass"] is True and doc["config"]["boundary_cap"] == 0.999
+    cells = [r for r in doc["results"] if r["suite"] == "beta_exact"]
+    assert len(cells) == len(doc["config"]["kinds"]) == 7
+    assert all(r["pass"] and r["samples"] == int(points) for r in cells)
+    assert all(r["pass"] for r in doc["results"])
 
 
 @pytest.mark.parametrize("flag, value", [

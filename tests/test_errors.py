@@ -74,11 +74,10 @@ def test_rule_message_is_the_template_filled_with_the_value():
 
 _KIND = K.TypeI(2, 2)
 _Z = sample_domain(_KIND, np.random.default_rng(70), 0.5)
-_W = sample_domain(_KIND, np.random.default_rng(71), 0.5)
 
 # arguments of the step drivers other than h, by parameter name
 _DRIVER_ARGS = {"fn": lambda e: potential(PotentialId.DUAL_FS, e), "pid": PotentialId.DUAL_FS,
-                "map_rows": psi_rows, "z": _Z, "direction": _W}
+                "map_rows": psi_rows, "z": _Z}
 
 
 def _step_driver(fn):

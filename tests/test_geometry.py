@@ -21,12 +21,9 @@ from hjts.errors import ContractError, DomainError
 from hjts.geometry import (
     PotentialId,
     RealJacobian,
-    _BETA_LAMBDA_MAX,
-    _central,
-    _dbox_z,
+    _dbox,
     _fd_step,
     _form_hessians,
-    _g,
     _pullback_pairs,
     _to_real,
     check_beta_exactness,
@@ -45,7 +42,8 @@ from hjts.harness import DEFAULT_KINDS, sample_domain
 from hjts.jts import (Element, _box_apply, bergman_operator, box_operator, d_operator,
                       genus, zero)
 from hjts.linalg import det, frobenius, solve
-from hjts.spectral import log_generic_norm_minus, log_generic_norm_plus, spectral_values
+from hjts.spectral import (_trace_differentials, generic_norms, log_generic_norm_minus,
+                           log_generic_norm_plus, spectral_values)
 
 SIMPLE_KINDS = [K.TypeI(1, 1), K.TypeI(2, 2), K.TypeII(4), K.TypeIII(3), K.TypeIV(3)]
 ALL_KINDS = SIMPLE_KINDS + [K.TypeI(1, 3), K.TypeIV(5),
@@ -183,15 +181,12 @@ def test_hessian_step_guard():
 
 
 # Every public function with a step h, called at (z, w) with step h, keyed by
-# its name (and the potential).  A new driver with a step must be listed here,
-# or the coverage test below fails.
+# its name (and the potential): the two finite-difference oracles, no check.  A
+# new function with a step must be listed here, or the coverage test below fails.
 _STEP_DRIVERS = {
     "complex_hessian":
         lambda z, w, h: complex_hessian(lambda e: potential(PotentialId.DUAL_FS, e), z, h),
     "real_jacobian": lambda z, w, h: real_jacobian(psi_rows, z, h),
-    "check_lemma_a1": lambda z, w, h: check_lemma_a1(z, w, h),
-    "check_lemma_a2": lambda z, w, h: check_lemma_a2(z, w, h),
-    "check_beta_exactness": lambda z, w, h: check_beta_exactness(z, w, h),
 }
 
 
@@ -573,7 +568,7 @@ def test_symplectic_tangents_equal_the_per_tangent_draws(kind):
 def test_lemma_a1(kind):
     z = interior(kind, seed=40, cap=0.8)
     w = unit(kind, seed=41)
-    assert check_lemma_a1(z, w) < 1e-5
+    assert check_lemma_a1(z, w) < 1e-13
 
 
 def test_lemma_a1_rejects_outside():
@@ -581,14 +576,6 @@ def test_lemma_a1_rejects_outside():
     outside = Element(kind, np.array([1.2], dtype=complex))
     with pytest.raises(DomainError):
         check_lemma_a1(outside, unit(kind, 1))
-
-
-def test_beta_exactness_rejects_near_boundary():
-    kind = K.TypeI(1, 1)
-    for lam in (_BETA_LAMBDA_MAX, 0.995):
-        z = Element(kind, np.array([lam], dtype=complex))
-        with pytest.raises(DomainError):
-            check_beta_exactness(z, unit(kind, 1))
 
 
 def test_flat_dbar_pullback_rejects_outside():
@@ -607,6 +594,7 @@ _INTERIOR_SITES = {
        for route in DualityRoute},
     "kahler_matrix": lambda z, w: kahler_matrix(PotentialId.HYPERBOLIC, z),
     "check_lemma_a1": check_lemma_a1,
+    "check_beta_exactness": check_beta_exactness,
     "check_flat_dbar_pullback": check_flat_dbar_pullback,
 }
 
@@ -655,41 +643,35 @@ def test_direction_kind_mismatch(check):
         check(z, w)
 
 
-def _lemma_a2_one(z, direction, p, k, h):
-    """The identity at one (p, k), every term computed on its own: one central
-    difference of (r box r)^k z and one left slot per call."""
+def _lemma_a2_one(z, direction, p):
+    """The identity at one p, every term computed on its own: the left slot
+    (z box z)^p z, (d (z box z)^2)(w) z by the product rule, and 2 (z box z) (d(z box z))(w) z."""
     w = direction.coords
     kind, c = z.kind, z.coords
     left_slot = _box_apply(kind, c, p, c)
-    [d_power_z] = _central(lambda rows: np.array([_box_apply(kind, r, k, c) for r in rows]),
-                           z, w[None, :], h)
-    lhs = complex(np.sum(left_slot * d_power_z.conj()))
-    if k == 0:
-        rhs = 0.0 + 0.0j
-    else:
-        inner = _box_apply(kind, c, k - 1, _dbox_z(kind, c, w))
-        rhs = k * complex(np.sum(left_slot * inner.conj()))
+    inner = _box_apply(kind, c, 1, _dbox(kind, c, w, c))
+    d_square = _dbox(kind, c, w, _box_apply(kind, c, 1, c)) + inner
+    lhs = complex(np.sum(left_slot * d_square.conj()))
+    rhs = 2.0 * complex(np.sum(left_slot * inner.conj()))
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
 @pytest.mark.parametrize("kind", DEFAULT_KINDS)
 def test_lemma_a2_grid(kind):
-    # one pass over the (p, k) grid gives bit for bit the worst per-(p, k) residual.
-    # The identity is polynomial in z, so it holds off the domain too; at 3z the
-    # p = 2 terms attain the worst residual on some kinds (I:1,1 at both steps).
+    # one pass over p gives bit for bit the worst per-p residual, at roundoff.
+    # The identity is polynomial in z, so it holds off the domain too; 3z makes
+    # the p = 2 slot large.
     z = interior(kind, seed=50, cap=0.8)
     w = unit(kind, seed=51)
     for point in (z, Element(kind, 3.0 * z.coords)):
-        for h in (1e-5, 1e-3):
-            worst = check_lemma_a2(point, w, h)
-            assert worst == max(_lemma_a2_one(point, w, p, k, h)
-                                for p in (0, 1, 2) for k in (0, 1, 2))
-            assert worst < 1e-5
+        worst = check_lemma_a2(point, w)
+        assert worst == max(_lemma_a2_one(point, w, p) for p in (0, 1, 2))
+        assert worst < 1e-13
 
 
 @pytest.mark.parametrize("kind", DEFAULT_KINDS)
 def test_applied_box_matches_built_operators(kind):
-    # the lemma checks apply z box z and d(z box z)(w) z without building them
+    # the lemma checks apply z box z and d(z box z)(w) v without building them
     z = interior(kind, seed=52)
     w = unit(kind, seed=53)
     v = unit(kind, seed=54).coords
@@ -699,31 +681,180 @@ def test_applied_box_matches_built_operators(kind):
         applied = _box_apply(kind, z.coords, k, v)
         assert np.linalg.norm(applied - built) <= 1e-13 * np.linalg.norm(built)
         built = box @ built
-    dbox = 0.5 * (d_operator(w, z).matrix + d_operator(z, w).matrix) @ z.coords
-    assert np.linalg.norm(_dbox_z(kind, z.coords, w.coords) - dbox) \
-        <= 1e-13 * np.linalg.norm(dbox)
+    dbox = 0.5 * (d_operator(w, z).matrix + d_operator(z, w).matrix)
+    for u in (z.coords, v):
+        assert np.linalg.norm(_dbox(kind, z.coords, w.coords, u) - dbox @ u) \
+            <= 1e-13 * np.linalg.norm(dbox @ u)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_beta_exactness(kind):
     z = interior(kind, seed=60, cap=0.8)
     w = unit(kind, seed=61)
-    assert check_beta_exactness(z, w) < 1e-5
+    assert check_beta_exactness(z, w) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference oracles of the three lemma checks' left-hand sides
+
+def _central(fn, z, dirs, h):
+    """Central differences (fn(z + step d) - fn(z - step d)) / (2 step), one row
+    per direction d of ``dirs``, ``fn`` mapping every row z + step [dirs; -dirs]."""
+    step = _fd_step(z.norm(), h)
+    values = fn(z.coords + step * np.concatenate([dirs, -dirs]))
+    return (values[:len(dirs)] - values[len(dirs):]) / (2.0 * step)
+
+
+def _g(t, sign):
+    """G(t) with t G(t) the antiderivative of u/(1 + sign u)^2 and G(0) = 0:
+    the hyperbolic G for sign = -1, its dual mirror for sign = +1."""
+    if abs(t) < 0.01:
+        # sum_{j>=1} j/(j+1) (-sign t)^(j-1) t; truncation < 1e-16 for |t| < 0.01
+        acc = 0.0
+        for j in range(8, 0, -1):
+            acc = acc * (-sign * t) + j / (j + 1.0)
+        return acc * t
+    return (math.log1p(sign * t) + 1.0 / (1.0 + sign * t) - 1.0) / t
+
+
+def fd_lemma_a1(z, w, h):
+    """check_lemma_a1's left-hand sides dbar log N (w) and dbar log N* (w): the
+    Wirtinger split of central differences of ``generic_norms`` along w and i w."""
+    kind = z.kind
+    along, across = _central(lambda rows: np.array([generic_norms(Element(kind, p)) for p in rows]),
+                             z, np.stack([w, 1.0j * w]), h)
+    return 0.5 * (along + 1.0j * across) / np.array(generic_norms(z))
+
+
+def fd_beta_exactness(z, w, h):
+    """check_beta_exactness's left-hand sides d gamma (w), sign -1 then +1: central
+    differences of gamma = sum_j G(lambda_j^2) lambda_j^2 over ``spectral_values``."""
+    kind = z.kind
+    [derivative] = _central(
+        lambda rows: np.array([[sum(_g(t, sign) * t for t in sq) for sign in (-1.0, 1.0)]
+                               for sq in (spectral_values(Element(kind, p)) ** 2 for p in rows)]),
+        z, w[None, :], h)
+    return derivative
+
+
+def fd_lemma_a2(z, w, h):
+    """check_lemma_a2's derivatives (d (z box z)^k)(w) z, k = 1 then 2: central
+    differences of (r box r)^k z over r."""
+    kind, c = z.kind, z.coords
+
+    def box_powers_of_z(rows):
+        once = _box_apply(kind, rows, 1, c)
+        return np.stack([once, _box_apply(kind, rows, 1, once)], axis=1)
+    [d_powers] = _central(box_powers_of_z, z, w[None, :], h)
+    return d_powers
+
+
+_LEMMA_ORACLES = (fd_lemma_a1, fd_beta_exactness, fd_lemma_a2)
+
+
+def _exact_left_hand_sides(z, w):
+    """What the three oracles measure, in closed form as the checks take it."""
+    kind, c = z.kind, z.coords
+    diffs = _trace_differentials(kind, c, np.stack([w, 1.0j * w]))
+    d_box = _dbox(kind, c, w, c)
+    d_square = _dbox(kind, c, w, _box_apply(kind, c, 1, c)) + _box_apply(kind, c, 1, d_box)
+    return 0.5 * (diffs[0, 0] + 1.0j * diffs[1, 0]), diffs[0, 1], np.stack([d_box, d_square])
+
+
+@pytest.mark.parametrize("h", [1e-5, 1e-3])
+@pytest.mark.parametrize("cap", [0.5, 0.95])
+@pytest.mark.parametrize("kind", _HESSIAN_ORACLE_KINDS, ids=K.format_kind)
+def test_exact_left_hand_sides_match_their_finite_difference_oracles(kind, cap, h):
+    # the stencil's own error: roundoff over h at 1e-5, truncation h^2 at 1e-3
+    for seed in (80, 81):
+        z, w = interior(kind, seed=seed, cap=cap), unit(kind, seed=seed + 10).coords
+        for exact, oracle in zip(_exact_left_hand_sides(z, w), _LEMMA_ORACLES):
+            measured = oracle(z, w, h)
+            assert np.abs(exact - measured).max() \
+                <= (5e-8 + 100.0 * h * h) * max(1.0, np.abs(exact).max()), oracle.__name__
+
+
+@pytest.mark.parametrize("kind", [K.TypeI(4, 4), K.TypeII(6), K.TypeIII(4), K.TypeIV(8)],
+                         ids=K.format_kind)
+def test_exact_left_hand_sides_on_larger_kinds(kind):
+    # rank 3 and 4 Gram spectra: more terms in each trace than on the defaults
+    z, w = interior(kind, seed=82, cap=0.95), unit(kind, seed=83)
+    for exact, oracle in zip(_exact_left_hand_sides(z, w.coords), _LEMMA_ORACLES):
+        measured = oracle(z, w.coords, 1e-5)
+        assert np.abs(exact - measured).max() <= 5e-8 * max(1.0, np.abs(exact).max())
+    for check in (check_lemma_a1, check_beta_exactness, check_lemma_a2):
+        assert check(z, w) < 1e-13
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS, ids=K.format_kind)
+def test_lemma_checks_take_one_eigensolve_per_matrix_factor(kind, monkeypatch):
+    # each left-hand side is one Gram eigh per type I-III factor (the spin factor
+    # needs none), where the stencils took five and three spectral_values calls
+    z, w = interior(kind, seed=84, cap=0.95), unit(kind, seed=85)
+    eighs = _count_calls(monkeypatch, "eigh", hjts.spectral)
+    values = _count_calls(monkeypatch, "spectral_values", hjts.spectral)
+    matrix_factors = sum(not isinstance(f, K.TypeIV) for f in K.simple_factors(kind))
+    for check in (check_lemma_a1, check_beta_exactness):
+        before = len(eighs)
+        check(z, w)
+        assert len(eighs) - before == matrix_factors
+    check_lemma_a2(z, w)
+    assert len(eighs) == 2 * matrix_factors and values == []
+
+
+def _trace_degenerate_points():
+    """``_degenerate_points``, the origin of a product, and a spin point with
+    both spectral values 0.6 (the roots t+ = t- of ``_trace_differentials``)."""
+    equal = K.ambient_to_coords(K.TypeIV(4), np.array([0.6, 0.0, 0.0, 0.0], dtype=complex))
+    return {**_degenerate_points(), "origin": zero(K.Product((K.TypeI(2, 2), K.TypeIV(3)))),
+            "IV:4 t+ = t-": Element(K.TypeIV(4), equal)}
+
+
+@pytest.mark.parametrize("label", list(_trace_degenerate_points()))
+def test_exact_left_hand_sides_at_degenerate_spectra(label):
+    # a repeated, a zero or a paired Gram eigenvalue, q = 0, t+ = t-, and the origin
+    z = _trace_degenerate_points()[label]
+    w = unit(z.kind, seed=72)
+    for exact, oracle in zip(_exact_left_hand_sides(z, w.coords), _LEMMA_ORACLES):
+        assert np.isfinite(exact).all()
+        measured = oracle(z, w.coords, 1e-5)
+        assert np.abs(exact - measured).max() <= 5e-8 * max(1.0, np.abs(exact).max())
+    for check in (check_lemma_a1, check_beta_exactness, check_lemma_a2):
+        assert check(z, w) < 1e-13
+    if label == "origin":
+        assert not _trace_differentials(z.kind, z.coords, w.coords[None, :]).any()
+
+
+def test_trace_differentials_at_a_repeated_value_are_scalar_traces():
+    # G = 0.49 I, so sum_j f'(w_j) v_j* dG v_j = f'(0.49) tr dG, tr dG = 2 Re tr(W Z*)
+    z = _degenerate_points()["I:2,2 repeated"]
+    kind, w = z.kind, unit(z.kind, seed=73).coords
+    trace = 2.0 * np.trace(K.coords_to_matrix(kind, w)
+                           @ K.coords_to_matrix(kind, z.coords).conj().T).real
+    [got] = _trace_differentials(kind, z.coords, w[None, :])
+    for i, s in enumerate((-1.0, 1.0)):
+        assert got[0, i] == pytest.approx(s / (1.0 + s * 0.49) * trace, rel=1e-13)
+        assert got[1, i] == pytest.approx(0.49 / (1.0 + s * 0.49) ** 2 * trace, rel=1e-13)
 
 
 def test_beta_exactness_small_scale_series_branch():
-    # tiny points route the weight function through its power series
+    # tiny points route the oracle's weight function through its power series;
+    # the exact check reads roundoff there, and the oracle agrees with it
     kind = K.TypeIII(3)
     rng = np.random.default_rng(62)
     z = Element(kind, 0.03 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
-    assert check_beta_exactness(z, unit(kind, 63)) < 1e-6
+    w = unit(kind, 63)
+    assert spectral_values(z)[0] ** 2 < 0.01
+    assert check_beta_exactness(z, w) < 1e-15
+    exact = _exact_left_hand_sides(z, w.coords)[1]
+    assert np.abs(fd_beta_exactness(z, w.coords, 1e-5) - exact).max() < 1e-10
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("t", [1e-4, 0.005, 0.0099, 0.01, 0.0101, 0.02, 0.05])
 def test_weight_function_matches_its_series_across_the_switch(sign, t):
-    # _g switches from an 8-term series to the closed form at t = 0.01; both
-    # sides must match sum_{j>=1} j/(j+1) (-sign t)^(j-1) t taken to 60 terms
+    # the oracle's _g switches from an 8-term series to the closed form at t = 0.01;
+    # both sides must match sum_{j>=1} j/(j+1) (-sign t)^(j-1) t taken to 60 terms
     series = sum(j / (j + 1.0) * (-sign * t) ** (j - 1) * t for j in range(1, 61))
     assert _g(t, sign) == pytest.approx(series, rel=1e-11, abs=0.0)
 

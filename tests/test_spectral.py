@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import hjts.kinds as K
 from hjts.duality import DualityRoute, psi, psi_inverse_route_spread, psi_route_spread, psi_rows
 from hjts.errors import ContractError, DomainError, SingularityError
+from hjts.geometry import PotentialId, kahler_matrix
 from hjts.harness import DEFAULT_KINDS, sample_domain
 from hjts.jts import (
     Element,
@@ -367,6 +368,28 @@ def test_log_norm_rows_refusals_name_their_cause():
     with pytest.raises(DomainError, match="^point lies outside the bounded domain "
                        "\\(largest spectral value >= 1\\)$"):
         log_norm_rows(kind, np.full((1, 4), 0.6), -1.0)
+
+
+# the dual side's solves of I + Gram, on a (1, N) row
+_DUAL_SOLVES = {
+    "kahler_matrix": lambda kind, row: kahler_matrix(PotentialId.DUAL_FS, Element(kind, row[0])),
+    "box_power_rows_-1": lambda kind, row: _box_power_rows(kind, row, 1.0, -1),
+    "box_power_rows_-2": lambda kind, row: _box_power_rows(kind, row, 1.0, -2),
+}
+
+
+@pytest.mark.parametrize("v", [1e10, 1e12])
+@pytest.mark.parametrize("site", _DUAL_SOLVES.values(), ids=_DUAL_SOLVES.keys())
+def test_dual_side_far_out_is_refused_as_log_n_star_is(site, v):
+    # a rank-one I:2,2 point with every entry v/2 (lambda_1 = v): I + Gram rounds
+    # to the rank-one Gram, so its solve is exactly singular.  That is a refusal
+    # of the point, worded as log N*'s, not an internal SingularityError
+    kind = K.TypeI(2, 2)
+    row = np.full((1, 4), 0.5 * v, dtype=complex)
+    assert spectral_values(Element(kind, row[0]))[0] == pytest.approx(v, rel=1e-15)
+    with pytest.raises(DomainError, match="^log N\\* cannot be evaluated at this scale: "
+                       "I \\+ Gram lost its identity term to roundoff$"):
+        site(kind, row)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
